@@ -10,6 +10,7 @@ byte-identical bytes; timings appear in the text format only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="sweep all (p, n) with p prime <= max-p and n | p-1, n <= max-n")
     selftest.add_argument("--max-p", type=int, required=True)
     selftest.add_argument("--max-n", type=int, default=8)
-    selftest.add_argument("--jobs", type=int, default=1, help="worker processes (results are merged in (p, n) order)")
+    selftest.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count (results are merged in (p, n) order)")
     _common_flags(selftest)
     return parser
 
@@ -213,8 +214,9 @@ def cmd_selftest(args) -> int:
         if (p - 1) % n == 0
     ]
     pairs.sort()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_selftest_case, pairs))
     else:
         results = [_selftest_case(pair) for pair in pairs]

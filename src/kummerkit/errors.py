@@ -51,6 +51,10 @@ class NotPrime(ValidationError):
     pass
 
 
+class PrimeTooLarge(ValidationError):
+    """The characteristic is too large for the primality test to be exact."""
+
+
 class NoPrimitiveRoot(ValidationError):
     pass
 

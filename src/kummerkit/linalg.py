@@ -205,13 +205,32 @@ def first_linear_dependency(field, vectors, limit: int) -> list:
     predecessors, then returns [c_0, ..., c_{k-1}, 1] with
     sum(c_j * v_j) + v_k = 0. The caller guarantees a dependency occurs
     within ``limit`` vectors.
+
+    Incremental elimination: an echelon basis of the vectors seen so far is
+    kept, each row paired with the combination of the v_j that produced it.
+    Each new vector is reduced against the rows in insertion order (row r is
+    zero at the pivots of rows before it, so later steps never refill an
+    earlier pivot). The first vector that reduces to zero yields its
+    combination, whose coefficient at v_k is 1. This is exactly the first
+    monic dependency: v_0, ..., v_{k-1} are independent, so the kernel of
+    [v_0 ... v_k] is a line and its monic generator is unique. The cost is
+    O(k * (dim + k)) per vector, O(n^3) for the whole sequence.
     """
-    cols = []
-    for v in itertools.islice(vectors, limit):
-        cols.append(tuple(v))
-        kernel = nullspace(Matrix.from_columns(field, cols))
-        if kernel:
-            return list(kernel[0])
+    zero, one = field.zero(), field.one()
+    basis = []  # (pivot column, row with 1 at the pivot, combination)
+    for k, v in enumerate(itertools.islice(vectors, limit)):
+        row = [field.coerce(c) for c in v]
+        combo = [zero] * k + [one]
+        for pivot, brow, bcombo in basis:
+            f = row[pivot]
+            if f:
+                row = [a - f * b for a, b in zip(row, brow)]
+                combo[: len(bcombo)] = [a - f * b for a, b in zip(combo, bcombo)]
+        pivot = next((j for j, a in enumerate(row) if a), None)
+        if pivot is None:
+            return combo
+        inv = one / row[pivot]
+        basis.append((pivot, [a * inv for a in row], [a * inv for a in combo]))
     raise AssertionError("no linear dependency found within the promised bound")
 
 
@@ -231,8 +250,13 @@ def operator_min_poly(m: Matrix) -> Polynomial:
     """Least-degree monic polynomial annihilating the matrix.
 
     LCM of the minimal annihilating polynomials of the Krylov sequences from
-    each standard basis vector, stopping as soon as the accumulated candidate
-    annihilates the matrix.
+    each standard basis vector. Each of them divides the minimal polynomial,
+    so the running LCM ``acc`` does too. The loop stops as soon as ``acc``
+    has degree n: the minimal polynomial divides the degree-n characteristic
+    polynomial, so it then equals ``acc`` and no evaluation at M is needed.
+    That is the usual case, a cyclic operator. Below degree n (degenerate
+    operators only) it stops when ``acc(M) = 0`` by a direct Horner
+    evaluation.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
@@ -252,7 +276,7 @@ def operator_min_poly(m: Matrix) -> Polynomial:
 
         coeffs = first_linear_dependency(field, krylov(), n + 1)
         acc = poly_lcm(acc, Polynomial(field, coeffs))
-        if poly_at_matrix(acc, m).is_zero():
+        if acc.degree == n or poly_at_matrix(acc, m).is_zero():
             return acc
     raise AssertionError("Krylov LCM over a full basis must annihilate the matrix")
 

@@ -18,19 +18,30 @@ from .errors import (
     FieldMismatch,
     NoPrimitiveRoot,
     NotPrime,
+    PrimeTooLarge,
     ZeroDenominator,
 )
 
 Rational = Fraction
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13: the least strong pseudoprime to every prime base up to 41
+# (Sorenson & Webster, 2015). Miller-Rabin on _MR_BASES is exact below it.
+MR_EXACT_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every modulus this package accepts."""
+    """Miller-Rabin on the prime bases 2..41, exact for n < psi_13.
+
+    Above that bound a composite could pass every base, so instead of an
+    unproven answer this raises PrimeTooLarge (a ValidationError).
+    """
+    if n >= MR_EXACT_BOUND:
+        raise PrimeTooLarge(f"{n} is at least {MR_EXACT_BOUND}, beyond the exact range of the primality test")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:

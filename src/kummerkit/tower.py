@@ -165,13 +165,27 @@ class ExtensionElement:
         return ExtensionElement(self.field, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        lifted = self._lift_into(other)
-        if lifted is not None:
-            return lifted * other
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        """Product in the extension.
+
+        A base-field operand (anything ``field.base.coerce`` accepts, ints
+        included) multiplies each coordinate: the embedding of c is
+        (c, 0, ..., 0), and c * sum(a_i X^i) = sum((c a_i) X^i) needs no
+        reduction, so the result equals the full product with the embedded
+        scalar at n base multiplies instead of n^2. Two extension elements
+        are multiplied schoolbook and folded back with the monic modulus.
+        """
         field = self.field
+        if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):
+            lifted = self._lift_into(other)
+            if lifted is not None:
+                return lifted * other
+            if isinstance(other, ExtensionElement) and other.field != field.base:
+                raise FieldMismatch(f"elements of {field} and {other.field}")
+            try:
+                c = field.base.coerce(other)
+            except FieldMismatch:
+                return NotImplemented
+            return ExtensionElement(field, tuple(a * c for a in self.coords))
         deg = field.degree
         zero = field.base.zero()
         prod = [zero] * (2 * deg - 1)

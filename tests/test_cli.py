@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
-from kummerkit import serialize
+from kummerkit import cli, serialize
 from kummerkit.cli import main
+from kummerkit.scalars import MR_EXACT_BOUND
 from kummerkit.families import builtin_cubic_over_eisenstein
 
 
@@ -99,6 +100,26 @@ class TestTower:
         assert code == 0
         assert all(json.loads(out)["checks"].values())
 
+    @pytest.mark.parametrize(
+        "p,code_name",
+        [(318665857834031151167461, "NotPrime"), (MR_EXACT_BOUND + 2, "PrimeTooLarge")],
+        ids=["psi12-pseudoprime", "beyond-psi13"],
+    )
+    def test_unproven_or_composite_characteristic_rejected(self, capsys, tmp_path, p, code_name):
+        # n = 2, zeta = -1, modulus X^2 - 2, sigma(alpha) = -alpha: valid if p were prime
+        doc = {
+            "base": {"kind": "prime", "p": str(p)},
+            "n": 2,
+            "zeta": str(p - 1),
+            "modulus": [str(p - 2), "0", "1"],
+            "sigma_image": ["0", str(p - 1)],
+        }
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "tower", str(spec), "--format", "json")
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == code_name
+
     def test_identity_automorphism_rejected(self, capsys, tmp_path):
         doc = {
             "base": {"kind": "prime", "p": "13"},
@@ -138,6 +159,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(cert_file))
         assert code == 2
         assert "x^n = c" in out
+
+    def test_certificate_over_pseudoprime_rejected(self, capsys, cert_file):
+        doc = json.loads(cert_file.read_text())
+        doc["input"]["base"]["p"] = "318665857834031151167461"
+        cert_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cert_file), "--format", "json")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["code"] == "MalformedCertificate" and "is not prime" in error["message"]
 
     def test_json_format(self, capsys, cert_file):
         code, out, _ = run(capsys, "verify", str(cert_file), "--format", "json")
@@ -180,6 +210,31 @@ class TestSelftest:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] == doc["total"] == len(doc["cases"])
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, _ = run(capsys, "selftest", "--max-p", "7", "--max-n", "2", "--jobs", "1000")
+        assert code == 0 and pools == [2]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        code, pooled_none, _ = run(capsys, "selftest", "--max-p", "7", "--max-n", "2", "--jobs", "1000")
+        assert code == 0 and pools == [2]  # unknown CPU count: run serially
+        assert pooled_none == out
 
     def test_worker_pool_summary_identical(self, capsys):
         _, serial, _ = run(capsys, "selftest", "--max-p", "13", "--max-n", "6")

@@ -5,15 +5,18 @@ matrices whose minimal polynomial is the product of (X - lambda) over the
 distinct diagonal entries, expanded with plain polynomial multiplication.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from kummerkit.errors import DimensionMismatch
 from kummerkit.linalg import (
     Matrix,
     element_min_poly,
+    first_linear_dependency,
     mat_apply,
     nullspace,
     operator_matrix,
@@ -190,3 +193,154 @@ class TestElementMinPoly:
         # alpha^2 in F_13[X]/(X^4-2) satisfies Y^2 - 2 and nothing smaller
         ext = ExtensionField(F13, Polynomial(F13, [-2, 0, 0, 0, 1]))
         assert element_min_poly(ext.gen() ** 2) == Polynomial(F13, [-2, 0, 1])
+
+
+# -- oracles for the fast paths ---------------------------------------------
+
+def companion(coeffs):
+    """Companion matrix (as int rows) of the monic polynomial with the given
+    degree-ascending coefficients, leading 1 omitted."""
+    d = len(coeffs)
+    return [[(1 if i == j + 1 else 0) if j < d - 1 else -coeffs[i] for j in range(d)] for i in range(d)]
+
+
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return out
+
+
+DEGENERATE = {
+    "identity": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "diagonal-repeated": [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
+    "jordan-plus-repeat": block_diag([[2, 1], [0, 2]], [[2]]),
+    # X^2 + X - 2 = (X - 1)(X + 2), twice
+    "companion-reducible-twice": block_diag(companion([-2, 1]), companion([-2, 1])),
+}
+CYCLIC = {
+    "jordan-block": [[2, 1, 0], [0, 2, 1], [0, 0, 2]],
+    # X^3 - 3X + 2 = (X - 1)^2 (X + 2)
+    "companion-reducible": companion([2, -3, 0]),
+}
+
+
+def sympy_min_poly(rows):
+    """Least-degree monic divisor of the characteristic polynomial that
+    annihilates the matrix, searched over all divisors by sympy over QQ."""
+    x = sympy.Symbol("x")
+    m = sympy.Matrix(rows)
+    n = m.rows
+    divisors = [sympy.Integer(1)]
+    for f, e in sympy.factor_list(m.charpoly(x).as_expr(), x)[1]:
+        divisors = [d * f**k for d in divisors for k in range(e + 1)]
+    for d in sorted(divisors, key=lambda d: sympy.degree(d, x)):
+        poly = sympy.Poly(d, x)
+        acc = sympy.zeros(n)
+        for c in poly.all_coeffs():
+            acc = acc * m + c * sympy.eye(n)
+        if acc.is_zero_matrix:
+            lead = poly.LC()
+            return [Fraction(int(sympy.numer(c / lead)), int(sympy.denom(c / lead))) for c in reversed(poly.all_coeffs())]
+    raise AssertionError("the characteristic polynomial annihilates every matrix")
+
+
+def brute_force_min_poly_mod_p(rows, p):
+    """First monic polynomial, by degree then lex order, with f(M) = 0 mod p."""
+    n = len(rows)
+
+    def matmul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(n):
+        powers.append(matmul(powers[-1], rows))
+    for deg in range(1, n + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            coeffs = tail + (1,)
+            if all(
+                sum(c * pw[i][j] for c, pw in zip(coeffs, powers)) % p == 0 for i in range(n) for j in range(n)
+            ):
+                return list(coeffs)
+    raise AssertionError("Cayley-Hamilton bounds the degree by n")
+
+
+class TestOperatorMinPolyOracles:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE) + sorted(CYCLIC))
+    def test_rationals_against_sympy(self, name):
+        rows = {**DEGENERATE, **CYCLIC}[name]
+        got = operator_min_poly(Matrix(QQ, rows))
+        assert got == Polynomial(QQ, sympy_min_poly(rows))
+        assert (got.degree < len(rows)) == (name in DEGENERATE)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE) + sorted(CYCLIC))
+    def test_f5_against_brute_force(self, name):
+        rows = {**DEGENERATE, **CYCLIC}[name]
+        got = operator_min_poly(Matrix(F5, rows))
+        assert got == Polynomial(F5, brute_force_min_poly_mod_p(rows, 5))
+
+    def test_f5_split_companion(self):
+        # X^4 - 1 splits over F_5 into four distinct linear factors
+        rows = companion([-1, 0, 0, 0])
+        assert operator_min_poly(Matrix(F5, rows)) == Polynomial(F5, brute_force_min_poly_mod_p(rows, 5))
+
+
+def nullspace_first_linear_dependency(field, vectors, limit):
+    """The original formulation: a fresh nullspace after every new vector."""
+    cols = []
+    for v in itertools.islice(vectors, limit):
+        cols.append(tuple(v))
+        kernel = nullspace(Matrix.from_columns(field, cols))
+        if kernel:
+            return list(kernel[0])
+    raise AssertionError("no linear dependency found within the promised bound")
+
+
+def random_low_rank_sequence(field, rng, dim):
+    """dim + 1 vectors drawn from the span of a few random vectors, with the
+    occasional zero vector; any dim + 1 vectors are dependent."""
+    rank = rng.randrange(0, dim + 1)
+    gens = [[field.from_int(rng.randrange(-6, 7)) for _ in range(dim)] for _ in range(rank)]
+    seq = []
+    for _ in range(dim + 1):
+        v = [field.zero()] * dim
+        for g in gens:
+            k = field.from_int(rng.randrange(-4, 5))
+            v = [a + k * b for a, b in zip(v, g)]
+        seq.append(tuple(v))
+    return seq
+
+
+class TestFirstLinearDependency:
+    @pytest.mark.parametrize("field", [F5, F13, QQ], ids=["F5", "F13", "QQ"])
+    def test_matches_nullspace_version_on_random_sequences(self, field):
+        rng = random.Random(1604)
+        for _ in range(60):
+            dim = rng.randrange(1, 7)
+            seq = random_low_rank_sequence(field, rng, dim)
+            got = first_linear_dependency(field, iter(seq), dim + 1)
+            assert got == nullspace_first_linear_dependency(field, iter(seq), dim + 1), seq
+
+    @pytest.mark.parametrize("field", [F5, F13, QQ], ids=["F5", "F13", "QQ"])
+    def test_matches_nullspace_version_on_krylov_sequences(self, field):
+        rng = random.Random(1997)
+        for _ in range(30):
+            n = rng.randrange(1, 6)
+            m = random_matrix(field, rng, n, n)
+            start = tuple(field.from_int(rng.randrange(-3, 4)) for _ in range(n))
+            seq = [start]
+            for _ in range(n):
+                seq.append(mat_apply(m, seq[-1]))
+            got = first_linear_dependency(field, iter(seq), n + 1)
+            assert got == nullspace_first_linear_dependency(field, iter(seq), n + 1)
+
+    def test_zero_first_vector(self):
+        assert first_linear_dependency(F5, iter([(0, 0)]), 1) == [F5.one()]
+
+    def test_no_dependency_within_limit(self):
+        with pytest.raises(AssertionError):
+            first_linear_dependency(QQ, iter([(1, 0), (0, 1)]), 2)

@@ -7,6 +7,7 @@ polynomials.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,34 @@ class TestIrreducibility:
         if p == 7:  # degree 4 sampled to keep the oracle affordable
             for f in itertools.islice(o_monic_polys(7, 4), 0, 2401, 17):
                 assert is_irreducible_mod_p(Polynomial(field, f)) == o_irreducible(f, 7), f
+
+
+def sympy_irreducible(f, p):
+    return sympy.Poly(list(reversed(f)), sympy.Symbol("x"), modulus=p).is_irreducible
+
+
+class TestIrreducibilityAgainstSympy:
+    """The Frobenius Q-matrix form of Rabin's test against sympy's factoring."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_monic_up_to_degree_4(self, p):
+        field = PrimeField(p)
+        for deg in range(1, 5):
+            for f in o_monic_polys(p, deg):
+                assert is_irreducible_mod_p(Polynomial(field, f)) == sympy_irreducible(f, p), f
+
+    def test_seeded_random_up_to_degree_10(self):
+        rng = random.Random(20161)
+        primes = [q for q in range(2, 98) if sympy.isprime(q)]
+        irreducible = 0
+        for _ in range(300):
+            p = rng.choice(primes)
+            deg = rng.randrange(1, 11)
+            f = tuple(rng.randrange(p) for _ in range(deg)) + (1,)
+            got = is_irreducible_mod_p(Polynomial(PrimeField(p), f))
+            assert got == sympy_irreducible(f, p), (p, f)
+            irreducible += got
+        assert 0 < irreducible < 300  # both outcomes exercised
 
 
 class TestPowMod:

@@ -5,13 +5,16 @@ power enumeration for multiplicative orders.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from kummerkit.errors import DivisionByZero, NoPrimitiveRoot, NotPrime, ZeroDenominator
+from kummerkit.errors import DivisionByZero, NoPrimitiveRoot, NotPrime, PrimeTooLarge, ValidationError, ZeroDenominator
 from kummerkit.scalars import (
+    MR_EXACT_BOUND,
     PrimeField,
     PrimeFieldElement,
     RationalField,
@@ -84,6 +87,37 @@ class TestPrimality:
     def test_prime_field_rejects_composites(self):
         with pytest.raises(NotPrime):
             PrimeField(4)
+
+    def test_strong_pseudoprime_to_bases_up_to_37_rejected(self):
+        # psi_12: a strong pseudoprime to every prime base 2..37
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert not is_prime(n)
+        with pytest.raises(NotPrime):
+            PrimeField(n)
+
+    def test_bound_is_psi_13(self):
+        assert MR_EXACT_BOUND == 3317044064679887385961981
+        assert not sympy.isprime(MR_EXACT_BOUND)
+
+    def test_at_or_above_the_exact_range_rejected(self):
+        assert issubclass(PrimeTooLarge, ValidationError)
+        for n in (MR_EXACT_BOUND, sympy.nextprime(MR_EXACT_BOUND), 2**127 - 1):
+            with pytest.raises(PrimeTooLarge):
+                is_prime(n)
+            with pytest.raises(PrimeTooLarge):
+                PrimeField(n)
+
+    def test_largest_prime_below_the_bound_accepted(self):
+        p = sympy.prevprime(MR_EXACT_BOUND)
+        assert is_prime(p)
+        assert PrimeField(p).p == p
+
+    def test_agrees_with_sympy_on_large_random_values(self):
+        rng = random.Random(1975)
+        for _ in range(300):
+            n = rng.randrange(10**18, MR_EXACT_BOUND) | 1
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestPrimeFieldArithmetic:

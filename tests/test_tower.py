@@ -86,6 +86,58 @@ class TestMul:
             ext_mul(F25.gen(), F13_4.gen())
 
 
+class TestScalarPath:
+    """A base-field operand multiplies coordinate-wise; nothing else changes."""
+
+    def test_foreign_extension_raises_field_mismatch(self):
+        with pytest.raises(FieldMismatch):
+            F25.gen() * F13_4.gen()
+        with pytest.raises(FieldMismatch):
+            F13_4.gen() * F25.gen()
+
+    def test_element_two_levels_down_in_another_tower_raises_field_mismatch(self):
+        with pytest.raises(FieldMismatch):
+            E_CUBIC.gen() * F25.gen()
+
+    def test_foreign_prime_field_scalar_raises_type_error(self):
+        with pytest.raises(TypeError):
+            F25.gen() * PrimeFieldElement(3, 13)
+        with pytest.raises(TypeError):
+            PrimeFieldElement(3, 13) * F25.gen()
+
+    def test_non_field_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            F25.gen() * "2"
+
+    def test_base_scalar_examples(self):
+        a = F25.element([3, 4])
+        assert coords_ints(a * PrimeFieldElement(2, 5)) == (1, 3)
+        assert coords_ints(3 * a) == (4, 2)
+        assert (K_EISENSTEIN.gen() * Fraction(1, 2)).coords == (Fraction(0), Fraction(1, 2))
+
+
+@st.composite
+def field_elements(draw, field):
+    if isinstance(field, PrimeField):
+        return PrimeFieldElement(draw(st.integers(0, field.p - 1)), field.p)
+    if isinstance(field, RationalField):
+        return Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**4)))
+    return field.element([draw(field_elements(field.base)) for _ in range(field.degree)])
+
+
+@pytest.mark.parametrize("field", [F13_4, K_EISENSTEIN, E_CUBIC], ids=["Fp", "QQ", "tower3"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_scalar_path_equals_full_product_with_embedding(field, data):
+    e = data.draw(field_elements(field))
+    c = data.draw(field_elements(field.base))
+    full = e * field.embed(c)  # both operands in E: the schoolbook product
+    assert (e * c).coords == full.coords
+    assert (c * e).coords == full.coords
+    k = data.draw(st.integers(-10**6, 10**6))
+    assert (e * k).coords == (e * field.from_int(k)).coords == (k * e).coords
+
+
 class TestInverse:
     def test_one(self):
         assert ext_inverse(F25.one()) == F25.one()
