@@ -28,15 +28,7 @@ from .polynomials import (
     cyclotomic_polynomial,
     is_irreducible_mod_p,
 )
-from .tower import (
-    ExtensionField,
-    ExtensionElement,
-    ext_mul,
-    ext_inverse,
-    embed_base,
-    is_in_base,
-    element_pow,
-)
+from .tower import ExtensionField, ExtensionElement
 from .linalg import (
     Matrix,
     rref,
@@ -53,7 +45,6 @@ from .kummer import (
     EigenReport,
     KummerCertificate,
     validate_setup,
-    sigma_matrix,
     check_diagonalizability,
     eigen_spectrum,
     check_gamma_closure,
@@ -67,7 +58,6 @@ from .kummer import (
     verify_certificate_report,
 )
 from .families import (
-    FamilyDescriptor,
     frobenius_family,
     builtin_cubic_over_eisenstein,
     parse_tower_spec,

@@ -151,40 +151,39 @@ def cmd_finite(args) -> int:
     return _run_pipeline(build, args.format, args.out)
 
 
+def _read_document(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def cmd_tower(args) -> int:
     def build():
         if args.spec == "builtin-cubic":
             return builtin_cubic_over_eisenstein()
-        try:
-            document = Path(args.spec).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.spec}: {exc}") from exc
-        return parse_tower_spec(document)
+        return parse_tower_spec(_read_document(args.spec))
 
     return _run_pipeline(build, args.format, args.out)
 
 
 def cmd_verify(args) -> int:
     try:
-        text = Path(args.certificate).read_text()
-        cert = serialize.certificate_from_json(serialize.loads(text))
+        cert = serialize.certificate_from_json(serialize.loads(_read_document(args.certificate)))
         ok, failures = verify_certificate_report(cert)
-    except OSError as exc:
-        _write(f"error: cannot read {args.certificate}: {exc}\n", args.out)
-        return 3
     except InputFormatError as exc:
-        if args.format == "json":
-            _emit_error(exc, "json", args.out)
-        else:
-            _write(f"error: {type(exc).__name__}: {exc}\n", args.out)
+        _emit_error(exc, args.format, args.out)
         return 3
+    except KummerError as exc:  # say NotInvertible: the certificate's K or E is not a field
+        _emit_error(exc, args.format, args.out)
+        return 2
     if args.format == "json":
         payload = {"outcome": "valid" if ok else "invalid", "failures": failures}
         _write(serialize.canonical_dumps(payload), args.out)
     elif ok:
         _write("certificate valid: every property re-derived\n", args.out)
     else:
-        _write(f"certificate invalid: failed property: {failures[0]}\n", args.out)
+        _write("certificate invalid: failed properties:\n" + "".join(f"  {f}\n" for f in failures), args.out)
     return 0 if ok else 2
 
 

@@ -11,10 +11,6 @@ re-verified at construction time (and again by validate_setup downstream).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from pathlib import Path
-
 from .errors import KummerError, NoPrimitiveRoot, ValidationError
 from .kummer import CyclicExtensionInput
 from .polynomials import Polynomial, is_irreducible_mod_p, poly_pow_mod
@@ -28,16 +24,23 @@ def default_modulus(field: PrimeField, n: int) -> Polynomial:
     coefficient tuple (c_0, ..., c_{n-1}).
 
     Tuples with c_0 = 0 are skipped for n >= 2: they all have the root 0, so
-    the lex-first irreducible never lies among them.
+    the lex-first irreducible never lies among them. The tuples are stepped
+    through like an odometer, the last coordinate turning fastest, so no
+    range of p values is ever held in memory.
     """
     p = field.p
-    start = 0 if n == 1 else 1
-    for c0 in range(start, p):
-        for rest in itertools.product(range(p), repeat=n - 1):
-            candidate = Polynomial(field, (c0,) + rest + (1,))
-            if is_irreducible_mod_p(candidate):
-                return candidate
-    raise AssertionError(f"no irreducible of degree {n} over F_{p}")  # cannot happen
+    digits = [0 if n == 1 else 1] + [0] * (n - 1)
+    while True:
+        candidate = Polynomial(field, digits + [1])
+        if is_irreducible_mod_p(candidate):
+            return candidate
+        k = n - 1
+        while digits[k] == p - 1:
+            if k == 0:
+                raise AssertionError(f"no irreducible of degree {n} over F_{p}")  # cannot happen
+            digits[k] = 0
+            k -= 1
+        digits[k] += 1
 
 
 def frobenius_family(p: int, n: int, modulus: Polynomial | None = None) -> CyclicExtensionInput:
@@ -86,26 +89,3 @@ def builtin_cubic_over_eisenstein() -> CyclicExtensionInput:
 def parse_tower_spec(document: str) -> CyclicExtensionInput:
     """Build an input from a tower-spec JSON document (see serialize)."""
     return serialize.input_from_json(serialize.loads(document))
-
-
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """Which instance family to build, plus its parameters."""
-
-    kind: str  # "frobenius" | "builtin-cubic" | "custom"
-    p: int | None = None
-    n: int | None = None
-    path: str | Path | None = None
-
-    def build(self) -> CyclicExtensionInput:
-        if self.kind == "frobenius":
-            if self.p is None or self.n is None:
-                raise ValidationError("frobenius family needs p and n")
-            return frobenius_family(self.p, self.n)
-        if self.kind == "builtin-cubic":
-            return builtin_cubic_over_eisenstein()
-        if self.kind == "custom":
-            if self.path is None:
-                raise ValidationError("custom family needs a spec file path")
-            return parse_tower_spec(Path(self.path).read_text())
-        raise ValidationError(f"unknown family kind {self.kind!r}")

@@ -13,7 +13,7 @@ reducible modulus over QQ) shows up as a false flag, not a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from .errors import (
     AutomorphismOrderMismatch,
@@ -100,10 +100,6 @@ class ValidatedContext:
     def zeta_pow(self, i: int):
         """zeta^i in K, for any integer i (zeta has order n)."""
         return self.zeta_powers[i % self.n]
-
-    def zeta_pow_ext(self, i: int) -> ExtensionElement:
-        """zeta^i embedded into E."""
-        return self.ext_field.embed(self.zeta_pow(i))
 
 
 @dataclass
@@ -209,14 +205,6 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
     if image != alpha:
         raise AutomorphismOrderMismatch(f"sigma^{n}(alpha) != alpha")
     return ctx
-
-
-def sigma_matrix(ctx: ValidatedContext) -> Matrix:
-    """Matrix of the automorphism in the power basis 1, alpha, ..., alpha^(n-1).
-
-    Column j is the coordinate vector of s^j, since alpha^j maps to s^j.
-    """
-    return ctx.matrix
 
 
 def check_diagonalizability(ctx: ValidatedContext, m: Matrix) -> tuple[bool, Polynomial]:
@@ -338,44 +326,76 @@ def _root_orbit_transitive(ctx: ValidatedContext, x: ExtensionElement) -> bool:
     return True
 
 
+def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
+    """Run every stage once and list its checks in verify's order.
+
+    Returns (eigen report, x, c, min poly of x, checks), where each check is
+    a (failure label, flag, holds) triple and the flag names the certificate
+    flag the check feeds. Without a claimed certificate, x is extracted and c
+    is the constant coordinate of x^n: x^n itself when it lies in K, and
+    otherwise just a value that serializes beside a false c_in_base. With a
+    claimed certificate, its x and c are tested, and its stored eigen report
+    and x_min_poly are compared with their recomputations; those comparisons
+    feed no flag (None). A zero x ends the list at "x != 0", since nothing
+    after it is defined; c and the min poly are then None.
+    """
+    m = ctx.matrix
+    diag_ok, sigma_min_poly = check_diagonalizability(ctx, m)
+    report = eigen_spectrum(ctx, m, sigma_min_poly)
+    checks = [
+        ("sigma min poly divides X^n - 1 and sigma^n = id", "min_poly_divides_Xn_minus_1", diag_ok),
+        ("eigenvalue closure", "spectrum_complete", check_gamma_closure(ctx, report)),
+        ("spectrum complete", "spectrum_complete", check_spectrum_complete(ctx, report)),
+        ("fixed space = span{1}", "fixed_field_is_K", check_fixed_field(ctx, m)),
+    ]
+    if claimed is None:
+        x = extract_radical_generator(ctx, m)
+    else:
+        x = claimed.x
+        stored = [(e.i, e.eigenvalue, e.dimension) for e in claimed.eigen.entries]
+        fresh = [(e.i, e.eigenvalue, e.dimension) for e in report.entries]
+        checks.append(("eigen report matches recomputation", None, stored == fresh))
+    if not x:
+        checks.append(("x != 0", None, False))
+        return report, x, None, None, checks
+
+    x_pow_n = x ** ctx.n
+    c = x_pow_n.coords[0] if claimed is None else claimed.c
+    x_min_poly = element_min_poly(x)
+    # sigma(x) = zeta*x is the orbit test at i = 0, and c = x^n whenever x^n
+    # is in K, so adding them changes neither flag's value in certify
+    checks += [
+        ("sigma(x) = zeta*x", "root_orbit_transitive", ctx.sigma(x) == x * ctx.zeta_pow(1)),
+        ("x^n in K", "c_in_base", x_pow_n.as_base() is not None),
+        ("sigma(x^n) = x^n", "c_in_base", ctx.sigma(x_pow_n) == x_pow_n),
+        ("x^n = c", "c_in_base", x_pow_n == ctx.ext_field.embed(c)),
+    ]
+    if claimed is not None:
+        checks.append(("stored x_min_poly matches recomputation", None, x_min_poly == claimed.x_min_poly))
+    checks += [
+        ("deg x_min_poly = n", "x_min_poly_degree_n", x_min_poly.degree == ctx.n),
+        ("root orbit transitive", "root_orbit_transitive", _root_orbit_transitive(ctx, x)),
+        ("binomial factorization", "binomial_factorization", _binomial_factorization_holds(ctx, x, c)),
+    ]
+    return report, x, c, x_min_poly, checks
+
+
 def compute_certificate(ctx: ValidatedContext) -> KummerCertificate:
     """Run the whole pipeline and assemble the certificate.
 
-    Flags are never omitted: a failing step yields a false flag (and an
-    invalid certificate), not an exception, except where no generator can be
-    extracted at all (EmptyEigenspace) or arithmetic itself witnesses a
-    reducible modulus (NotInvertible).
+    Each flag is the AND of the checks that feed it; hypotheses_ok,
+    sigma_is_automorphism and sigma_order_n have none, as validate_setup
+    already proved them. Flags are never omitted: a failing step yields a
+    false flag (and an invalid certificate), not an exception, except where
+    no generator can be extracted at all (EmptyEigenspace) or arithmetic
+    itself witnesses a reducible modulus (NotInvertible).
     """
-    m = sigma_matrix(ctx)
-    diag_ok, sigma_min_poly = check_diagonalizability(ctx, m)
-    report = eigen_spectrum(ctx, m, sigma_min_poly)
-    closure_ok = check_gamma_closure(ctx, report)
-    complete_ok = check_spectrum_complete(ctx, report)
-    fixed_ok = check_fixed_field(ctx, m)
-
-    x = extract_radical_generator(ctx, m)
-    x_pow_n = x ** ctx.n
-    c_base = x_pow_n.as_base()
-    c_in_base = c_base is not None and ctx.sigma(x_pow_n) == x_pow_n
-    # for the (invalid) case x^n not in K, record the constant coordinate so
-    # the certificate still serializes; the false flag tells the story
-    c = c_base if c_base is not None else x_pow_n.coords[0]
-
-    x_min_poly = element_min_poly(x)
-
-    checks = {
-        "hypotheses_ok": True,
-        "sigma_is_automorphism": True,
-        "sigma_order_n": True,
-        "fixed_field_is_K": fixed_ok,
-        "min_poly_divides_Xn_minus_1": diag_ok,
-        "spectrum_complete": complete_ok and closure_ok,
-        "c_in_base": c_in_base,
-        "x_min_poly_degree_n": x_min_poly.degree == ctx.n,
-        "root_orbit_transitive": _root_orbit_transitive(ctx, x),
-        "binomial_factorization": _binomial_factorization_holds(ctx, x, c),
-    }
-    return KummerCertificate(ctx.input, report, x, c, x_min_poly, checks)
+    report, x, c, x_min_poly, checks = _derive(ctx)
+    flags = dict.fromkeys(CHECK_NAMES, True)
+    for _, flag, holds in checks:
+        if flag is not None:
+            flags[flag] = flags[flag] and holds
+    return KummerCertificate(ctx.input, report, x, c, x_min_poly, flags)
 
 
 def certify(inp: CyclicExtensionInput) -> KummerCertificate:
@@ -390,16 +410,13 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
     hold. Stored intermediates (eigen report, c, x_min_poly, flags) are
     checked against fresh recomputations rather than believed.
     """
-    failures: list[str] = []
     try:
         ctx = validate_setup(cert.input)
     except ValidationError as exc:
         return False, [f"hypotheses hold ({exc})"]
 
-    ext = ctx.ext_field
     try:
-        x = ext.coerce(cert.x)
-        c = ctx.base_field.coerce(cert.c)
+        claimed = replace(cert, x=ctx.ext_field.coerce(cert.x), c=ctx.base_field.coerce(cert.c))
         if not isinstance(cert.x_min_poly, Polynomial) or cert.x_min_poly.field != ctx.base_field:
             raise MalformedCertificate("x_min_poly is not a polynomial over K")
         if set(cert.checks) != set(CHECK_NAMES):
@@ -407,51 +424,10 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
     except (FieldMismatch, AttributeError, TypeError) as exc:
         raise MalformedCertificate(str(exc)) from exc
 
-    m = sigma_matrix(ctx)
-    diag_ok, sigma_min_poly = check_diagonalizability(ctx, m)
-    if not diag_ok:
-        failures.append("sigma min poly divides X^n - 1 and sigma^n = id")
-    report = eigen_spectrum(ctx, m, sigma_min_poly)
-    if not check_gamma_closure(ctx, report):
-        failures.append("eigenvalue closure")
-    if not check_spectrum_complete(ctx, report):
-        failures.append("spectrum complete")
-    if not check_fixed_field(ctx, m):
-        failures.append("fixed space = span{1}")
-
-    stored = [(e.i, e.eigenvalue, e.dimension) for e in cert.eigen.entries]
-    fresh = [(e.i, e.eigenvalue, e.dimension) for e in report.entries]
-    if stored != fresh:
-        failures.append("eigen report matches recomputation")
-
-    if not x:
-        failures.append("x != 0")
-        return False, failures
-
-    if ctx.sigma(x) != x * ctx.zeta_pow(1):
-        failures.append("sigma(x) = zeta*x")
-    x_pow_n = x ** ctx.n
-    if x_pow_n.as_base() is None:
-        failures.append("x^n in K")
-    if ctx.sigma(x_pow_n) != x_pow_n:
-        failures.append("sigma(x^n) = x^n")
-    if x_pow_n != ext.embed(c):
-        failures.append("x^n = c")
-
-    x_min_poly = element_min_poly(x)
-    if x_min_poly != cert.x_min_poly:
-        failures.append("stored x_min_poly matches recomputation")
-    if x_min_poly.degree != ctx.n:
-        failures.append("deg x_min_poly = n")
-
-    if not _root_orbit_transitive(ctx, x):
-        failures.append("root orbit transitive")
-    if not _binomial_factorization_holds(ctx, x, c):
-        failures.append("binomial factorization")
-
-    if not all(cert.checks[name] for name in CHECK_NAMES):
+    _, x, _, _, checks = _derive(ctx, claimed)
+    failures = [label for label, _, holds in checks if not holds]
+    if x and not all(cert.checks[name] for name in CHECK_NAMES):
         failures.append("all stored flags true")
-
     return not failures, failures
 
 

@@ -84,9 +84,6 @@ class Matrix:
         k = self.field.coerce(k)
         return Matrix(self.field, [[a * k for a in row] for row in self.rows])
 
-    def apply(self, v) -> tuple:
-        return mat_apply(self, v)
-
     def power(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
             raise DimensionMismatch("power of a non-square matrix")

