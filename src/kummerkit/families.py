@@ -43,18 +43,21 @@ def default_modulus(field: PrimeField, n: int) -> Polynomial:
         digits[k] += 1
 
 
-def frobenius_family(p: int, n: int, modulus: Polynomial | None = None) -> CyclicExtensionInput:
+def frobenius_family(p: int | PrimeField, n: int, modulus: Polynomial | None = None) -> CyclicExtensionInput:
     """F_(p^n) over F_p with the Frobenius automorphism a -> a^p.
 
-    Requires n | p-1 so that F_p already contains a primitive n-th root of
-    unity. The extension modulus defaults to the lex-first irreducible.
+    p is the characteristic or an already-built PrimeField, whose primality
+    is then not tested again. Requires n | p-1 so that F_p already contains
+    a primitive n-th root of unity. The extension modulus defaults to the
+    lex-first irreducible.
     """
-    base = PrimeField(p)
+    base = p if isinstance(p, PrimeField) else PrimeField(p)
+    p = base.p
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if (p - 1) % n != 0:
         raise NoPrimitiveRoot(f"F_{p} has no primitive {n}th root of unity: {n} does not divide {p - 1}")
-    zeta = find_nth_root_of_unity(p, n)
+    zeta = find_nth_root_of_unity(base, n)
     if modulus is None:
         modulus = default_modulus(base, n)
     else:

@@ -23,6 +23,7 @@ from .errors import (
     MalformedCertificate,
     NoPrimitiveRoot,
     NotAnAutomorphism,
+    NotInvertible,
     ValidationError,
 )
 from .linalg import Matrix, element_min_poly, mat_apply, nullspace, operator_matrix, operator_min_poly
@@ -408,7 +409,9 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
 
     Returns (ok, failures) where failures names every property that did not
     hold. Stored intermediates (eigen report, c, x_min_poly, flags) are
-    checked against fresh recomputations rather than believed.
+    checked against fresh recomputations rather than believed. A K or E
+    that is not a field, which validate_setup cannot see, raises
+    NotInvertible with the zero divisor that arithmetic met.
     """
     try:
         ctx = validate_setup(cert.input)
@@ -432,6 +435,14 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
 
 
 def verify_certificate(cert: KummerCertificate) -> bool:
-    """True iff every certificate property re-derives from scratch."""
-    ok, _ = verify_certificate_report(cert)
+    """True iff every certificate property re-derives from scratch.
+
+    A certificate whose K or E is not a field (NotInvertible from the
+    report) fails the field hypothesis, so it is False like any other
+    broken hypothesis.
+    """
+    try:
+        ok, _ = verify_certificate_report(cert)
+    except NotInvertible:
+        return False
     return ok

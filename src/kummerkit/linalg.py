@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
 from .polynomials import Polynomial, poly_lcm
+from .scalars import PrimeField, fp_first_dependency, fp_mat_mul, fp_mat_vec, fp_rref
 from .tower import ExtensionElement
 
 
@@ -29,6 +30,15 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
         self.field = field
         self.rows = rows
+
+    @classmethod
+    def _of(cls, field, rows) -> "Matrix":
+        """A matrix from equal-length rows of elements already in the field,
+        which are trusted and not coerced."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = tuple(map(tuple, rows))
+        return m
 
     @property
     def nrows(self) -> int:
@@ -73,6 +83,8 @@ class Matrix:
         self._check_compatible(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
+        if type(self.field) is PrimeField:
+            return Matrix._of(self.field, fp_mat_mul(self.rows, other.rows, self.field.p))
         cols = [other.column(j) for j in range(other.ncols)]
         zero = self.field.zero()
         out = []
@@ -125,6 +137,9 @@ class RrefResult(NamedTuple):
 
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with leading 1s; fully deterministic."""
+    if type(m.field) is PrimeField:
+        rows, pivots = fp_rref(m.rows, m.field.p)
+        return RrefResult(Matrix._of(m.field, rows), pivots, len(pivots))
     rows = [list(r) for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
     pivots = []
@@ -175,6 +190,8 @@ def mat_apply(m: Matrix, v) -> tuple:
     v = tuple(m.field.coerce(c) for c in v)
     if len(v) != m.ncols:
         raise DimensionMismatch(f"vector of length {len(v)} against {m.nrows}x{m.ncols}")
+    if type(m.field) is PrimeField:
+        return tuple(fp_mat_vec(m.rows, v, m.field.p))
     zero = m.field.zero()
     return tuple(sum((a * b for a, b in zip(row, v) if a and b), zero) for row in m.rows)
 
@@ -213,6 +230,8 @@ def first_linear_dependency(field, vectors, limit: int) -> list:
     [v_0 ... v_k] is a line and its monic generator is unique. The cost is
     O(k * (dim + k)) per vector, O(n^3) for the whole sequence.
     """
+    if type(field) is PrimeField:
+        return fp_first_dependency((map(field.coerce, v) for v in vectors), limit, field.p)
     zero, one = field.zero(), field.one()
     basis = []  # (pivot column, row with 1 at the pivot, combination)
     for k, v in enumerate(itertools.islice(vectors, limit)):

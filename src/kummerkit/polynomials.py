@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
-from .scalars import PrimeField, RationalField, prime_factors
+from .scalars import PrimeField, RationalField, fp_mat_vec, fp_poly_divmod, fp_poly_mul, prime_factors
 
 
 class Polynomial:
@@ -29,6 +29,17 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _of(cls, field, coeffs) -> "Polynomial":
+        """A polynomial from a list of elements already in the field, which
+        are trusted and not coerced; trailing zeros are dropped."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        return poly
 
     @classmethod
     def zero(cls, field) -> "Polynomial":
@@ -96,6 +107,8 @@ class Polynomial:
         self._check_same_field(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.field)
+        if type(self.field) is PrimeField:
+            return Polynomial._of(self.field, fp_poly_mul(self.coeffs, other.coeffs, self.field.p))
         zero = self.field.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -176,6 +189,9 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     field = a.field
     if a.degree < b.degree:
         return Polynomial.zero(field), a
+    if type(field) is PrimeField:
+        quo, rem = fp_poly_divmod(a.coeffs, b.coeffs, field.p)
+        return Polynomial._of(field, quo), Polynomial._of(field, rem)
     rem = list(a.coeffs)
     quo = [field.zero()] * (a.degree - b.degree + 1)
     inv_lead = field.one() / b.leading
@@ -275,8 +291,9 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
     Panario, 1997). Over F_p, g(X)^p = g(X^p) for every g, so g -> g^p mod f
     is the matrix Q whose column j is X^(j*p) mod f. One X^p mod f by
     squaring builds Q, and then X^(p^k) = Q^k X costs one d x d mat-vec per
-    k, instead of d*log(p) squarings per exponent p^k. The powers are the
-    same residues, so the gcd tests and the final test are the same.
+    k (the F_p kernel), instead of d*log(p) squarings per exponent p^k. The
+    powers are the same residues, so the gcd tests and the final test are
+    the same.
     """
     if not isinstance(f.field, PrimeField):
         raise FieldMismatch(f"irreducibility test needs a prime field, got {f.field}")
@@ -291,14 +308,13 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
     columns = []
     column = Polynomial.one(field)
     for _ in range(d):
-        columns.append([c.value for c in column.padded(d)])
+        columns.append(column.padded(d))
         column = (column * x_to_p) % f
     q_rows = list(zip(*columns))
     x = Polynomial.x(field) % f
-    frobenius = [[c.value for c in x.padded(d)]]  # frobenius[k]: X^(p^k) mod f
+    frobenius = [list(x.padded(d))]  # frobenius[k]: X^(p^k) mod f
     for _ in range(d):
-        v = frobenius[-1]
-        frobenius.append([sum(a * b for a, b in zip(row, v)) % p for row in q_rows])
+        frobenius.append(fp_mat_vec(q_rows, frobenius[-1], p))
     for q in prime_factors(d):
         h = Polynomial(field, frobenius[d // q]) - x
         if poly_gcd(h, f).degree != 0:

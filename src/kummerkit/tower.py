@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
 from .polynomials import Polynomial, is_irreducible_mod_p, poly_gcd_extended
-from .scalars import PrimeField
+from .scalars import PrimeField, fp_ext_mul
 
 MAX_TOWER_HEIGHT = 3
 
@@ -172,7 +172,8 @@ class ExtensionElement:
         (c, 0, ..., 0), and c * sum(a_i X^i) = sum((c a_i) X^i) needs no
         reduction, so the result equals the full product with the embedded
         scalar at n base multiplies instead of n^2. Two extension elements
-        are multiplied schoolbook and folded back with the monic modulus.
+        are multiplied schoolbook and folded back with the monic modulus,
+        over an F_p base by the int kernel ``fp_ext_mul``.
         """
         field = self.field
         if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):
@@ -186,6 +187,8 @@ class ExtensionElement:
             except FieldMismatch:
                 return NotImplemented
             return ExtensionElement(field, tuple(a * c for a in self.coords))
+        if type(field.base) is PrimeField:
+            return ExtensionElement(field, tuple(fp_ext_mul(self.coords, other.coords, field.modulus.coeffs, field.base.p)))
         deg = field.degree
         zero = field.base.zero()
         prod = [zero] * (2 * deg - 1)

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from kummerkit import cli, serialize
+from kummerkit import cli, scalars, serialize
 from kummerkit.cli import main
 from kummerkit.scalars import MR_EXACT_BOUND
 from kummerkit.families import builtin_cubic_over_eisenstein
@@ -47,6 +47,15 @@ class TestFinite:
         code, out, _ = run(capsys, "finite", "--p", "4", "--n", "1")
         assert code == 1
         assert "NotPrime" in out
+
+    @pytest.mark.parametrize("modulus", [[], ["--modulus", "-2,0,0,0,1"]])
+    def test_primality_is_tested_once(self, capsys, monkeypatch, modulus):
+        calls = []
+        is_prime = scalars.is_prime
+        monkeypatch.setattr(scalars, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        code, _, _ = run(capsys, "finite", "--p", "13", "--n", "4", *modulus, "--format", "json")
+        assert code == 0
+        assert calls == [13]
 
     def test_reducible_modulus(self, capsys):
         code, out, _ = run(capsys, "finite", "--p", "5", "--n", "2", "--modulus", "-1,0,1")
@@ -301,7 +310,7 @@ class TestSelftest:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code, out, _ = run(capsys, "selftest", "--max-p", "7", "--max-n", "2", "--jobs", "1000")
         assert code == 0 and pools == [2]

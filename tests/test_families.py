@@ -88,6 +88,10 @@ class TestFrobeniusFamily:
         with pytest.raises(NotPrime):
             frobenius_family(4, 1)
 
+    def test_built_field_gives_the_same_instance(self):
+        assert frobenius_family(F13, 4) == frobenius_family(13, 4)
+        assert frobenius_family(F13, 4).base_field is F13
+
     def test_reducible_supplied_modulus(self):
         with pytest.raises(ReducibleModulus):
             frobenius_family(5, 2, Polynomial(F5, [-1, 0, 1]))

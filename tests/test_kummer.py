@@ -18,11 +18,14 @@ from kummerkit.errors import (
     EmptyEigenspace,
     NoPrimitiveRoot,
     NotAnAutomorphism,
+    NotInvertible,
 )
 from kummerkit.families import builtin_cubic_over_eisenstein, frobenius_family
 from kummerkit.kummer import (
     CHECK_NAMES,
     CyclicExtensionInput,
+    EigenReport,
+    KummerCertificate,
     check_diagonalizability,
     check_fixed_field,
     check_gamma_closure,
@@ -38,7 +41,7 @@ from kummerkit.kummer import (
 )
 from kummerkit.linalg import Matrix, element_min_poly, rref
 from kummerkit.polynomials import Polynomial
-from kummerkit.scalars import PrimeField, PrimeFieldElement
+from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField
 from kummerkit.tower import ExtensionField
 
 F5 = PrimeField(5)
@@ -377,6 +380,25 @@ class TestVerification:
         ok, failures = verify_certificate_report(cert)
         assert not ok
         assert "x != 0" in failures
+
+    def test_base_ring_that_is_not_a_field(self):
+        # K = QQ[t]/(t^2 - 1) has the zero divisor t - 1, which validate_setup
+        # cannot see; E = K[X]/(X^2 - 3), sigma(alpha) = t*alpha, x = alpha
+        qq = RationalField()
+        k_ring = ExtensionField(qq, Polynomial(qq, [-1, 0, 1]))
+        ext = ExtensionField(k_ring, Polynomial(k_ring, [-3, 0, 1]))
+        inp = CyclicExtensionInput(ext, 2, k_ring.from_int(-1), ext.gen() * k_ring.gen())
+        cert = KummerCertificate(
+            input=inp,
+            eigen=EigenReport(()),
+            x=ext.gen(),
+            c=k_ring.from_int(3),
+            x_min_poly=Polynomial.x_pow_minus_const(k_ring, 2, 3),
+            checks=dict.fromkeys(CHECK_NAMES, True),
+        )
+        with pytest.raises(NotInvertible):
+            verify_certificate_report(cert)
+        assert verify_certificate(cert) is False
 
 
 class TestStepwiseProperties:

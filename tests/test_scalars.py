@@ -12,6 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from kummerkit import scalars
 from kummerkit.errors import DivisionByZero, NoPrimitiveRoot, NotPrime, PrimeTooLarge, ValidationError, ZeroDenominator
 from kummerkit.scalars import (
     MR_EXACT_BOUND,
@@ -173,6 +174,17 @@ class TestRootsOfUnity:
 
     def test_trivial_root(self):
         assert find_nth_root_of_unity(7, 1) == PrimeFieldElement(1, 7)
+
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(NotPrime):
+            find_nth_root_of_unity(9, 2)
+
+    def test_prime_field_argument_is_not_tested_again(self, monkeypatch):
+        field = PrimeField(13)
+        calls = []
+        monkeypatch.setattr(scalars, "is_prime", lambda n: calls.append(n) or True)
+        assert find_nth_root_of_unity(field, 4) == PrimeFieldElement(5, 13)
+        assert calls == []
 
     def test_smallest_representative_matches_brute_force(self):
         # every prime p < 600 and every n | p-1: the order of each v is the

@@ -5,14 +5,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummerkit import serialize
 from kummerkit.errors import MalformedCertificate, NotPrime, ParseError, ReducibleModulus, SchemaViolation
-from kummerkit.families import builtin_cubic_over_eisenstein, frobenius_family
-from kummerkit.kummer import CHECK_NAMES, certify
+from kummerkit.families import builtin_cubic_over_eisenstein, default_modulus, frobenius_family
+from kummerkit.kummer import CHECK_NAMES, CyclicExtensionInput, certify
 from kummerkit.polynomials import Polynomial
-from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField
+from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField, is_prime
 from kummerkit.tower import ExtensionField
+from test_determinism import shanks_cubic, simplest_quartic
 
 F13 = PrimeField(13)
 QQ = RationalField()
@@ -158,3 +160,43 @@ class TestJsonText:
 
         walk(obj)
         assert json.loads(serialize.canonical_dumps(obj)) == obj
+
+
+# -- input documents round-trip ------------------------------------------------
+
+FROBENIUS_PAIRS = [(p, n) for p in range(3, 200) if is_prime(p) for n in range(1, 9) if (p - 1) % n == 0]
+
+
+@st.composite
+def three_level_towers(draw):
+    """F_p < K = F_p[t]/(g) < E = K[X]/(f), with zeta and the image of X
+    drawn at random: the document carries them whether or not they make a
+    cyclic extension."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 97]))
+    base = PrimeField(p)
+    k_field = ExtensionField(base, default_modulus(base, draw(st.integers(1, 3))))
+    n = draw(st.integers(1, 4))
+    k_elems = st.lists(st.integers(0, p - 1), min_size=k_field.degree, max_size=k_field.degree).map(k_field.element)
+    ext = ExtensionField(k_field, Polynomial(k_field, draw(st.lists(k_elems, min_size=n, max_size=n)) + [k_field.one()]))
+    sigma_image = ext.element(draw(st.lists(k_elems, min_size=n, max_size=n)))
+    return CyclicExtensionInput(ext, n, draw(k_elems), sigma_image)
+
+
+def tower_inputs():
+    big = st.integers(-(10**40), 10**40)
+    return st.one_of(
+        st.sampled_from(FROBENIUS_PAIRS).map(lambda pn: frobenius_family(*pn)),
+        big.map(shanks_cubic),
+        big.map(simplest_quartic),
+        st.just(builtin_cubic_over_eisenstein()),
+        three_level_towers(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_inputs())
+def test_input_document_round_trip(inp):
+    text = serialize.canonical_dumps(serialize.input_to_json(inp))
+    back = serialize.input_from_json(serialize.loads(text))
+    assert back == inp
+    assert serialize.canonical_dumps(serialize.input_to_json(back)) == text
