@@ -202,9 +202,10 @@ def _selftest_case(pair: tuple[int, int]) -> tuple[int, int, bool, str]:
 
 
 def cmd_selftest(args) -> int:
-    if args.max_p < 3:
-        sys.stderr.write("selftest needs --max-p >= 3\n")
-        return 1
+    for flag, value, least in (("max-p", args.max_p, 3), ("max-n", args.max_n, 1), ("jobs", args.jobs, 1)):
+        if value < least:
+            sys.stderr.write(f"selftest needs --{flag} >= {least}\n")
+            return 1
     pairs = [
         (p, n)
         for p in range(2, args.max_p + 1)

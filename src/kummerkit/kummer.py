@@ -221,21 +221,33 @@ def check_diagonalizability(ctx: ValidatedContext, m: Matrix) -> tuple[bool, Pol
 def eigen_spectrum(ctx: ValidatedContext, m: Matrix, sigma_min_poly: Polynomial | None = None) -> EigenReport:
     """Eigenvalue report over the candidate eigenvalues zeta^0, ..., zeta^(n-1).
 
-    For each power of zeta, the eigenspace is the kernel of (M - zeta^i * I);
-    candidates with a nonzero kernel are listed together with their dimension
-    and one stored (canonical) eigenvector.
+    For each power of zeta, the eigenspace is the kernel of M - zeta^i*I,
+    formed by subtracting zeta^i on the diagonal of M's rows; candidates with
+    a nonzero kernel are listed together with their dimension and the first
+    RREF kernel basis vector as the stored eigenvector. This is the only
+    kernel computation of the pipeline: check_fixed_field and
+    extract_radical_generator read the report. sigma_min_poly is carried as
+    given, None when the caller has not computed it.
     """
-    ident = Matrix.identity(ctx.base_field, ctx.n)
     entries = []
     for i in range(ctx.n):
         lam = ctx.zeta_pow(i)
-        basis = nullspace(m - ident.scale(lam))
+        shifted = [row[:j] + (row[j] - lam,) + row[j + 1 :] for j, row in enumerate(m.rows)]
+        basis = nullspace(Matrix._of(m.field, shifted))
         if basis:
             entries.append(EigenEntry(i, lam, len(basis), ctx.ext_field.element(basis[0])))
     assert sum(e.dimension for e in entries) <= ctx.n
-    if sigma_min_poly is None:
-        sigma_min_poly = operator_min_poly(m)
     return EigenReport(tuple(entries), sigma_min_poly)
+
+
+def _entry(report: EigenReport, i: int) -> EigenEntry | None:
+    """The report's entry for zeta^i, None when that eigenspace is zero.
+    Raises ValueError for a report without eigenvectors, such as a parsed
+    certificate's, which no stage reading eigenvectors can decide on."""
+    entry = next((e for e in report.entries if e.i == i), None)
+    if entry is not None and entry.eigenvector is None:
+        raise ValueError(f"the eigen report stores no eigenvector for zeta^{i}; use eigen_spectrum's report")
+    return entry
 
 
 def check_gamma_closure(ctx: ValidatedContext, report: EigenReport) -> bool:
@@ -268,29 +280,23 @@ def check_spectrum_complete(ctx: ValidatedContext, report: EigenReport) -> bool:
     return report.m == ctx.n and all(d == 1 for d in dims) and sum(dims) == ctx.n
 
 
-def check_fixed_field(ctx: ValidatedContext, m: Matrix) -> bool:
-    """The fixed space of the automorphism is exactly the line through 1."""
-    ident = Matrix.identity(ctx.base_field, ctx.n)
-    basis = nullspace(m - ident)
-    if len(basis) != 1:
-        return False
-    one_vector = tuple(
-        ctx.base_field.one() if j == 0 else ctx.base_field.zero() for j in range(ctx.n)
-    )
-    return basis[0] == one_vector
+def check_fixed_field(ctx: ValidatedContext, report: EigenReport) -> bool:
+    """The fixed space of the automorphism is exactly the line through 1: the
+    eigenvalue 1 = zeta^0 has a one-dimensional eigenspace whose stored
+    basis vector is 1."""
+    fixed = _entry(report, 0)
+    return fixed is not None and fixed.dimension == 1 and fixed.eigenvector == ctx.ext_field.one()
 
 
-def extract_radical_generator(ctx: ValidatedContext, m: Matrix) -> ExtensionElement:
-    """The canonical zeta-eigenvector: the RREF kernel basis vector of
-    (M - zeta*I), rescaled so its lowest-index nonzero coordinate is 1."""
-    ident = Matrix.identity(ctx.base_field, ctx.n)
-    basis = nullspace(m - ident.scale(ctx.zeta_pow(1)))
-    if not basis:
+def extract_radical_generator(ctx: ValidatedContext, report: EigenReport) -> ExtensionElement:
+    """The canonical zeta-eigenvector: the stored eigenvector of zeta, the
+    RREF kernel basis vector of (M - zeta*I), rescaled so its lowest-index
+    nonzero coordinate is 1."""
+    entry = _entry(report, 1 % ctx.n)
+    if entry is None:
         raise EmptyEigenspace("no eigenvector for zeta; the input is not a cyclic extension as claimed")
-    v = basis[0]
-    first = next(c for c in v if c)
-    inv = ctx.base_field.one() / first
-    return ctx.ext_field.element([c * inv for c in v])
+    v = entry.eigenvector
+    return v * (ctx.base_field.one() / next(c for c in v.coords if c))
 
 
 def lagrange_resolvent(ctx: ValidatedContext, a: ExtensionElement) -> ExtensionElement:
@@ -347,10 +353,10 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
         ("sigma min poly divides X^n - 1 and sigma^n = id", "min_poly_divides_Xn_minus_1", diag_ok),
         ("eigenvalue closure", "spectrum_complete", check_gamma_closure(ctx, report)),
         ("spectrum complete", "spectrum_complete", check_spectrum_complete(ctx, report)),
-        ("fixed space = span{1}", "fixed_field_is_K", check_fixed_field(ctx, m)),
+        ("fixed space = span{1}", "fixed_field_is_K", check_fixed_field(ctx, report)),
     ]
     if claimed is None:
-        x = extract_radical_generator(ctx, m)
+        x = extract_radical_generator(ctx, report)
     else:
         x = claimed.x
         stored = [(e.i, e.eigenvalue, e.dimension) for e in claimed.eigen.entries]

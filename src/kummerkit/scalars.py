@@ -185,13 +185,14 @@ def invert_mod_p(a: PrimeFieldElement) -> PrimeFieldElement:
 
 
 def multiplicative_order(a: PrimeFieldElement) -> int:
-    """Least k >= 1 with a^k = 1; always divides p - 1."""
+    """Least k >= 1 with a^k = 1: a divisor of p - 1, found by dividing each
+    prime q of p - 1 out of k = p - 1 while a^(k/q) = 1 still holds."""
     if a.value == 0:
         raise DivisionByZero(f"0 has no multiplicative order in F_{a.p}")
-    acc, k = a.value, 1
-    while acc != 1:
-        acc = acc * a.value % a.p
-        k += 1
+    k = a.p - 1
+    for q in prime_factors(k):
+        while k % q == 0 and pow(a.value, k // q, a.p) == 1:
+            k //= q
     return k
 
 

@@ -9,6 +9,8 @@ rational vector, so the linear algebra downstream is genuinely over K.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
 from .polynomials import Polynomial, is_irreducible_mod_p, poly_gcd_extended
 from .scalars import PrimeField, fp_ext_mul
@@ -115,51 +117,41 @@ class ExtensionElement:
         self.field = field
         self.coords = coords
 
-    def _coerce(self, other):
-        if isinstance(other, ExtensionElement):
-            if other.field is self.field or other.field == self.field:
-                return other
-            if other.field == self.field.base:
-                return self.field.embed(other)
-            raise FieldMismatch(f"elements of {self.field} and {other.field}")
-        if isinstance(other, int):
-            return self.field.from_int(other)
+    def _match(self, other):
+        """(a, b): self and other as elements of one field, or None when
+        other is no element of this tower (a foreign prime scalar, a
+        non-field object). When other lies in an extension of self's field,
+        self is embedded one level up, since Python never tries the reflected
+        operator when both operands share a class; anything else goes through
+        ``self.field.coerce``."""
+        field = self.field
+        if isinstance(other, ExtensionElement) and other.field is not field and other.field.base == field:
+            return other.field.embed(self), other
         try:
-            c = self.field.base.coerce(other)
+            return self, field.coerce(other)
         except FieldMismatch:
-            return NotImplemented
-        return self.field.embed(c)
+            if isinstance(other, ExtensionElement):
+                raise  # an element of an unrelated extension
+            return None
 
-    def _lift_into(self, other):
-        """self embedded one level up, when other sits in an extension of
-        self's field; None otherwise. Needed because Python never tries the
-        reflected operator when both operands share a class."""
-        if isinstance(other, ExtensionElement) and other.field.base == self.field:
-            return other.field.embed(self)
-        return None
+    def _coordwise(self, other, op):
+        pair = self._match(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return ExtensionElement(a.field, tuple(map(op, a.coords, b.coords)))
 
     def __add__(self, other):
-        lifted = self._lift_into(other)
-        if lifted is not None:
-            return lifted + other
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtensionElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._coordwise(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        lifted = self._lift_into(other)
-        if lifted is not None:
-            return lifted - other
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtensionElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._coordwise(other, operator.sub)
 
     def __rsub__(self, other):
-        return -(self - other)
+        pair = self._match(other)
+        return NotImplemented if pair is None else pair[1] - pair[0]
 
     def __neg__(self):
         return ExtensionElement(self.field, tuple(-a for a in self.coords))
@@ -167,7 +159,7 @@ class ExtensionElement:
     def __mul__(self, other):
         """Product in the extension.
 
-        A base-field operand (anything ``field.base.coerce`` accepts, ints
+        A base-field operand (anything ``field.coerce`` embeds, ints
         included) multiplies each coordinate: the embedding of c is
         (c, 0, ..., 0), and c * sum(a_i X^i) = sum((c a_i) X^i) needs no
         reduction, so the result equals the full product with the embedded
@@ -177,16 +169,14 @@ class ExtensionElement:
         """
         field = self.field
         if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):
-            lifted = self._lift_into(other)
-            if lifted is not None:
-                return lifted * other
-            if isinstance(other, ExtensionElement) and other.field != field.base:
-                raise FieldMismatch(f"elements of {field} and {other.field}")
-            try:
-                c = field.base.coerce(other)
-            except FieldMismatch:
+            pair = self._match(other)
+            if pair is None:
                 return NotImplemented
-            return ExtensionElement(field, tuple(a * c for a in self.coords))
+            a, b = pair
+            if a is not self:  # self was lifted into other's field
+                return a * b
+            c = b.coords[0]  # b embeds a base-field scalar
+            return ExtensionElement(field, tuple(x * c for x in self.coords))
         if type(field.base) is PrimeField:
             return ExtensionElement(field, tuple(fp_ext_mul(self.coords, other.coords, field.modulus.coeffs, field.base.p)))
         deg = field.degree
@@ -209,19 +199,12 @@ class ExtensionElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        lifted = self._lift_into(other)
-        if lifted is not None:
-            return lifted / other
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        pair = self._match(other)
+        return NotImplemented if pair is None else pair[0] * pair[1].inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        pair = self._match(other)
+        return NotImplemented if pair is None else pair[1] * pair[0].inverse()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -260,18 +243,14 @@ class ExtensionElement:
         return self.coords[0]
 
     def __eq__(self, other):
-        if isinstance(other, ExtensionElement) and (other.field is self.field or other.field == self.field):
-            return self.coords == other.coords
-        lifted = self._lift_into(other)
-        if lifted is not None:
-            return lifted.coords == other.coords
         try:
-            coerced = self._coerce(other)
+            pair = self._match(other)
         except FieldMismatch:
             return False
-        if coerced is NotImplemented:
+        if pair is None:
             return NotImplemented
-        return self.coords == coerced.coords
+        a, b = pair
+        return a.coords == b.coords
 
     def __hash__(self):
         return hash((self.field, self.coords))

@@ -91,7 +91,7 @@ def test_criterion_2_brute_force_oracle_equivalence():
     for p, n in BRUTE_FORCE_PAIRS:
         ctx = validate_setup(frobenius_family(p, n))
         ext = ctx.ext_field
-        x = extract_radical_generator(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, eigen_spectrum(ctx, ctx.matrix))
         zeta = ctx.zeta_pow(1)
 
         def all_elements():

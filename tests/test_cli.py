@@ -288,6 +288,18 @@ class TestSelftest:
         assert code == 1
         assert "max-p" in err
 
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_empty_sweep_rejected(self, capsys, max_n):
+        code, out, err = run(capsys, "selftest", "--max-p", "13", "--max-n", max_n)
+        assert code == 1 and out == ""
+        assert "max-n" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run(capsys, "selftest", "--max-p", "13", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert "jobs" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "selftest", "--max-p", "7", "--format", "json")
         assert code == 0

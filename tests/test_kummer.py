@@ -9,9 +9,12 @@ Hand derivations behind the frozen values:
 """
 
 import copy
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kummerkit import kummer, serialize
 from kummerkit.errors import (
     AutomorphismOrderMismatch,
     CharacteristicDividesN,
@@ -39,7 +42,7 @@ from kummerkit.kummer import (
     verify_certificate,
     verify_certificate_report,
 )
-from kummerkit.linalg import Matrix, element_min_poly, rref
+from kummerkit.linalg import Matrix, element_min_poly, nullspace, rref
 from kummerkit.polynomials import Polynomial
 from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField
 from kummerkit.tower import ExtensionField
@@ -205,34 +208,34 @@ class TestFixedField:
     def test_valid_cases(self, frob52, frob134):
         for inp in (frob52, frob134):
             ctx = validate_setup(inp)
-            assert check_fixed_field(ctx, ctx.matrix)
+            assert check_fixed_field(ctx, eigen_spectrum(ctx, ctx.matrix))
 
     def test_identity_matrix_fails_for_n_at_least_2(self, frob52):
         # the fixed space of the identity is everything, so sigma was no generator
         ctx = validate_setup(frob52)
-        assert not check_fixed_field(ctx, Matrix.identity(F5, 2))
+        assert not check_fixed_field(ctx, eigen_spectrum(ctx, Matrix.identity(F5, 2)))
 
 
 class TestExtraction:
     def test_f25_generator(self, frob52):
         ctx = validate_setup(frob52)
-        x = extract_radical_generator(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, eigen_spectrum(ctx, ctx.matrix))
         assert ints(x) == (0, 1)  # x = alpha
 
     def test_f13_quartic_generator(self, frob134):
         ctx = validate_setup(frob134)
-        x = extract_radical_generator(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, eigen_spectrum(ctx, ctx.matrix))
         assert ints(x) == (0, 0, 0, 1)  # x = alpha^3
 
     def test_trivial_generator(self):
         ctx = validate_setup(frobenius_family(5, 1))
-        x = extract_radical_generator(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, eigen_spectrum(ctx, ctx.matrix))
         assert x == ctx.ext_field.one()
 
     def test_empty_eigenspace(self, frob52):
         ctx = validate_setup(frob52)
         with pytest.raises(EmptyEigenspace):
-            extract_radical_generator(ctx, Matrix.identity(F5, 2))
+            extract_radical_generator(ctx, eigen_spectrum(ctx, Matrix.identity(F5, 2)))
 
 
 class TestLagrangeResolvent:
@@ -248,7 +251,7 @@ class TestLagrangeResolvent:
 
     def test_from_x_gives_n_times_x(self, frob134):
         ctx = validate_setup(frob134)
-        x = extract_radical_generator(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, eigen_spectrum(ctx, ctx.matrix))
         assert lagrange_resolvent(ctx, x) == x * 4
 
     @pytest.mark.parametrize("p,n", [(5, 2), (7, 3), (13, 4), (13, 6)])
@@ -431,13 +434,13 @@ class TestStepwiseProperties:
     @pytest.mark.parametrize("p,n", [(5, 2), (7, 6), (13, 4)])
     def test_sigma_fixes_x_to_the_n(self, p, n):
         ctx = validate_setup(frobenius_family(p, n))
-        x = extract_radical_generator(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, eigen_spectrum(ctx, ctx.matrix))
         assert ctx.sigma(x**n) == x**n
 
     @pytest.mark.parametrize("p,n", [(5, 2), (13, 4)])
     def test_resolvent_parallel_to_x(self, p, n):
         ctx = validate_setup(frobenius_family(p, n))
-        x = extract_radical_generator(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, eigen_spectrum(ctx, ctx.matrix))
         alpha = ctx.ext_field.gen()
         for seed in (alpha, alpha + 1, alpha**2):
             r = lagrange_resolvent(ctx, seed)
@@ -445,3 +448,118 @@ class TestStepwiseProperties:
                 continue
             stacked = Matrix(ctx.base_field, [list(r.coords), list(x.coords)])
             assert rref(stacked).rank == 1
+
+
+class TestEachKernelOnce:
+    """eigen_spectrum is the only stage that computes a kernel: one nullspace
+    per candidate eigenvalue zeta^i, and none in check_fixed_field or
+    extract_radical_generator, which read its report."""
+
+    @pytest.fixture
+    def nullspace_calls(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m.nrows)
+            return nullspace(m)
+
+        monkeypatch.setattr(kummer, "nullspace", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make", [lambda: frobenius_family(97, 16), builtin_cubic_over_eisenstein], ids=["finite-97-16", "builtin-cubic"]
+    )
+    def test_certify_and_verify_make_n_kernel_calls(self, make, nullspace_calls):
+        inp = make()
+        cert = certify(inp)
+        assert cert.is_valid()
+        assert len(nullspace_calls) == inp.n
+        parsed = serialize.certificate_from_json(serialize.certificate_to_json(cert))
+        nullspace_calls.clear()
+        assert verify_certificate_report(parsed) == (True, [])
+        assert len(nullspace_calls) == inp.n
+
+
+    def test_stages_reject_a_report_without_eigenvectors(self, frob134):
+        # a parsed certificate's report lists the spectrum but no eigenvectors
+        parsed = serialize.certificate_from_json(serialize.certificate_to_json(certify(frob134)))
+        ctx = validate_setup(parsed.input)
+        with pytest.raises(ValueError):
+            check_fixed_field(ctx, parsed.eigen)
+        with pytest.raises(ValueError):
+            extract_radical_generator(ctx, parsed.eigen)
+
+
+def _reference_kernel(ctx, m, lam):
+    """The seed formulation of the eigenspace of lam: nullspace of M - lam*I
+    with the identity built and scaled in full."""
+    return nullspace(m - Matrix.identity(ctx.base_field, ctx.n).scale(lam))
+
+
+def _quadratic_over_rationals():
+    qq = RationalField()
+    ext = ExtensionField(qq, Polynomial(qq, [-2, 0, 1]))
+    return CyclicExtensionInput(ext, 2, qq.from_int(-1), -ext.gen())
+
+
+EIGEN_CONTEXTS = {
+    "Fp": validate_setup(frobenius_family(13, 4)),
+    "QQ": validate_setup(_quadratic_over_rationals()),
+    "QQ(zeta_3)": validate_setup(builtin_cubic_over_eisenstein()),
+}
+
+
+@st.composite
+def _scalars(draw, field):
+    if isinstance(field, PrimeField):
+        return field.from_int(draw(st.integers(0, field.p - 1)))
+    if isinstance(field, RationalField):
+        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return field.element([draw(_scalars(field.base)) for _ in range(field.degree)])
+
+
+@st.composite
+def _square_matrices(draw, ctx):
+    """Random matrices of every shape of spectrum: dense, triangular with
+    powers of zeta on the diagonal (so eigenspaces are nonempty), scalar
+    multiples of the identity, and the automorphism's own matrix."""
+    field, n = ctx.base_field, ctx.n
+    kind = draw(st.sampled_from(["dense", "triangular", "scalar", "sigma"]))
+    if kind == "sigma":
+        return ctx.matrix
+    if kind == "scalar":
+        return Matrix.identity(field, n).scale(ctx.zeta_pow(draw(st.integers(0, n - 1))))
+    rows = [[draw(_scalars(field)) for _ in range(n)] for _ in range(n)]
+    if kind == "triangular":
+        for i in range(n):
+            rows[i][:i] = [field.zero()] * i
+            rows[i][i] = ctx.zeta_pow(draw(st.integers(0, n - 1)))
+    return Matrix(field, rows)
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN_CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_eigen_stages_agree_with_the_full_shift(name, data):
+    ctx = EIGEN_CONTEXTS[name]
+    m = data.draw(_square_matrices(ctx))
+    report = eigen_spectrum(ctx, m)
+    expected = []
+    for i in range(ctx.n):
+        basis = _reference_kernel(ctx, m, ctx.zeta_pow(i))
+        if basis:
+            expected.append((i, ctx.zeta_pow(i), len(basis), ctx.ext_field.element(basis[0])))
+    assert [(e.i, e.eigenvalue, e.dimension, e.eigenvector) for e in report.entries] == expected
+
+    fixed = _reference_kernel(ctx, m, ctx.base_field.one())
+    one_vector = ctx.ext_field.one().coords
+    assert check_fixed_field(ctx, report) == (len(fixed) == 1 and fixed[0] == one_vector)
+
+    line = _reference_kernel(ctx, m, ctx.zeta_pow(1))
+    if not line:
+        with pytest.raises(EmptyEigenspace):
+            extract_radical_generator(ctx, report)
+    else:
+        first = next(c for c in line[0] if c)
+        x = extract_radical_generator(ctx, report)
+        assert x == ctx.ext_field.element([c / first for c in line[0]])

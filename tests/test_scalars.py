@@ -6,6 +6,7 @@ power enumeration for multiplicative orders.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,19 @@ class TestPrimeFieldArithmetic:
         k = multiplicative_order(a)
         assert k == oracle_order(a.value, p)
         assert (p - 1) % k == 0
+
+    def test_order_matches_brute_force_below_600(self):
+        for p in range(2, 600):
+            if sympy.isprime(p):
+                for a in range(1, p):
+                    assert multiplicative_order(PrimeFieldElement(a, p)) == oracle_order(a, p), (a, p)
+
+    def test_order_of_a_generator_mod_a_ten_digit_prime(self):
+        # 5 generates (Z/p)^*, so stepping through the powers would take
+        # about 10^9 multiplies
+        t0 = time.perf_counter()
+        assert multiplicative_order(PrimeFieldElement(5, 1000000007)) == 1000000006
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestRootsOfUnity:

@@ -6,8 +6,11 @@ reduction rules (alpha^2 = 2 in F_5[X]/(X^2-2), alpha^4 = 2 in
 F_13[X]/(X^4-2)) and cross-checked against the extended-gcd identity.
 """
 
+import json
+import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,7 @@ from kummerkit.errors import (
 )
 from kummerkit.polynomials import Polynomial
 from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField
-from kummerkit.tower import ExtensionField
+from kummerkit.tower import ExtensionElement, ExtensionField
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
@@ -97,6 +100,14 @@ class TestScalarPath:
             F25.gen() * PrimeFieldElement(3, 13)
         with pytest.raises(TypeError):
             PrimeFieldElement(3, 13) * F25.gen()
+
+    def test_subtracting_a_foreign_prime_field_scalar_raises_type_error(self):
+        # both __rsub__ methods once answered by negating the other order,
+        # which bounced between them until RecursionError
+        with pytest.raises(TypeError):
+            F25.gen() - PrimeFieldElement(3, 13)
+        with pytest.raises(TypeError):
+            PrimeFieldElement(3, 13) - F25.gen()
 
     def test_non_field_operand_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -265,3 +276,116 @@ def test_cross_level_arithmetic():
     assert (t + alpha) - alpha == E_CUBIC.embed(t)
     # alpha^3 - 3*alpha + 1 = 0 by the defining relation
     assert (alpha**3 - 3 * alpha + 1).as_base() == K_EISENSTEIN.zero()
+
+
+# -- pinned operator table -------------------------------------------------
+#
+# Every arithmetic operator and its reflected form, against every kind of
+# operand an extension element meets: an element of the same field (also of
+# an equal but distinct field object), elements one and two levels down, an
+# int, a Fraction, a scalar of a foreign prime field, an element of an
+# unrelated extension and a str. Each outcome is the result's field and
+# nested coordinates, the bool of ==, or the exception class. The outcomes
+# live in tower_operator_table.json; ``python tests/test_tower.py`` prints
+# the table the current code produces, in that file's format.
+
+OPERATOR_TABLE_PATH = Path(__file__).with_name("tower_operator_table.json")
+
+F25_3 = ExtensionField(F25, Polynomial(F25, [-F25.gen(), 0, 1]))  # Y^2 = alpha, a non-square of order 8
+QQ_I = ExtensionField(QQ, Polynomial(QQ, [1, 0, 1]))
+
+OPERATOR_TOWERS = {
+    "Fp-2": (F25, F13_4.gen()),
+    "Fp-3": (F25_3, F13_4.gen()),
+    "QQ-2": (K_EISENSTEIN, QQ_I.gen()),
+    "QQ-3": (E_CUBIC, QQ_I.gen()),
+}
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "==": operator.eq}
+
+
+def _down(field, levels):
+    """A nonzero element `levels` levels below the top of the tower."""
+    for _ in range(levels):
+        field = field.base
+    if isinstance(field, ExtensionField):
+        return field.element([field.base.from_int(k + 2) for k in range(field.degree)])
+    return field.from_int(3)
+
+
+def operator_operands(tower: str) -> dict:
+    top, foreign = OPERATOR_TOWERS[tower]
+    operands = {
+        "same": top.element([_down(top, 1) * (k + 1) for k in range(top.degree)]),
+        "equal-field-copy": ExtensionField(top.base, top.modulus).element([_down(top, 1)] * top.degree),
+        "down-1": _down(top, 1),
+        "int": 3,
+        "fraction": Fraction(2, 3),
+        "foreign-prime": PrimeFieldElement(3, 13 if top.characteristic() != 13 else 5),
+        "foreign-extension": foreign,
+        "str": "3",
+    }
+    if top.height() == 3:
+        operands["down-2"] = _down(top, 2)
+    return operands
+
+
+def operator_lefts(tower: str) -> dict:
+    top, _ = OPERATOR_TOWERS[tower]
+    return {
+        "generic": top.element([_down(top, 1)] * top.degree),
+        "embedded": top.embed(_down(top, 1)),
+    }
+
+
+def _describe(value):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, ExtensionElement):
+        return {"field": str(value.field), "coords": [_coords(c) for c in value.coords]}
+    return {"value": repr(value)}
+
+
+def _coords(value):
+    if isinstance(value, ExtensionElement):
+        return [_coords(c) for c in value.coords]
+    return str(value)
+
+
+def operator_outcomes(left, operand) -> dict:
+    """`left op operand` and `operand op left` for every operator."""
+    out = {}
+    for symbol, op in OPERATORS.items():
+        for side, args in (("", (left, operand)), ("reflected ", (operand, left))):
+            try:
+                out[side + symbol] = _describe(op(*args))
+            except Exception as exc:  # the class is the pinned outcome
+                out[side + symbol] = {"raises": type(exc).__name__}
+    return out
+
+
+def operator_cases():
+    for tower in OPERATOR_TOWERS:
+        for left_name, left in operator_lefts(tower).items():
+            for kind, operand in operator_operands(tower).items():
+                yield f"{tower}/{left_name}/{kind}", left, operand
+
+
+def current_operator_table() -> dict:
+    return {key: operator_outcomes(left, operand) for key, left, operand in operator_cases()}
+
+
+OPERATOR_TABLE = json.loads(OPERATOR_TABLE_PATH.read_text())
+
+
+def test_operator_table_covers_every_case():
+    assert [key for key, _, _ in operator_cases()] == list(OPERATOR_TABLE)
+
+
+@pytest.mark.parametrize("key,left,operand", list(operator_cases()), ids=[key for key, _, _ in operator_cases()])
+def test_operator_outcome_pinned(key, left, operand):
+    assert operator_outcomes(left, operand) == OPERATOR_TABLE[key]
+
+
+if __name__ == "__main__":
+    print(json.dumps(current_operator_table(), indent=1))
