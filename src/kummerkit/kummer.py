@@ -27,8 +27,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix, element_min_poly, mat_apply, nullspace, operator_matrix, operator_min_poly
-from .polynomials import Polynomial, poly_divmod
-from .scalars import prime_factors
+from .polynomials import Polynomial, cyclotomic_index, poly_divmod
+from .scalars import PrimeField, RationalField, prime_factors
 from .tower import ExtensionElement, ExtensionField
 
 CHECK_NAMES = (
@@ -333,6 +333,18 @@ def _root_orbit_transitive(ctx: ValidatedContext, x: ExtensionElement) -> bool:
     return True
 
 
+def _is_proven_field(k) -> bool:
+    """True when K is proven a field by code that already ran: F_p (is_prime
+    when the PrimeField was built), QQ, an extension of F_p (its modulus
+    Rabin-tested when the ExtensionField was built), or QQ[t]/(Phi_m)
+    (irreducible by Gauss's theorem). False means unproven, not disproven."""
+    if isinstance(k, (PrimeField, RationalField)):
+        return True
+    if isinstance(k, ExtensionField):
+        return isinstance(k.base, PrimeField) or cyclotomic_index(k.modulus) is not None
+    return False
+
+
 def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     """Run every stage once and list its checks in verify's order.
 
@@ -345,20 +357,40 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     and x_min_poly are compared with their recomputations; those comparisons
     feed no flag (None). A zero x ends the list at "x != 0", since nothing
     after it is defined; c and the min poly are then None.
+
+    A claimed x that is a witness over a proven field (see
+    verify_certificate_report) sets each check that follows from it by a
+    theorem without computing it: the fresh eigen report is (i, zeta^i, 1)
+    for every i and carries no eigenvectors, and the binomial check is
+    "x^n = c". Every holds value is the one the full derivation computes.
     """
-    m = ctx.matrix
-    diag_ok, sigma_min_poly = check_diagonalizability(ctx, m)
-    report = eigen_spectrum(ctx, m, sigma_min_poly)
+    n = ctx.n
+    x = None if claimed is None else claimed.x
+    proven = False
+    if x:  # a claimed x: test the witness premises
+        sigma_x, x_pow_n = ctx.sigma(x), x**n
+        proven = (
+            _is_proven_field(ctx.base_field)
+            and sigma_x == x * ctx.zeta_pow(1)
+            and bool(x_pow_n)
+            and x_pow_n.as_base() is not None
+        )
+    if proven:
+        report = EigenReport(tuple(EigenEntry(i, ctx.zeta_pow(i), 1) for i in range(n)))
+        diag_ok = True
+    else:
+        diag_ok, sigma_min_poly = check_diagonalizability(ctx, ctx.matrix)
+        report = eigen_spectrum(ctx, ctx.matrix, sigma_min_poly)
     checks = [
         ("sigma min poly divides X^n - 1 and sigma^n = id", "min_poly_divides_Xn_minus_1", diag_ok),
-        ("eigenvalue closure", "spectrum_complete", check_gamma_closure(ctx, report)),
+        ("eigenvalue closure", "spectrum_complete", proven or check_gamma_closure(ctx, report)),
         ("spectrum complete", "spectrum_complete", check_spectrum_complete(ctx, report)),
-        ("fixed space = span{1}", "fixed_field_is_K", check_fixed_field(ctx, report)),
+        ("fixed space = span{1}", "fixed_field_is_K", proven or check_fixed_field(ctx, report)),
     ]
     if claimed is None:
         x = extract_radical_generator(ctx, report)
+        sigma_x, x_pow_n = ctx.sigma(x), x**n
     else:
-        x = claimed.x
         stored = [(e.i, e.eigenvalue, e.dimension) for e in claimed.eigen.entries]
         fresh = [(e.i, e.eigenvalue, e.dimension) for e in report.entries]
         checks.append(("eigen report matches recomputation", None, stored == fresh))
@@ -366,23 +398,27 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
         checks.append(("x != 0", None, False))
         return report, x, None, None, checks
 
-    x_pow_n = x ** ctx.n
     c = x_pow_n.coords[0] if claimed is None else claimed.c
     x_min_poly = element_min_poly(x)
+    x_pow_n_is_c = x_pow_n == ctx.ext_field.embed(c)
     # sigma(x) = zeta*x is the orbit test at i = 0, and c = x^n whenever x^n
     # is in K, so adding them changes neither flag's value in certify
     checks += [
-        ("sigma(x) = zeta*x", "root_orbit_transitive", ctx.sigma(x) == x * ctx.zeta_pow(1)),
+        ("sigma(x) = zeta*x", "root_orbit_transitive", sigma_x == x * ctx.zeta_pow(1)),
         ("x^n in K", "c_in_base", x_pow_n.as_base() is not None),
-        ("sigma(x^n) = x^n", "c_in_base", ctx.sigma(x_pow_n) == x_pow_n),
-        ("x^n = c", "c_in_base", x_pow_n == ctx.ext_field.embed(c)),
+        ("sigma(x^n) = x^n", "c_in_base", proven or ctx.sigma(x_pow_n) == x_pow_n),
+        ("x^n = c", "c_in_base", x_pow_n_is_c),
     ]
     if claimed is not None:
         checks.append(("stored x_min_poly matches recomputation", None, x_min_poly == claimed.x_min_poly))
     checks += [
-        ("deg x_min_poly = n", "x_min_poly_degree_n", x_min_poly.degree == ctx.n),
-        ("root orbit transitive", "root_orbit_transitive", _root_orbit_transitive(ctx, x)),
-        ("binomial factorization", "binomial_factorization", _binomial_factorization_holds(ctx, x, c)),
+        ("deg x_min_poly = n", "x_min_poly_degree_n", x_min_poly.degree == n),
+        ("root orbit transitive", "root_orbit_transitive", proven or _root_orbit_transitive(ctx, x)),
+        (
+            "binomial factorization",
+            "binomial_factorization",
+            x_pow_n_is_c if proven else _binomial_factorization_holds(ctx, x, c),
+        ),
     ]
     return report, x, c, x_min_poly, checks
 
@@ -415,9 +451,30 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
 
     Returns (ok, failures) where failures names every property that did not
     hold. Stored intermediates (eigen report, c, x_min_poly, flags) are
-    checked against fresh recomputations rather than believed. A K or E
-    that is not a field, which validate_setup cannot see, raises
-    NotInvertible with the zero divisor that arithmetic met.
+    checked against fresh recomputations rather than believed.
+
+    Verify by witness. When all of these premises hold, checked in code:
+      (P0) K is proven a field: F_p, QQ, an extension of F_p (Rabin-tested
+           modulus) or QQ[t]/(Phi_m);
+      (P1) validate_setup passed;
+      (P2) x != 0 and sigma(x) = zeta*x;
+      (P3) x^n lies in K and is nonzero;
+    the checks below follow by theorems and are not computed. sigma is the
+    algebra endomorphism alpha -> s with sigma^n(alpha) = alpha, so M^n = I
+    and its minimal polynomial divides X^n - 1. Each x^i is a nonzero
+    zeta^i-eigenvector, as x^i * x^(n-i) = x^n != 0, so n distinct
+    eigenvalues in dimension n give the eigen report (i, zeta^i, 1) for
+    every i, closure under products (sigma is multiplicative), a complete
+    spectrum and the fixed space span{1}. sigma fixes x^n, which is in K,
+    and maps zeta^i*x to zeta^(i+1)*x by linearity. As zeta has exact order
+    n, prod_i (X - zeta^i*Y) = X^n - Y^n in K[X, Y], so the binomial
+    factorization holds iff x^n = c. What remains is one sigma(x), one x^n,
+    the min poly of x, the comparisons with the stored report and min poly,
+    and x^n = c: no kernel and no operator min poly, O(n^3) in all. When a
+    premise fails, the full derivation runs, so (ok, failures) is the same
+    either way. A K or E that is not a field, which validate_setup cannot
+    see, may then raise NotInvertible with the zero divisor that arithmetic
+    met.
     """
     try:
         ctx = validate_setup(cert.input)

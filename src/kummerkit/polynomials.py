@@ -281,6 +281,24 @@ def cyclotomic_polynomial(n: int, field) -> Polynomial:
     return Polynomial(field, [field.from_int(c) for c in _cyclotomic_int_coeffs(n)])
 
 
+def cyclotomic_index(g: Polynomial) -> int | None:
+    """The m with g = Phi_m, for g over QQ; None for any other g.
+
+    Phi_m has degree phi(m), and phi(m) >= sqrt(m/2) for every m >= 1, so
+    only m <= 2*deg(g)^2 can match. A match proves g irreducible over QQ
+    (Gauss), so QQ[t]/(g) is a field.
+    """
+    if not isinstance(g.field, RationalField) or g.degree < 1:
+        return None
+    for m in range(1, 2 * g.degree**2 + 1):
+        phi = m
+        for q in prime_factors(m):
+            phi = phi // q * (q - 1)
+        if phi == g.degree and g.coeffs == _cyclotomic_int_coeffs(m):
+            return m
+    return None
+
+
 def is_irreducible_mod_p(f: Polynomial) -> bool:
     """Rabin irreducibility test over a prime field.
 

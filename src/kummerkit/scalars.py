@@ -78,19 +78,66 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_BOUND = 1000
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n >= 1, ascending."""
+    """Distinct prime divisors of n >= 1, ascending.
+
+    Trial division below _TRIAL_BOUND, and on past it while the cofactor is
+    at least MR_EXACT_BOUND, where is_prime cannot decide. A cofactor left
+    over is proven prime by is_prime or split by Pollard-Brent rho, and so
+    are its parts.
+    """
     out = []
     d = 2
-    while d * d <= n:
+    while (d < _TRIAL_BOUND or n >= MR_EXACT_BOUND) and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    if d * d > n:  # n is 1 or a prime
+        return out + [n] if n > 1 else out
+    large = set()  # primes >= d, so they sort after out
+    cofactors = [n]
+    while cofactors:
+        m = cofactors.pop()
+        if is_prime(m):
+            large.add(m)
+        else:
+            f = _pollard_brent(m)
+            cofactors += [f, m // f]
+    return out + sorted(large)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of a composite n with no factor below _TRIAL_BOUND:
+    Pollard's rho with Brent's cycle search (Brent 1980) on y -> y^2 + c,
+    for c = 1, 2, ... from y = 2, so the answer is deterministic. Differences
+    are multiplied together in batches of 128 before each gcd."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step again from its start
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def rational(num: int, den: int = 1) -> Fraction:

@@ -5,9 +5,11 @@ asserted directly; one test drives the installed console path end to end.
 """
 
 import json
+import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,14 @@ from kummerkit import cli, scalars, serialize
 from kummerkit.cli import main
 from kummerkit.scalars import MR_EXACT_BOUND
 from kummerkit.families import builtin_cubic_over_eisenstein
+
+
+def child_env():
+    """This environment with the directory this kummerkit was imported from
+    first on PYTHONPATH, so a child interpreter runs the same code, whether
+    or not the package is installed."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def run(capsys, *argv):
@@ -352,6 +362,7 @@ class TestLargePrime:
             text=True,
             timeout=60,
             preexec_fn=cap_memory,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
@@ -365,6 +376,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "kummerkit.cli", "finite", "--p", "5", "--n", "2", "--format", "json"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["c"] == "2"

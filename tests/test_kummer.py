@@ -453,32 +453,39 @@ class TestStepwiseProperties:
 class TestEachKernelOnce:
     """eigen_spectrum is the only stage that computes a kernel: one nullspace
     per candidate eigenvalue zeta^i, and none in check_fixed_field or
-    extract_radical_generator, which read its report."""
+    extract_radical_generator, which read its report. Verify over a proven
+    field reads every spectral flag off the witness x and computes no
+    kernel, no operator min poly, no closure and no binomial product."""
+
+    COUNTED = ("nullspace", "operator_min_poly", "check_gamma_closure", "_binomial_factorization_holds")
 
     @pytest.fixture
-    def nullspace_calls(self, monkeypatch):
-        calls = []
+    def calls(self, monkeypatch):
+        calls = {name: 0 for name in self.COUNTED}
 
-        def counting(m):
-            calls.append(m.nrows)
-            return nullspace(m)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(kummer, "nullspace", counting)
+            return wrapper
+
+        for name in self.COUNTED:
+            monkeypatch.setattr(kummer, name, counting(name, getattr(kummer, name)))
         return calls
 
     @pytest.mark.parametrize(
         "make", [lambda: frobenius_family(97, 16), builtin_cubic_over_eisenstein], ids=["finite-97-16", "builtin-cubic"]
     )
-    def test_certify_and_verify_make_n_kernel_calls(self, make, nullspace_calls):
+    def test_certify_makes_n_kernel_calls_and_verify_none(self, make, calls):
         inp = make()
         cert = certify(inp)
         assert cert.is_valid()
-        assert len(nullspace_calls) == inp.n
+        assert calls["nullspace"] == inp.n
         parsed = serialize.certificate_from_json(serialize.certificate_to_json(cert))
-        nullspace_calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         assert verify_certificate_report(parsed) == (True, [])
-        assert len(nullspace_calls) == inp.n
-
+        assert calls == dict.fromkeys(self.COUNTED, 0)
 
     def test_stages_reject_a_report_without_eigenvectors(self, frob134):
         # a parsed certificate's report lists the spectrum but no eigenvectors

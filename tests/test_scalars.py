@@ -171,6 +171,48 @@ class TestPrimeFieldArithmetic:
         assert multiplicative_order(PrimeFieldElement(5, 1000000007)) == 1000000006
         assert time.perf_counter() - t0 < 0.5
 
+    def test_order_mod_a_safe_prime(self):
+        # p - 1 = 2q with q = 1000000000000223 prime: trial division up to
+        # sqrt(q) took over a second
+        p, q = 2000000000000447, 1000000000000223
+        t0 = time.perf_counter()
+        k = multiplicative_order(PrimeFieldElement(3, p))
+        assert time.perf_counter() - t0 < 0.1
+        assert k == min(d for d in (1, 2, q, 2 * q) if pow(3, d, p) == 1)
+
+
+class TestPrimeFactors:
+    def test_matches_sympy_below_5000(self):
+        assert [prime_factors(n) for n in (-3, 0, 1)] == [[], [], []]
+        for n in range(2, 5000):
+            assert prime_factors(n) == sorted(sympy.factorint(n)), n
+
+    def test_matches_sympy_on_random_integers_below_10_to_the_24(self):
+        rng = random.Random(20260)
+        for _ in range(60):
+            n = rng.randrange(1, 10**24)
+            assert prime_factors(n) == sorted(sympy.factorint(n)), n
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (1000003, 1000003),
+            (999983, 1000003),
+            (1099511627689, 1099511627791),
+            (1009, 1009, 1009, 1013),
+        ],
+        ids=["prime-square", "two-primes", "two-40-bit-primes", "small-cube"],
+    )
+    def test_products_of_primes_past_the_trial_bound(self, factors):
+        assert prime_factors(math.prod(factors)) == sorted(set(factors))
+
+    def test_cofactor_past_the_primality_bound_is_trial_divided(self):
+        # 1009 * q is above MR_EXACT_BOUND, where is_prime cannot decide, so
+        # trial division runs until 1009 leaves the prime q below the bound
+        q = 3317044064679887385959989
+        assert 1009 * q >= scalars.MR_EXACT_BOUND > q
+        assert prime_factors(2 * 1009 * q) == [2, 1009, q]
+
 
 class TestRootsOfUnity:
     def test_smallest_representative_mod_13(self):
