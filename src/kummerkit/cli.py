@@ -86,10 +86,8 @@ def _format_certificate_text(cert: KummerCertificate, timings: dict[str, int]) -
         f"n: {cert.input.n}",
         f"zeta: {cert.input.zeta}",
         f"sigma_image: {cert.input.sigma_image}",
+        "eigen:",
     ]
-    if cert.eigen.sigma_min_poly is not None:
-        lines.append(f"sigma_min_poly: {cert.eigen.sigma_min_poly}")
-    lines.append("eigen:")
     for e in cert.eigen.entries:
         lines.append(f"  i={e.i} eigenvalue={e.eigenvalue} dimension={e.dimension}")
     lines += [

@@ -7,8 +7,9 @@ K-linear operator, extracts a canonical radical generator x with
 sigma(x) = zeta*x, and assembles a certificate witnessing that x^n lies in K
 and that x alone generates E over K. Every step of that argument is a
 separately checkable operation, and the certificate records the outcome of
-each as a named flag; an input that smuggled in a broken hypothesis (say a
-reducible modulus over QQ) shows up as a false flag, not a wrong answer.
+each as a named flag. The flags hold in any cyclic Galois algebra, not only
+in a field, so a K or E that is not a field (say a reducible modulus over
+QQ) is not always caught: it may certify valid (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -114,14 +115,10 @@ class EigenEntry:
 @dataclass
 class EigenReport:
     entries: tuple
-    sigma_min_poly: Polynomial | None = None
 
     @property
     def m(self) -> int:
         return len(self.entries)
-
-    def eigenvalues(self) -> list:
-        return [e.eigenvalue for e in self.entries]
 
 
 @dataclass
@@ -210,7 +207,11 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
 
 def check_diagonalizability(ctx: ValidatedContext, m: Matrix) -> tuple[bool, Polynomial]:
     """True iff the operator's minimal polynomial divides X^n - 1 exactly and
-    the n-th power of the matrix is the identity."""
+    the n-th power of the matrix is the identity.
+
+    The pipeline does not call this: for ctx.matrix it always holds, as
+    validate_setup proves sigma an algebra endomorphism with
+    sigma^n(alpha) = alpha, so M^n = I."""
     min_poly = operator_min_poly(m)
     xn_minus_1 = Polynomial.x_pow_minus_const(ctx.base_field, ctx.n, ctx.base_field.one())
     _, rem = poly_divmod(xn_minus_1, min_poly)
@@ -218,7 +219,7 @@ def check_diagonalizability(ctx: ValidatedContext, m: Matrix) -> tuple[bool, Pol
     return ok, min_poly
 
 
-def eigen_spectrum(ctx: ValidatedContext, m: Matrix, sigma_min_poly: Polynomial | None = None) -> EigenReport:
+def eigen_spectrum(ctx: ValidatedContext, m: Matrix) -> EigenReport:
     """Eigenvalue report over the candidate eigenvalues zeta^0, ..., zeta^(n-1).
 
     For each power of zeta, the eigenspace is the kernel of M - zeta^i*I,
@@ -226,8 +227,7 @@ def eigen_spectrum(ctx: ValidatedContext, m: Matrix, sigma_min_poly: Polynomial 
     a nonzero kernel are listed together with their dimension and the first
     RREF kernel basis vector as the stored eigenvector. This is the only
     kernel computation of the pipeline: check_fixed_field and
-    extract_radical_generator read the report. sigma_min_poly is carried as
-    given, None when the caller has not computed it.
+    extract_radical_generator read the report.
     """
     entries = []
     for i in range(ctx.n):
@@ -237,7 +237,7 @@ def eigen_spectrum(ctx: ValidatedContext, m: Matrix, sigma_min_poly: Polynomial 
         if basis:
             entries.append(EigenEntry(i, lam, len(basis), ctx.ext_field.element(basis[0])))
     assert sum(e.dimension for e in entries) <= ctx.n
-    return EigenReport(tuple(entries), sigma_min_poly)
+    return EigenReport(tuple(entries))
 
 
 def _entry(report: EigenReport, i: int) -> EigenEntry | None:
@@ -251,27 +251,18 @@ def _entry(report: EigenReport, i: int) -> EigenEntry | None:
 
 
 def check_gamma_closure(ctx: ValidatedContext, report: EigenReport) -> bool:
-    """Products of eigenvectors are again eigenvectors, for the product of the
-    eigenvalues, and that product eigenvalue is itself in the spectrum.
+    """Products of eigenvectors are eigenvectors for an eigenvalue in the
+    spectrum: the report's exponents i are closed under addition mod n.
 
-    Both tests run once per unordered pair {a, b}, a = b included. This is
-    exact: E and K are commutative, so the ordered pair (b, a) has the same
-    product b*a = a*b and the same eigenvalue product mu*lambda = lambda*mu,
-    hence the same two tests and the same outcome as (a, b). A pair costs
-    one schoolbook multiply in E, one sigma (a mat-vec) and one scaling by
-    lambda*mu, each O(n^2), so the check is O(n^4) in all.
+    sigma is an algebra endomorphism (validate_setup), so for eigenvectors a
+    and b of zeta^i and zeta^j, sigma(a*b) = zeta^(i+j) * a*b over any
+    commutative K. What can fail is only that zeta^(i+j) is in the
+    spectrum, and as zeta has exact order n its powers are distinct, so that
+    is a test on exponents: O(m^2) int operations, no multiply in E and no
+    sigma. It reads no eigenvector, so a parsed report serves as well.
     """
-    eigenvalues = report.eigenvalues()
-    entries = report.entries
-    for k, a in enumerate(entries):
-        for b in entries[k:]:  # (b, a) repeats the tests of (a, b), see above
-            product = a.eigenvector * b.eigenvector
-            lam_mu = a.eigenvalue * b.eigenvalue
-            if ctx.sigma(product) != product * lam_mu:
-                return False
-            if lam_mu not in eigenvalues:
-                return False
-    return True
+    exponents = {e.i for e in report.entries}
+    return all((i + j) % ctx.n in exponents for i in exponents for j in exponents)
 
 
 def check_spectrum_complete(ctx: ValidatedContext, report: EigenReport) -> bool:
@@ -325,14 +316,6 @@ def _binomial_factorization_holds(ctx: ValidatedContext, x: ExtensionElement, c)
     return Polynomial(ext, coeffs) == expected
 
 
-def _root_orbit_transitive(ctx: ValidatedContext, x: ExtensionElement) -> bool:
-    """sigma maps zeta^i * x to zeta^(i+1) * x, cycling through all n roots."""
-    for i in range(ctx.n):
-        if ctx.sigma(x * ctx.zeta_pow(i)) != x * ctx.zeta_pow(i + 1):
-            return False
-    return True
-
-
 def _is_proven_field(k) -> bool:
     """True when K is proven a field by code that already ran: F_p (is_prime
     when the PrimeField was built), QQ, an extension of F_p (its modulus
@@ -358,38 +341,34 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     feed no flag (None). A zero x ends the list at "x != 0", since nothing
     after it is defined; c and the min poly are then None.
 
-    A claimed x that is a witness over a proven field (see
-    verify_certificate_report) sets each check that follows from it by a
-    theorem without computing it: the fresh eigen report is (i, zeta^i, 1)
-    for every i and carries no eigenvectors, and the binomial check is
-    "x^n = c". Every holds value is the one the full derivation computes.
+    Three facts follow from validate_setup alone, over any commutative K,
+    and are read off it (see verify_certificate_report): sigma^n = id, so
+    min_poly_divides_Xn_minus_1 is fed by no check; closure is a test on the
+    report's exponents; and the root orbit is sigma(x) = zeta*x. A claimed
+    x that is a witness over a proven field also sets the checks that follow
+    from it by a theorem without computing them: the fresh eigen report is
+    (i, zeta^i, 1) for every i and carries no eigenvectors, and the binomial
+    check is "x^n = c". Every holds value is the one the full derivation
+    computes.
     """
     n = ctx.n
     x = None if claimed is None else claimed.x
     proven = False
     if x:  # a claimed x: test the witness premises
-        sigma_x, x_pow_n = ctx.sigma(x), x**n
-        proven = (
-            _is_proven_field(ctx.base_field)
-            and sigma_x == x * ctx.zeta_pow(1)
-            and bool(x_pow_n)
-            and x_pow_n.as_base() is not None
-        )
+        sigma_x_ok, x_pow_n = ctx.sigma(x) == x * ctx.zeta_pow(1), x**n
+        proven = _is_proven_field(ctx.base_field) and sigma_x_ok and bool(x_pow_n) and x_pow_n.as_base() is not None
     if proven:
         report = EigenReport(tuple(EigenEntry(i, ctx.zeta_pow(i), 1) for i in range(n)))
-        diag_ok = True
     else:
-        diag_ok, sigma_min_poly = check_diagonalizability(ctx, ctx.matrix)
-        report = eigen_spectrum(ctx, ctx.matrix, sigma_min_poly)
+        report = eigen_spectrum(ctx, ctx.matrix)
     checks = [
-        ("sigma min poly divides X^n - 1 and sigma^n = id", "min_poly_divides_Xn_minus_1", diag_ok),
-        ("eigenvalue closure", "spectrum_complete", proven or check_gamma_closure(ctx, report)),
+        ("eigenvalue closure", "spectrum_complete", check_gamma_closure(ctx, report)),
         ("spectrum complete", "spectrum_complete", check_spectrum_complete(ctx, report)),
         ("fixed space = span{1}", "fixed_field_is_K", proven or check_fixed_field(ctx, report)),
     ]
     if claimed is None:
         x = extract_radical_generator(ctx, report)
-        sigma_x, x_pow_n = ctx.sigma(x), x**n
+        sigma_x_ok, x_pow_n = ctx.sigma(x) == x * ctx.zeta_pow(1), x**n
     else:
         stored = [(e.i, e.eigenvalue, e.dimension) for e in claimed.eigen.entries]
         fresh = [(e.i, e.eigenvalue, e.dimension) for e in report.entries]
@@ -400,20 +379,23 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
 
     c = x_pow_n.coords[0] if claimed is None else claimed.c
     x_min_poly = element_min_poly(x)
+    x_pow_n_in_k = x_pow_n.as_base() is not None
     x_pow_n_is_c = x_pow_n == ctx.ext_field.embed(c)
-    # sigma(x) = zeta*x is the orbit test at i = 0, and c = x^n whenever x^n
-    # is in K, so adding them changes neither flag's value in certify
+    # sigma(zeta^i*x) = zeta^i*sigma(x) by linearity, so the root orbit is
+    # sigma(x) = zeta*x, listed under both labels; sigma fixes K (column 0 of
+    # M is e_0), so it fixes x^n when x^n is in K
     checks += [
-        ("sigma(x) = zeta*x", "root_orbit_transitive", sigma_x == x * ctx.zeta_pow(1)),
-        ("x^n in K", "c_in_base", x_pow_n.as_base() is not None),
-        ("sigma(x^n) = x^n", "c_in_base", proven or ctx.sigma(x_pow_n) == x_pow_n),
+        ("sigma(x) = zeta*x", "root_orbit_transitive", sigma_x_ok),
+        ("x^n in K", "c_in_base", x_pow_n_in_k),
+        ("x^n != 0", "c_in_base", bool(x_pow_n)),
+        ("sigma(x^n) = x^n", "c_in_base", x_pow_n_in_k or ctx.sigma(x_pow_n) == x_pow_n),
         ("x^n = c", "c_in_base", x_pow_n_is_c),
     ]
     if claimed is not None:
         checks.append(("stored x_min_poly matches recomputation", None, x_min_poly == claimed.x_min_poly))
     checks += [
         ("deg x_min_poly = n", "x_min_poly_degree_n", x_min_poly.degree == n),
-        ("root orbit transitive", "root_orbit_transitive", proven or _root_orbit_transitive(ctx, x)),
+        ("root orbit transitive", "root_orbit_transitive", sigma_x_ok),
         (
             "binomial factorization",
             "binomial_factorization",
@@ -427,8 +409,9 @@ def compute_certificate(ctx: ValidatedContext) -> KummerCertificate:
     """Run the whole pipeline and assemble the certificate.
 
     Each flag is the AND of the checks that feed it; hypotheses_ok,
-    sigma_is_automorphism and sigma_order_n have none, as validate_setup
-    already proved them. Flags are never omitted: a failing step yields a
+    sigma_is_automorphism, sigma_order_n and min_poly_divides_Xn_minus_1
+    have none, as validate_setup already proved them (the last as M^n = I,
+    see verify_certificate_report). Flags are never omitted: a failing step yields a
     false flag (and an invalid certificate), not an exception, except where
     no generator can be extracted at all (EmptyEigenspace) or arithmetic
     itself witnesses a reducible modulus (NotInvertible).
@@ -453,24 +436,32 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
     hold. Stored intermediates (eigen report, c, x_min_poly, flags) are
     checked against fresh recomputations rather than believed.
 
-    Verify by witness. When all of these premises hold, checked in code:
+    Three kinds of fact are read off proofs instead of computed.
+
+    No premise beyond validate_setup, over any commutative K: sigma is the
+    algebra endomorphism alpha -> s with sigma^n(alpha) = alpha, so M^n = I
+    and its minimal polynomial divides X^n - 1. sigma is multiplicative, so
+    a product of eigenvectors for zeta^i and zeta^j is one for zeta^(i+j),
+    and closure is a test on the report's exponents. sigma is linear, so it
+    maps zeta^i*x to zeta^(i+1)*x for every i iff sigma(x) = zeta*x. sigma
+    fixes K, so it fixes x^n when x^n is in K.
+
+    K a field: as zeta has exact order n, prod_i (X - zeta^i*Y) = X^n - Y^n
+    in K[X, Y], so the binomial factorization holds iff x^n = c.
+
+    K a field and a witness x. When all of these premises hold, checked in
+    code:
       (P0) K is proven a field: F_p, QQ, an extension of F_p (Rabin-tested
            modulus) or QQ[t]/(Phi_m);
       (P1) validate_setup passed;
       (P2) x != 0 and sigma(x) = zeta*x;
       (P3) x^n lies in K and is nonzero;
-    the checks below follow by theorems and are not computed. sigma is the
-    algebra endomorphism alpha -> s with sigma^n(alpha) = alpha, so M^n = I
-    and its minimal polynomial divides X^n - 1. Each x^i is a nonzero
-    zeta^i-eigenvector, as x^i * x^(n-i) = x^n != 0, so n distinct
-    eigenvalues in dimension n give the eigen report (i, zeta^i, 1) for
-    every i, closure under products (sigma is multiplicative), a complete
-    spectrum and the fixed space span{1}. sigma fixes x^n, which is in K,
-    and maps zeta^i*x to zeta^(i+1)*x by linearity. As zeta has exact order
-    n, prod_i (X - zeta^i*Y) = X^n - Y^n in K[X, Y], so the binomial
-    factorization holds iff x^n = c. What remains is one sigma(x), one x^n,
-    the min poly of x, the comparisons with the stored report and min poly,
-    and x^n = c: no kernel and no operator min poly, O(n^3) in all. When a
+    each x^i is a nonzero zeta^i-eigenvector, as x^i * x^(n-i) = x^n != 0,
+    so n distinct eigenvalues in dimension n give the eigen report
+    (i, zeta^i, 1) for every i, a complete spectrum and the fixed space
+    span{1}, and the binomial check is x^n = c. What remains is one
+    sigma(x), one x^n, the min poly of x, the comparisons with the stored
+    report and min poly, and x^n = c: no kernel, O(n^3) in all. When a
     premise fails, the full derivation runs, so (ok, failures) is the same
     either way. A K or E that is not a field, which validate_setup cannot
     see, may then raise NotInvertible with the zero divisor that arithmetic

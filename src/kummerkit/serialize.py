@@ -236,7 +236,7 @@ def certificate_from_json(obj) -> KummerCertificate:
             raise MalformedCertificate("check flags must be booleans")
         return KummerCertificate(
             input=inp,
-            eigen=EigenReport(tuple(entries), None),
+            eigen=EigenReport(tuple(entries)),
             x=element_from_json(ext, obj["x"]),
             c=element_from_json(base, obj["c"]),
             x_min_poly=poly_from_json(base, obj["x_min_poly"]),

@@ -22,8 +22,9 @@ class ExtensionField:
     """base[X]/(modulus) for a monic modulus of degree >= 1 over the base.
 
     Over a prime-field base the modulus is verified irreducible; over other
-    bases it is accepted as asserted and a reducible one surfaces later as a
-    NotInvertible witness or a failed certificate check.
+    bases it is accepted as asserted. A reducible one surfaces only when a
+    division meets a zero divisor (NotInvertible), and otherwise may go
+    unseen: some such algebras certify valid (ROADMAP item 1).
     """
 
     __slots__ = ("base", "modulus", "degree")

@@ -45,7 +45,7 @@ from kummerkit.kummer import (
 from kummerkit.linalg import Matrix, element_min_poly, nullspace, rref
 from kummerkit.polynomials import Polynomial
 from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField
-from kummerkit.tower import ExtensionField
+from kummerkit.tower import ExtensionElement, ExtensionField
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
@@ -453,25 +453,27 @@ class TestStepwiseProperties:
 class TestEachKernelOnce:
     """eigen_spectrum is the only stage that computes a kernel: one nullspace
     per candidate eigenvalue zeta^i, and none in check_fixed_field or
-    extract_radical_generator, which read its report. Verify over a proven
-    field reads every spectral flag off the witness x and computes no
-    kernel, no operator min poly, no closure and no binomial product."""
+    extract_radical_generator, which read its report. sigma^n = id follows
+    from validate_setup, so no stage computes the operator min poly. Verify
+    over a proven field reads every spectral flag off the witness x and
+    computes no kernel and no binomial product. Closure multiplies nothing
+    in E."""
 
-    COUNTED = ("nullspace", "operator_min_poly", "check_gamma_closure", "_binomial_factorization_holds")
+    COUNTED = ("nullspace", "operator_min_poly", "check_diagonalizability", "_binomial_factorization_holds")
+
+    @staticmethod
+    def counting(calls, name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {name: 0 for name in self.COUNTED}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
         for name in self.COUNTED:
-            monkeypatch.setattr(kummer, name, counting(name, getattr(kummer, name)))
+            monkeypatch.setattr(kummer, name, self.counting(calls, name, getattr(kummer, name)))
         return calls
 
     @pytest.mark.parametrize(
@@ -482,10 +484,22 @@ class TestEachKernelOnce:
         cert = certify(inp)
         assert cert.is_valid()
         assert calls["nullspace"] == inp.n
+        assert calls["operator_min_poly"] == calls["check_diagonalizability"] == 0
         parsed = serialize.certificate_from_json(serialize.certificate_to_json(cert))
         calls.update(dict.fromkeys(calls, 0))
         assert verify_certificate_report(parsed) == (True, [])
         assert calls == dict.fromkeys(self.COUNTED, 0)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: frobenius_family(97, 16), builtin_cubic_over_eisenstein], ids=["finite-97-16", "builtin-cubic"]
+    )
+    def test_closure_multiplies_nothing_in_e(self, make, monkeypatch):
+        ctx = validate_setup(make())
+        report = eigen_spectrum(ctx, ctx.matrix)
+        calls = {"__mul__": 0}
+        monkeypatch.setattr(ExtensionElement, "__mul__", self.counting(calls, "__mul__", ExtensionElement.__mul__))
+        assert check_gamma_closure(ctx, report)
+        assert calls["__mul__"] == 0
 
     def test_stages_reject_a_report_without_eigenvectors(self, frob134):
         # a parsed certificate's report lists the spectrum but no eigenvectors

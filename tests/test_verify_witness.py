@@ -10,12 +10,15 @@ must give the same ``(ok, failures)``, or raise the same exception class, on:
   (163 of them), as made, with x scaled by 2, with x squared, with a random
   x and with c + 1;
 * the single-leaf mutations of the tamper corpus;
-* inputs whose K or E is not a field, among them two where x is nilpotent,
-  with the same five variants;
+* inputs whose K or E is not a field, and two where x is nilpotent, with
+  the same five variants;
 * a hypothesis property that mutates x and c of (13,4), (17,8) and the
   builtin cubic.
+
+The nilpotent inputs are pinned as invalid: x^n = c = 0 fails c_in_base.
 """
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -26,6 +29,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from kummerkit import kummer, serialize
+from kummerkit.cli import main
 from kummerkit.errors import KummerError
 from kummerkit.families import builtin_cubic_over_eisenstein, frobenius_family
 from kummerkit.kummer import (
@@ -34,6 +38,7 @@ from kummerkit.kummer import (
     EigenReport,
     KummerCertificate,
     certify,
+    verify_certificate,
     verify_certificate_report,
 )
 from kummerkit.polynomials import Polynomial, cyclotomic_index, cyclotomic_polynomial
@@ -128,7 +133,11 @@ NOT_FIELDS = {
     "K=QQ[t]/(t^2-1)": lambda: _over_qq_mod([-1, 0, 1]),
     "K=QQ[t]/(t^2-4)": lambda: _over_qq_mod([-4, 0, 1]),
     "K=QQ[t]/(t^4+4)": lambda: _over_qq_mod([4, 0, 0, 0, 1]),
-    # nilpotent x, so x^n = c = 0 and the witness premises fail
+}
+
+# x is nilpotent, so x^n = c = 0: the witness premises fail, and so does
+# "x^n != 0"
+NILPOTENT = {
     "QQ[X]/(X^2)": lambda: _quadratic(QQ, 0, Fraction(-1)),
     "QQ(i)[X]/(X^4)": _nilpotent_quartic,
 }
@@ -139,6 +148,22 @@ def test_inputs_that_are_not_fields(name):
     cert = certify(NOT_FIELDS[name]())
     for variant in variants(cert, random.Random(name)):
         assert_paths_agree(variant)
+
+
+@pytest.mark.parametrize("name", sorted(NILPOTENT))
+def test_nilpotent_x_is_invalid(name, tmp_path, capsys):
+    inp = NILPOTENT[name]()
+    cert = certify(inp)
+    assert not cert.checks["c_in_base"] and not cert.is_valid()
+    ok, failures = verify_certificate_report(cert)
+    assert not ok and "x^n != 0" in failures
+    assert verify_certificate(cert) is False
+    for variant in variants(cert, random.Random(name)):
+        assert_paths_agree(variant)
+    spec = tmp_path / "spec.json"
+    spec.write_text(serialize.canonical_dumps(serialize.input_to_json(inp)))
+    assert main(["tower", str(spec), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["checks"]["c_in_base"] is False
 
 
 def test_a_zero_divisor_in_k_is_still_met():
