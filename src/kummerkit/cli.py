@@ -211,7 +211,6 @@ def cmd_selftest(args) -> int:
         for n in range(1, args.max_n + 1)
         if (p - 1) % n == 0
     ]
-    pairs.sort()
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
         # looked up only here: the process pool loads multiprocessing, about
@@ -220,7 +219,6 @@ def cmd_selftest(args) -> int:
             results = list(pool.map(_selftest_case, pairs))
     else:
         results = [_selftest_case(pair) for pair in pairs]
-    results.sort(key=lambda r: (r[0], r[1]))
     passed = sum(1 for _, _, ok, _ in results if ok)
     if args.format == "json":
         payload = {

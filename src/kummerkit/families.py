@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import KummerError, NoPrimitiveRoot, ValidationError
 from .kummer import CyclicExtensionInput
-from .polynomials import Polynomial, is_irreducible_mod_p, poly_pow_mod
+from .polynomials import Polynomial, is_irreducible_mod_p
 from .scalars import PrimeField, RationalField, find_nth_root_of_unity
 from .tower import ExtensionField
 from . import serialize
@@ -66,9 +66,7 @@ def frobenius_family(p: int | PrimeField, n: int, modulus: Polynomial | None = N
         if modulus.degree != n or not modulus.is_monic():
             raise ValidationError(f"modulus must be monic of degree {n}, got {modulus}")
     ext = ExtensionField(base, modulus)  # raises ReducibleModulus on a bad supplied modulus
-    frob = poly_pow_mod(Polynomial.x(base), p, modulus)
-    sigma_image = ext.element(frob.coeffs)
-    return CyclicExtensionInput(ext, n, zeta, sigma_image)
+    return CyclicExtensionInput(ext, n, zeta, ext.gen() ** p)
 
 
 def builtin_cubic_over_eisenstein() -> CyclicExtensionInput:

@@ -9,11 +9,11 @@ free-column parametrization. Vectors are plain tuples of field elements.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
 from .polynomials import Polynomial, poly_lcm
-from .scalars import PrimeField, fp_first_dependency, fp_mat_mul, fp_mat_vec, fp_rref
 from .tower import ExtensionElement
 
 
@@ -83,14 +83,11 @@ class Matrix:
         self._check_compatible(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        if type(self.field) is PrimeField:
-            return Matrix._of(self.field, fp_mat_mul(self.rows, other.rows, self.field.p))
-        cols = [other.column(j) for j in range(other.ncols)]
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            out.append([sum((a * b for a, b in zip(row, col) if a and b), zero) for col in cols])
-        return Matrix(self.field, out)
+        field = self.field
+        cols = list(zip(*map(field.unbox, other.rows)))
+        zero = field.raw_zero
+        return Matrix._of(field, [field.box([sum(map(operator.mul, row, col), zero) for col in cols])
+                                  for row in map(field.unbox, self.rows)])
 
     def scale(self, k) -> "Matrix":
         k = self.field.coerce(k)
@@ -136,32 +133,34 @@ class RrefResult(NamedTuple):
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form with leading 1s; fully deterministic."""
-    if type(m.field) is PrimeField:
-        rows, pivots = fp_rref(m.rows, m.field.p)
-        return RrefResult(Matrix._of(m.field, rows), pivots, len(pivots))
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+    """Reduced row echelon form with leading 1s; fully deterministic.
+
+    Runs on raw values: a pivot row is reduced when it is normalized, the
+    other rows only when one of their entries is tested or used as a
+    multiplier, and every row once at the end."""
+    field = m.field
+    reduce = field.reduce
+    rows = [field.unbox(row) for row in m.rows]
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(m.ncols):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pivot_row = next((i for i in range(r, nrows) if reduce(rows[i][c])), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        if lead != m.field.one():
-            inv = m.field.one() / lead
-            rows[r] = [a * inv for a in rows[r]]
+        inv = field.raw_inverse(rows[r][c])
+        prow = rows[r] = [reduce(a * inv) for a in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i != r:
+                f = reduce(rows[i][c])
+                if f:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-    return RrefResult(Matrix(m.field, rows), pivots, len(pivots))
+    return RrefResult(Matrix._of(field, map(field.box, rows)), pivots, len(pivots))
 
 
 def nullspace(m: Matrix) -> list[tuple]:
@@ -186,14 +185,13 @@ def nullspace(m: Matrix) -> list[tuple]:
 
 
 def mat_apply(m: Matrix, v) -> tuple:
-    """Matrix-vector product."""
-    v = tuple(m.field.coerce(c) for c in v)
+    """Matrix-vector product, one reduction per entry."""
+    field = m.field
+    v = field.unbox(map(field.coerce, v))
     if len(v) != m.ncols:
         raise DimensionMismatch(f"vector of length {len(v)} against {m.nrows}x{m.ncols}")
-    if type(m.field) is PrimeField:
-        return tuple(fp_mat_vec(m.rows, v, m.field.p))
-    zero = m.field.zero()
-    return tuple(sum((a * b for a, b in zip(row, v) if a and b), zero) for row in m.rows)
+    zero = field.raw_zero
+    return tuple(field.box([sum(map(operator.mul, row, v), zero) for row in map(field.unbox, m.rows)]))
 
 
 def operator_matrix(images: list[ExtensionElement]) -> Matrix:
@@ -228,25 +226,27 @@ def first_linear_dependency(field, vectors, limit: int) -> list:
     combination, whose coefficient at v_k is 1. This is exactly the first
     monic dependency: v_0, ..., v_{k-1} are independent, so the kernel of
     [v_0 ... v_k] is a line and its monic generator is unique. The cost is
-    O(k * (dim + k)) per vector, O(n^3) for the whole sequence.
+    O(k * (dim + k)) per vector, O(n^3) for the whole sequence. On raw
+    values, an entry is reduced when it becomes a multiplier, each reduced
+    vector before its pivot search, and the combination once at the end.
     """
-    if type(field) is PrimeField:
-        return fp_first_dependency((map(field.coerce, v) for v in vectors), limit, field.p)
+    unbox, reduce = field.unbox, field.reduce
     zero, one = field.zero(), field.one()
     basis = []  # (pivot column, row with 1 at the pivot, combination)
     for k, v in enumerate(itertools.islice(vectors, limit)):
-        row = [field.coerce(c) for c in v]
-        combo = [zero] * k + [one]
+        row = unbox(map(field.coerce, v))
+        combo = unbox([zero] * k + [one])
         for pivot, brow, bcombo in basis:
-            f = row[pivot]
+            f = reduce(row[pivot])
             if f:
                 row = [a - f * b for a, b in zip(row, brow)]
                 combo[: len(bcombo)] = [a - f * b for a, b in zip(combo, bcombo)]
+        row = [reduce(a) for a in row]
         pivot = next((j for j, a in enumerate(row) if a), None)
         if pivot is None:
-            return combo
-        inv = one / row[pivot]
-        basis.append((pivot, [a * inv for a in row], [a * inv for a in combo]))
+            return field.box(combo)
+        inv = field.raw_inverse(row[pivot])
+        basis.append((pivot, [reduce(a * inv) for a in row], [reduce(a * inv) for a in combo]))
     raise AssertionError("no linear dependency found within the promised bound")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
-from .scalars import PrimeField, RationalField, fp_mat_vec, fp_poly_divmod, fp_poly_mul, prime_factors
+from .scalars import PrimeField, RationalField, prime_factors
 
 
 class Polynomial:
@@ -107,16 +107,7 @@ class Polynomial:
         self._check_same_field(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.field)
-        if type(self.field) is PrimeField:
-            return Polynomial._of(self.field, fp_poly_mul(self.coeffs, other.coeffs, self.field.p))
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        return Polynomial._of(self.field, self.field.box(raw_product(self.field, self.coeffs, other.coeffs)))
 
     def scale(self, k) -> "Polynomial":
         k = self.field.coerce(k)
@@ -179,8 +170,22 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def raw_product(field, a, b) -> list:
+    """Schoolbook product of two nonempty sequences of field elements, as
+    raw values with each sum unreduced."""
+    b = field.unbox(b)
+    out = [field.raw_zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(field.unbox(a)):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
 def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder with deg r < deg b."""
+    """Quotient and remainder with deg r < deg b, by schoolbook long
+    division on raw values. A remainder coefficient is reduced when it
+    becomes a quotient digit, and the remainder once at the end."""
     if not isinstance(a, Polynomial) or not isinstance(b, Polynomial):
         raise TypeError("poly_divmod expects two polynomials")
     a._check_same_field(b)
@@ -189,19 +194,18 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     field = a.field
     if a.degree < b.degree:
         return Polynomial.zero(field), a
-    if type(field) is PrimeField:
-        quo, rem = fp_poly_divmod(a.coeffs, b.coeffs, field.p)
-        return Polynomial._of(field, quo), Polynomial._of(field, rem)
-    rem = list(a.coeffs)
-    quo = [field.zero()] * (a.degree - b.degree + 1)
-    inv_lead = field.one() / b.leading
-    for k in range(a.degree - b.degree, -1, -1):
-        c = rem[k + b.degree] * inv_lead
+    reduce = field.reduce
+    rem, b = field.unbox(a.coeffs), field.unbox(b.coeffs)
+    db = len(b) - 1
+    inv_lead = field.raw_inverse(b[-1])
+    quo = [None] * (len(rem) - db)  # every digit is set below
+    for k in range(len(quo) - 1, -1, -1):
+        c = reduce(rem[k + db] * inv_lead)
         quo[k] = c
         if c:
-            for j, bj in enumerate(b.coeffs):
-                rem[k + j] = rem[k + j] - c * bj
-    return Polynomial(field, quo), Polynomial(field, rem[: b.degree])
+            for j, y in enumerate(b, k):
+                rem[j] -= c * y
+    return Polynomial._of(field, field.box(quo)), Polynomial._of(field, field.box(rem[:db]))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -309,10 +313,11 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
     Panario, 1997). Over F_p, g(X)^p = g(X^p) for every g, so g -> g^p mod f
     is the matrix Q whose column j is X^(j*p) mod f. One X^p mod f by
     squaring builds Q, and then X^(p^k) = Q^k X costs one d x d mat-vec per
-    k (the F_p kernel), instead of d*log(p) squarings per exponent p^k. The
-    powers are the same residues, so the gcd tests and the final test are
-    the same.
+    k, instead of d*log(p) squarings per exponent p^k. The powers are the
+    same residues, so the gcd tests and the final test are the same.
     """
+    from .linalg import Matrix, mat_apply  # linalg imports this module
+
     if not isinstance(f.field, PrimeField):
         raise FieldMismatch(f"irreducibility test needs a prime field, got {f.field}")
     d = f.degree
@@ -328,11 +333,11 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
     for _ in range(d):
         columns.append(column.padded(d))
         column = (column * x_to_p) % f
-    q_rows = list(zip(*columns))
+    q_matrix = Matrix._of(field, zip(*columns))
     x = Polynomial.x(field) % f
-    frobenius = [list(x.padded(d))]  # frobenius[k]: X^(p^k) mod f
+    frobenius = [x.padded(d)]  # frobenius[k]: X^(p^k) mod f
     for _ in range(d):
-        frobenius.append(fp_mat_vec(q_rows, frobenius[-1], p))
+        frobenius.append(mat_apply(q_matrix, frobenius[-1]))
     for q in prime_factors(d):
         h = Polynomial(field, frobenius[d // q]) - x
         if poly_gcd(h, f).degree != 0:

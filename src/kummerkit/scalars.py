@@ -1,5 +1,5 @@
 """Exact ground-field scalars: rationals and prime-field elements, plus the
-F_p kernels that run the package's hot loops on plain ints.
+raw-value hooks through which the package's arithmetic loops run.
 
 Rationals are ``fractions.Fraction`` values from the standard library, which
 already guarantees the canonical form this package relies on (positive
@@ -7,24 +7,26 @@ denominator, fully reduced, 0/1 for zero, ``str()`` gives ``"num/den"`` with
 the denominator omitted when it is 1). :func:`rational` is the checked
 constructor. Prime-field arithmetic gets its own element class.
 
-An F_p value is a :class:`PrimeFieldElement` everywhere a caller can see it.
-Inside the ``fp_*`` kernels it is its ``value``, an int in [0, p): each
-kernel reads its operands' values once, runs its loop on ints, reducing
-mod p only where the algorithm needs a canonical value (a pivot test, a
-multiplier) or at the end of a sum, and boxes its results once without a
-second ``% p``. Polynomials, extension elements and matrices call them when
-their field is exactly :class:`PrimeField`; every other field, and the test
-reference, takes the generic loops over field elements. The kernels run the
-same algorithms as those loops, with the same pivots, so they compute the
-same residues.
+The hot loops (the E multiply, polynomial multiply and division, ``rref``,
+the Krylov dependency search, mat-vec and mat-mul) exist once each and run
+on raw values through hooks of the field descriptor: ``unbox(elements)``
+gives the raw values, ``box(values)`` reduces raw values and wraps them as
+elements, ``reduce(value)`` gives a canonical raw value, ``raw_inverse``
+inverts a nonzero raw value and ``raw_zero`` is the raw zero. A loop unboxes
+its operands once, reduces where the algorithm needs a canonical value (a
+pivot test, a multiplier) and once per sum, and boxes its results once; its
+inner updates call no hook. Only :class:`PrimeField` knows that F_p values
+are ints there: an element's raw value is its ``value``, reduction is
+``% p``, and a sum of products stays an unreduced int until it is reduced.
+:class:`RationalField` and :class:`~kummerkit.tower.ExtensionField` share
+the identity hooks of :class:`IdentityHooks`, whose raw values are the
+elements themselves.
 
 No floating point appears anywhere in this module or its callers.
 """
-
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from math import gcd
 
@@ -269,8 +271,12 @@ def find_nth_root_of_unity(p: int | PrimeField, n: int) -> PrimeFieldElement:
     return PrimeFieldElement(min(pow(h, k, p) for k in range(1, n + 1) if gcd(k, n) == 1), p)
 
 
+_new = object.__new__
+
+
 class PrimeField:
-    """Descriptor for F_p. Primality is validated once, at construction."""
+    """Descriptor for F_p. Primality is validated once, at construction.
+    Its raw values are ints, reduced mod p only by ``reduce`` and ``box``."""
 
     __slots__ = ("p",)
 
@@ -303,6 +309,28 @@ class PrimeField:
             return PrimeFieldElement(value, self.p)
         raise FieldMismatch(f"{value!r} is not an element of F_{self.p}")
 
+    raw_zero = 0
+
+    def unbox(self, elements) -> list[int]:
+        return [c.value for c in elements]
+
+    def box(self, values) -> list[PrimeFieldElement]:
+        """Elements for raw ints, each reduced once; skips __init__."""
+        p = self.p
+        out = []
+        for v in values:
+            e = _new(PrimeFieldElement)
+            e.value = v % p
+            e.p = p
+            out.append(e)
+        return out
+
+    def reduce(self, value: int) -> int:
+        return value % self.p
+
+    def raw_inverse(self, value: int) -> int:
+        return pow(value, -1, self.p)
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -316,7 +344,31 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-class RationalField:
+class IdentityHooks:
+    """The raw-value hooks of a field whose elements serve as their own raw
+    values: elements are exact and canonical after every operation, so
+    ``reduce`` and ``box`` change nothing."""
+
+    __slots__ = ()
+
+    @property
+    def raw_zero(self):
+        return self.zero()
+
+    def unbox(self, elements) -> list:
+        return list(elements)
+
+    def box(self, values) -> list:
+        return list(values)
+
+    def reduce(self, value):
+        return value
+
+    def raw_inverse(self, value):
+        return self.one() / value
+
+
+class RationalField(IdentityHooks):
     """Descriptor for the rationals; elements are fractions.Fraction values."""
 
     __slots__ = ()
@@ -354,145 +406,3 @@ class RationalField:
 
     def __str__(self):
         return "QQ"
-
-
-# -- F_p kernels on plain ints ----------------------------------------------
-
-_new = object.__new__
-
-
-def _boxed(values, p: int) -> list[PrimeFieldElement]:
-    """Elements for ints already reduced into [0, p), skipping __init__'s % p."""
-    out = []
-    for v in values:
-        e = _new(PrimeFieldElement)
-        e.value = v
-        e.p = p
-        out.append(e)
-    return out
-
-
-def _product(a, b) -> list[int]:
-    """Schoolbook product of two nonempty coefficient sequences, as
-    unreduced ints."""
-    b = [c.value for c in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        x = x.value
-        if x:
-            for k, y in enumerate(b, i):
-                out[k] += x * y
-    return out
-
-
-def fp_poly_mul(a, b, p: int) -> list[PrimeFieldElement]:
-    """Coefficients of the product of two nonempty coefficient sequences,
-    each sum reduced once."""
-    return _boxed([c % p for c in _product(a, b)], p)
-
-
-def fp_poly_divmod(a, b, p: int) -> tuple[list[PrimeFieldElement], list[PrimeFieldElement]]:
-    """Quotient and remainder coefficients of a by b, for len(a) >= len(b)
-    and b with a nonzero leading coefficient, by schoolbook long division.
-    A remainder coefficient is reduced when it becomes a quotient digit and
-    at the end."""
-    rem = [c.value for c in a]
-    b = [c.value for c in b]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quo = [0] * (len(rem) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + db] * inv_lead % p
-        quo[k] = c
-        if c:
-            for j, y in enumerate(b, k):
-                rem[j] -= c * y
-    return _boxed(quo, p), _boxed([c % p for c in rem[:db]], p)
-
-
-def fp_ext_mul(a, b, modulus, p: int) -> list[PrimeFieldElement]:
-    """Product of two coordinate vectors of length d in F_p[X]/(f), f monic
-    of degree d given by its d + 1 coefficients: schoolbook, then each
-    coefficient of degree >= d, from the top, folded back with f."""
-    d = len(a)
-    prod = _product(a, b)
-    f = [p - c.value for c in modulus[:d]]  # -f_j, so the fold only adds
-    for k in range(2 * d - 2, d - 1, -1):
-        c = prod[k] % p
-        if c:
-            for j, y in enumerate(f, k - d):
-                prod[j] += c * y
-    return _boxed([c % p for c in prod[:d]], p)
-
-
-def fp_mat_vec(rows, v, p: int) -> list[PrimeFieldElement]:
-    """Matrix (a sequence of rows) times vector, one reduction per entry."""
-    v = [c.value for c in v]
-    out = []
-    for row in rows:
-        acc = 0
-        for a, b in zip(row, v):
-            acc += a.value * b
-        out.append(acc % p)
-    return _boxed(out, p)
-
-
-def fp_mat_mul(rows, other_rows, p: int) -> list[list[PrimeFieldElement]]:
-    """Product of two matrices given by their rows, one reduction per entry."""
-    cols = list(zip(*[[c.value for c in row] for row in other_rows]))
-    out = []
-    for row in rows:
-        row = [c.value for c in row]
-        out.append(_boxed([sum(map(operator.mul, row, col)) % p for col in cols], p))
-    return out
-
-
-def fp_rref(rows, p: int) -> tuple[list[list[PrimeFieldElement]], list[int]]:
-    """Reduced row echelon form and pivot columns, by the pivot rule of
-    :func:`kummerkit.linalg.rref`: the first row at or below the current one
-    that is nonzero in the leftmost unresolved column. A pivot row is reduced
-    when it is normalized; the other rows only when one of their entries is
-    tested or used as a multiplier, and at the end."""
-    rows = [[c.value for c in row] for row in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        prow = rows[r] = [a * inv % p for a in rows[r]]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c] % p
-                if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return [_boxed([a % p for a in row], p) for row in rows], pivots
-
-
-def fp_first_dependency(vectors, limit: int, p: int) -> list[PrimeFieldElement]:
-    """:func:`kummerkit.linalg.first_linear_dependency` on ints: the monic
-    combination of the first vector that reduces to zero against the echelon
-    rows of its predecessors."""
-    basis = []  # (pivot column, row with 1 at the pivot, combination)
-    for k, v in enumerate(itertools.islice(vectors, limit)):
-        row = [c.value for c in v]
-        combo = [0] * k + [1]
-        for pivot, brow, bcombo in basis:
-            f = row[pivot] % p
-            if f:
-                row = [a - f * b for a, b in zip(row, brow)]
-                combo[: len(bcombo)] = [a - f * b for a, b in zip(combo, bcombo)]
-        row = [a % p for a in row]
-        pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is None:
-            return _boxed([a % p for a in combo], p)
-        inv = pow(row[pivot], -1, p)
-        basis.append((pivot, [a * inv % p for a in row], [a * inv % p for a in combo]))
-    raise AssertionError("no linear dependency found within the promised bound")

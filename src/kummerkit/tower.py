@@ -12,13 +12,13 @@ from __future__ import annotations
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
-from .polynomials import Polynomial, is_irreducible_mod_p, poly_gcd_extended
-from .scalars import PrimeField, fp_ext_mul
+from .polynomials import Polynomial, is_irreducible_mod_p, poly_gcd_extended, raw_product
+from .scalars import IdentityHooks, PrimeField
 
 MAX_TOWER_HEIGHT = 3
 
 
-class ExtensionField:
+class ExtensionField(IdentityHooks):
     """base[X]/(modulus) for a monic modulus of degree >= 1 over the base.
 
     Over a prime-field base the modulus is verified irreducible; over other
@@ -165,8 +165,10 @@ class ExtensionElement:
         (c, 0, ..., 0), and c * sum(a_i X^i) = sum((c a_i) X^i) needs no
         reduction, so the result equals the full product with the embedded
         scalar at n base multiplies instead of n^2. Two extension elements
-        are multiplied schoolbook and folded back with the monic modulus,
-        over an F_p base by the int kernel ``fp_ext_mul``.
+        are multiplied schoolbook (``raw_product``) on the base field's raw
+        values, and each coefficient of degree >= n, from the top, is
+        reduced once and folded back with the monic modulus; every
+        coordinate is reduced once at the end.
         """
         field = self.field
         if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):
@@ -178,24 +180,16 @@ class ExtensionElement:
                 return a * b
             c = b.coords[0]  # b embeds a base-field scalar
             return ExtensionElement(field, tuple(x * c for x in self.coords))
-        if type(field.base) is PrimeField:
-            return ExtensionElement(field, tuple(fp_ext_mul(self.coords, other.coords, field.modulus.coeffs, field.base.p)))
-        deg = field.degree
-        zero = field.base.zero()
-        prod = [zero] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                prod[i + j] = prod[i + j] + a * b
-        # fold degrees >= deg back down using the monic modulus
-        f = field.modulus.coeffs
+        base, deg = field.base, field.degree
+        reduce = base.reduce
+        prod = raw_product(base, self.coords, other.coords)
+        f = base.unbox(field.modulus.coeffs[:deg])
         for k in range(2 * deg - 2, deg - 1, -1):
-            c = prod[k]
+            c = reduce(prod[k])
             if c:
-                for j in range(deg):
-                    prod[k - deg + j] = prod[k - deg + j] - c * f[j]
-        return ExtensionElement(field, tuple(prod[:deg]))
+                for j, y in enumerate(f, k - deg):
+                    prod[j] -= c * y
+        return ExtensionElement(field, tuple(base.box(prod[:deg])))
 
     __rmul__ = __mul__
 
