@@ -333,43 +333,64 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
 
     Returns (eigen report, x, c, min poly of x, checks), where each check is
     a (failure label, flag, holds) triple and the flag names the certificate
-    flag the check feeds. Without a claimed certificate, x is extracted and c
-    is the constant coordinate of x^n: x^n itself when it lies in K, and
-    otherwise just a value that serializes beside a false c_in_base. With a
-    claimed certificate, its x and c are tested, and its stored eigen report
-    and x_min_poly are compared with their recomputations; those comparisons
-    feed no flag (None). A zero x ends the list at "x != 0", since nothing
-    after it is defined; c and the min poly are then None.
+    flag the check feeds. Without a claimed certificate, the eigen report is
+    computed, x is extracted from it and c is the constant coordinate of x^n:
+    x^n itself when it lies in K, and otherwise just a value that serializes
+    beside a false c_in_base. With a claimed certificate, its x and c are
+    tested, and its stored eigen report and x_min_poly are compared with
+    their recomputations; those comparisons feed no flag (None). A zero x
+    ends the list at "x != 0", since nothing after it is defined; c and the
+    min poly are then None.
 
-    Three facts follow from validate_setup alone, over any commutative K,
-    and are read off it (see verify_certificate_report): sigma^n = id, so
-    min_poly_divides_Xn_minus_1 is fed by no check; closure is a test on the
-    report's exponents; and the root orbit is sigma(x) = zeta*x. A claimed
-    x that is a witness over a proven field also sets the checks that follow
-    from it by a theorem without computing them: the fresh eigen report is
-    (i, zeta^i, 1) for every i and carries no eigenvectors, and the binomial
-    check is "x^n = c". Every holds value is the one the full derivation
-    computes.
+    Three kinds of fact are read off proofs instead of computed, each under
+    exactly its own premise, for certify and verify alike; every holds value
+    is the one the full derivation computes.
+
+    No premise beyond validate_setup, over any commutative K: sigma is the
+    algebra endomorphism alpha -> s with sigma^n(alpha) = alpha, so M^n = I
+    and its minimal polynomial divides X^n - 1 (min_poly_divides_Xn_minus_1
+    is fed by no check). sigma is multiplicative, so a product of
+    eigenvectors for zeta^i and zeta^j is one for zeta^(i+j), and closure is
+    a test on the report's exponents. sigma is linear, so it maps zeta^i*x
+    to zeta^(i+1)*x for every i iff sigma(x) = zeta*x, the root orbit.
+    sigma fixes K (column 0 of M is e_0), so it fixes x^n when x^n is in K.
+
+    K proven a field (_is_proven_field): as zeta has exact order n,
+    prod_i (X - zeta^i*Y) = X^n - Y^n in K[X, Y], so for any x the binomial
+    factorization holds iff x^n = c. Only over a K not proven a field is the
+    product computed.
+
+    K proven a field and a witness x: x != 0, sigma(x) = zeta*x, and x^n a
+    nonzero element of K. Each x^i is then a nonzero zeta^i-eigenvector, as
+    x^i * x^(n-i) = x^n != 0, so n distinct eigenvalues in dimension n give
+    the eigen report (i, zeta^i, 1) for every i, a complete spectrum and the
+    fixed space span{1}. Verify then computes no kernel (its fresh report
+    carries no eigenvectors); certify extracts x from the report, so it
+    computes it. When a premise fails, the full derivation runs, and a K or
+    E that is not a field may raise NotInvertible with the zero divisor met.
     """
     n = ctx.n
-    x = None if claimed is None else claimed.x
-    proven = False
-    if x:  # a claimed x: test the witness premises
-        sigma_x_ok, x_pow_n = ctx.sigma(x) == x * ctx.zeta_pow(1), x**n
-        proven = _is_proven_field(ctx.base_field) and sigma_x_ok and bool(x_pow_n) and x_pow_n.as_base() is not None
-    if proven:
-        report = EigenReport(tuple(EigenEntry(i, ctx.zeta_pow(i), 1) for i in range(n)))
+    if claimed is None:
+        report = eigen_spectrum(ctx, ctx.matrix)
+        x = extract_radical_generator(ctx, report)
     else:
+        x = claimed.x
+    proven_field = _is_proven_field(ctx.base_field)
+    witness = False
+    if x:
+        sigma_x_ok, x_pow_n = ctx.sigma(x) == x * ctx.zeta_pow(1), x**n
+        x_pow_n_in_k = x_pow_n.as_base() is not None
+        witness = proven_field and sigma_x_ok and x_pow_n_in_k and bool(x_pow_n)
+    if claimed is not None and witness:
+        report = EigenReport(tuple(EigenEntry(i, ctx.zeta_pow(i), 1) for i in range(n)))
+    elif claimed is not None:
         report = eigen_spectrum(ctx, ctx.matrix)
     checks = [
         ("eigenvalue closure", "spectrum_complete", check_gamma_closure(ctx, report)),
         ("spectrum complete", "spectrum_complete", check_spectrum_complete(ctx, report)),
-        ("fixed space = span{1}", "fixed_field_is_K", proven or check_fixed_field(ctx, report)),
+        ("fixed space = span{1}", "fixed_field_is_K", witness or check_fixed_field(ctx, report)),
     ]
-    if claimed is None:
-        x = extract_radical_generator(ctx, report)
-        sigma_x_ok, x_pow_n = ctx.sigma(x) == x * ctx.zeta_pow(1), x**n
-    else:
+    if claimed is not None:
         stored = [(e.i, e.eigenvalue, e.dimension) for e in claimed.eigen.entries]
         fresh = [(e.i, e.eigenvalue, e.dimension) for e in report.entries]
         checks.append(("eigen report matches recomputation", None, stored == fresh))
@@ -379,11 +400,7 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
 
     c = x_pow_n.coords[0] if claimed is None else claimed.c
     x_min_poly = element_min_poly(x)
-    x_pow_n_in_k = x_pow_n.as_base() is not None
     x_pow_n_is_c = x_pow_n == ctx.ext_field.embed(c)
-    # sigma(zeta^i*x) = zeta^i*sigma(x) by linearity, so the root orbit is
-    # sigma(x) = zeta*x, listed under both labels; sigma fixes K (column 0 of
-    # M is e_0), so it fixes x^n when x^n is in K
     checks += [
         ("sigma(x) = zeta*x", "root_orbit_transitive", sigma_x_ok),
         ("x^n in K", "c_in_base", x_pow_n_in_k),
@@ -399,7 +416,7 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
         (
             "binomial factorization",
             "binomial_factorization",
-            x_pow_n_is_c if proven else _binomial_factorization_holds(ctx, x, c),
+            x_pow_n_is_c if proven_field else _binomial_factorization_holds(ctx, x, c),
         ),
     ]
     return report, x, c, x_min_poly, checks
@@ -408,13 +425,13 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
 def compute_certificate(ctx: ValidatedContext) -> KummerCertificate:
     """Run the whole pipeline and assemble the certificate.
 
-    Each flag is the AND of the checks that feed it; hypotheses_ok,
-    sigma_is_automorphism, sigma_order_n and min_poly_divides_Xn_minus_1
-    have none, as validate_setup already proved them (the last as M^n = I,
-    see verify_certificate_report). Flags are never omitted: a failing step yields a
-    false flag (and an invalid certificate), not an exception, except where
-    no generator can be extracted at all (EmptyEigenspace) or arithmetic
-    itself witnesses a reducible modulus (NotInvertible).
+    Each flag is the AND of the checks _derive lists for it (see there for
+    the facts read off proofs); hypotheses_ok, sigma_is_automorphism,
+    sigma_order_n and min_poly_divides_Xn_minus_1 have none, as
+    validate_setup already proved them. Flags are never omitted: a failing
+    step yields a false flag (and an invalid certificate), not an exception,
+    except where no generator can be extracted at all (EmptyEigenspace) or
+    arithmetic itself witnesses a reducible modulus (NotInvertible).
     """
     report, x, c, x_min_poly, checks = _derive(ctx)
     flags = dict.fromkeys(CHECK_NAMES, True)
@@ -434,38 +451,11 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
 
     Returns (ok, failures) where failures names every property that did not
     hold. Stored intermediates (eigen report, c, x_min_poly, flags) are
-    checked against fresh recomputations rather than believed.
-
-    Three kinds of fact are read off proofs instead of computed.
-
-    No premise beyond validate_setup, over any commutative K: sigma is the
-    algebra endomorphism alpha -> s with sigma^n(alpha) = alpha, so M^n = I
-    and its minimal polynomial divides X^n - 1. sigma is multiplicative, so
-    a product of eigenvectors for zeta^i and zeta^j is one for zeta^(i+j),
-    and closure is a test on the report's exponents. sigma is linear, so it
-    maps zeta^i*x to zeta^(i+1)*x for every i iff sigma(x) = zeta*x. sigma
-    fixes K, so it fixes x^n when x^n is in K.
-
-    K a field: as zeta has exact order n, prod_i (X - zeta^i*Y) = X^n - Y^n
-    in K[X, Y], so the binomial factorization holds iff x^n = c.
-
-    K a field and a witness x. When all of these premises hold, checked in
-    code:
-      (P0) K is proven a field: F_p, QQ, an extension of F_p (Rabin-tested
-           modulus) or QQ[t]/(Phi_m);
-      (P1) validate_setup passed;
-      (P2) x != 0 and sigma(x) = zeta*x;
-      (P3) x^n lies in K and is nonzero;
-    each x^i is a nonzero zeta^i-eigenvector, as x^i * x^(n-i) = x^n != 0,
-    so n distinct eigenvalues in dimension n give the eigen report
-    (i, zeta^i, 1) for every i, a complete spectrum and the fixed space
-    span{1}, and the binomial check is x^n = c. What remains is one
-    sigma(x), one x^n, the min poly of x, the comparisons with the stored
-    report and min poly, and x^n = c: no kernel, O(n^3) in all. When a
-    premise fails, the full derivation runs, so (ok, failures) is the same
-    either way. A K or E that is not a field, which validate_setup cannot
-    see, may then raise NotInvertible with the zero divisor that arithmetic
-    met.
+    checked against fresh recomputations rather than believed. The checks
+    and the facts read off proofs are _derive's, shared with certify; a
+    claimed x that is a witness over a proven field costs one sigma(x), one
+    x^n and the min poly of x, no kernel: O(n^3) in all. A K or E that is
+    not a field may raise NotInvertible.
     """
     try:
         ctx = validate_setup(cert.input)

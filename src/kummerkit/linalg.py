@@ -20,7 +20,7 @@ from .tower import ExtensionElement
 class Matrix:
     """Immutable dense matrix; ``rows`` is a tuple of row tuples."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_raw_rows")
 
     def __init__(self, field, rows):
         rows = tuple(tuple(field.coerce(c) for c in row) for row in rows)
@@ -39,6 +39,13 @@ class Matrix:
         m.field = field
         m.rows = tuple(map(tuple, rows))
         return m
+
+    @property
+    def raw_rows(self) -> tuple:
+        """The rows as the field's raw values, unboxed on first use: rows never change."""
+        if not hasattr(self, "_raw_rows"):
+            self._raw_rows = tuple(map(self.field.unbox, self.rows))
+        return self._raw_rows
 
     @property
     def nrows(self) -> int:
@@ -84,10 +91,10 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         field = self.field
-        cols = list(zip(*map(field.unbox, other.rows)))
+        cols = list(zip(*other.raw_rows))
         zero = field.raw_zero
         return Matrix._of(field, [field.box([sum(map(operator.mul, row, col), zero) for col in cols])
-                                  for row in map(field.unbox, self.rows)])
+                                  for row in self.raw_rows])
 
     def scale(self, k) -> "Matrix":
         k = self.field.coerce(k)
@@ -191,7 +198,7 @@ def mat_apply(m: Matrix, v) -> tuple:
     if len(v) != m.ncols:
         raise DimensionMismatch(f"vector of length {len(v)} against {m.nrows}x{m.ncols}")
     zero = field.raw_zero
-    return tuple(field.box([sum(map(operator.mul, row, v), zero) for row in map(field.unbox, m.rows)]))
+    return tuple(field.box([sum(map(operator.mul, row, v), zero) for row in m.raw_rows]))
 
 
 def operator_matrix(images: list[ExtensionElement]) -> Matrix:

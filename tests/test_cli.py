@@ -4,6 +4,7 @@ Handlers are invoked through main(argv) so exit codes and output can be
 asserted directly; one test drives the installed console path end to end.
 """
 
+import concurrent.futures
 import json
 import os
 import resource
@@ -332,7 +333,7 @@ class TestSelftest:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code, out, _ = run(capsys, "selftest", "--max-p", "7", "--max-n", "2", "--jobs", "1000")
         assert code == 0 and pools == [2]

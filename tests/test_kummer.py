@@ -9,6 +9,7 @@ Hand derivations behind the frozen values:
 """
 
 import copy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -454,10 +455,11 @@ class TestEachKernelOnce:
     """eigen_spectrum is the only stage that computes a kernel: one nullspace
     per candidate eigenvalue zeta^i, and none in check_fixed_field or
     extract_radical_generator, which read its report. sigma^n = id follows
-    from validate_setup, so no stage computes the operator min poly. Verify
-    over a proven field reads every spectral flag off the witness x and
-    computes no kernel and no binomial product. Closure multiplies nothing
-    in E."""
+    from validate_setup, so no stage computes the operator min poly. Over a
+    proven field neither certify nor verify expands the binomial product,
+    and verify reads every spectral flag off a witness x, computing no
+    kernel; for an x that is no witness it computes the n kernels. Closure
+    multiplies nothing in E."""
 
     COUNTED = ("nullspace", "operator_min_poly", "check_diagonalizability", "_binomial_factorization_holds")
 
@@ -485,10 +487,23 @@ class TestEachKernelOnce:
         assert cert.is_valid()
         assert calls["nullspace"] == inp.n
         assert calls["operator_min_poly"] == calls["check_diagonalizability"] == 0
+        assert calls["_binomial_factorization_holds"] == 0
         parsed = serialize.certificate_from_json(serialize.certificate_to_json(cert))
         calls.update(dict.fromkeys(calls, 0))
         assert verify_certificate_report(parsed) == (True, [])
         assert calls == dict.fromkeys(self.COUNTED, 0)
+
+    def test_verify_of_a_squared_x_computes_the_kernels_but_no_binomial_product(self, calls):
+        # sigma(x^2) = zeta^2*x^2 != zeta*x^2: x^2 is no witness, so verify
+        # takes the full derivation, but F_p is proven a field
+        inp = frobenius_family(97, 16)
+        cert = certify(inp)
+        parsed = serialize.certificate_from_json(serialize.certificate_to_json(replace(cert, x=cert.x**2)))
+        calls.update(dict.fromkeys(calls, 0))
+        ok, failures = verify_certificate_report(parsed)
+        assert not ok and "sigma(x) = zeta*x" in failures
+        assert calls["nullspace"] == inp.n
+        assert calls["_binomial_factorization_holds"] == calls["operator_min_poly"] == 0
 
     @pytest.mark.parametrize(
         "make", [lambda: frobenius_family(97, 16), builtin_cubic_over_eisenstein], ids=["finite-97-16", "builtin-cubic"]

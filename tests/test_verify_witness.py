@@ -1,10 +1,13 @@
-"""Verify by witness against the full derivation.
+"""Verify by witness, and certify over a proven field, against the full
+derivation.
 
 ``verify_certificate_report`` reads the spectral flags off the claimed x
 when K is proven a field, sigma(x) = zeta*x and x^n is a nonzero element of
-K, and otherwise runs the full derivation. Here the full derivation is
-forced by patching ``kummer._is_proven_field`` to answer False, and both
-must give the same ``(ok, failures)``, or raise the same exception class, on:
+K, and otherwise runs the full derivation. Over a proven field, certify and
+verify read the binomial factorization off x^n = c instead of expanding the
+product. Here the full derivation is forced by patching
+``kummer._is_proven_field`` to answer False. Both verify paths must give
+the same ``(ok, failures)``, or raise the same exception class, on:
 
 * every certificate of a prime p < 200 with n | p - 1 and 2 <= n <= 12
   (163 of them), as made, with x scaled by 2, with x squared, with a random
@@ -14,6 +17,11 @@ must give the same ``(ok, failures)``, or raise the same exception class, on:
   the same five variants;
 * a hypothesis property that mutates x and c of (13,4), (17,8) and the
   builtin cubic.
+
+Both certify paths must give the same certificate bytes, or raise the same
+exception class, on the sweep, the inputs that are not fields or have a
+nilpotent x, the builtin cubic, and Shanks' cubic and the simplest quartic
+at three values of a each.
 
 The nilpotent inputs are pinned as invalid: x^n = c = 0 fails c_in_base.
 """
@@ -45,7 +53,7 @@ from kummerkit.polynomials import Polynomial, cyclotomic_index, cyclotomic_polyn
 from kummerkit.scalars import PrimeField, RationalField
 from kummerkit.tower import ExtensionField
 
-from test_determinism import simplest_quartic
+from test_determinism import shanks_cubic, simplest_quartic
 from test_tamper import INSTANCES as TAMPER_INSTANCES, corpus_mutations
 
 QQ = RationalField()
@@ -65,6 +73,19 @@ def full_outcome(cert):
 
 def assert_paths_agree(cert):
     assert outcome(cert) == full_outcome(cert)
+
+
+def certify_outcome(inp):
+    try:
+        return serialize.canonical_dumps(serialize.certificate_to_json(certify(inp)))
+    except KummerError as exc:
+        return type(exc).__name__
+
+
+def assert_certify_paths_agree(inp):
+    with mock.patch.object(kummer, "_is_proven_field", lambda k: False):
+        full = certify_outcome(inp)
+    assert certify_outcome(inp) == full
 
 
 def random_element(field, rng):
@@ -90,7 +111,9 @@ SWEEP = [(p, n) for p in range(3, 200) if sympy.isprime(p) for n in range(2, 13)
 
 @pytest.mark.parametrize("p,n", SWEEP, ids=[f"{p}-{n}" for p, n in SWEEP])
 def test_sweep_certificates_and_variants(p, n):
-    cert = certify(frobenius_family(p, n))
+    inp = frobenius_family(p, n)
+    assert_certify_paths_agree(inp)
+    cert = certify(inp)
     for variant in variants(cert, random.Random(p * 100 + n)):
         assert_paths_agree(variant)
 
@@ -145,7 +168,9 @@ NILPOTENT = {
 
 @pytest.mark.parametrize("name", sorted(NOT_FIELDS))
 def test_inputs_that_are_not_fields(name):
-    cert = certify(NOT_FIELDS[name]())
+    inp = NOT_FIELDS[name]()
+    assert_certify_paths_agree(inp)
+    cert = certify(inp)
     for variant in variants(cert, random.Random(name)):
         assert_paths_agree(variant)
 
@@ -153,6 +178,7 @@ def test_inputs_that_are_not_fields(name):
 @pytest.mark.parametrize("name", sorted(NILPOTENT))
 def test_nilpotent_x_is_invalid(name, tmp_path, capsys):
     inp = NILPOTENT[name]()
+    assert_certify_paths_agree(inp)
     cert = certify(inp)
     assert not cert.checks["c_in_base"] and not cert.is_valid()
     ok, failures = verify_certificate_report(cert)
@@ -201,13 +227,22 @@ class TestProvenFields:
         rings = [NOT_FIELDS[name]().base_field for name in ("K=QQ[t]/(t^2-1)", "K=QQ[t]/(t^2-4)", "K=QQ[t]/(t^4+4)")]
         assert not any(kummer._is_proven_field(k) for k in [tower] + rings)
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: frobenius_family(97, 16), builtin_cubic_over_eisenstein, lambda: simplest_quartic(2)],
-        ids=["finite-97-16", "builtin-cubic", "simplest-quartic-2"],
-    )
-    def test_valid_certificates_take_the_witness_path(self, make):
-        parsed = serialize.certificate_from_json(serialize.certificate_to_json(certify(make())))
+    VALID = {
+        "finite-97-16": lambda: frobenius_family(97, 16),
+        "builtin-cubic": builtin_cubic_over_eisenstein,
+        "shanks-cubic--1": lambda: shanks_cubic(-1),
+        "shanks-cubic-5": lambda: shanks_cubic(5),
+        "shanks-cubic-10^40": lambda: shanks_cubic(10**40),
+        "simplest-quartic-1": lambda: simplest_quartic(1),
+        "simplest-quartic-2": lambda: simplest_quartic(2),
+        "simplest-quartic-7": lambda: simplest_quartic(7),
+    }
+
+    @pytest.mark.parametrize("name", list(VALID))
+    def test_valid_certificates_take_the_witness_path(self, name):
+        inp = self.VALID[name]()
+        assert_certify_paths_agree(inp)
+        parsed = serialize.certificate_from_json(serialize.certificate_to_json(certify(inp)))
 
         def no_kernel(*args):
             raise AssertionError("the witness path computes no eigen spectrum")
