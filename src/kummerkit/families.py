@@ -11,7 +11,7 @@ re-verified at construction time (and again by validate_setup downstream).
 
 from __future__ import annotations
 
-from .errors import KummerError, NoPrimitiveRoot, ValidationError
+from .errors import KummerError, ValidationError
 from .kummer import CyclicExtensionInput
 from .polynomials import Polynomial, is_irreducible_mod_p
 from .scalars import PrimeField, RationalField, find_nth_root_of_unity
@@ -55,8 +55,6 @@ def frobenius_family(p: int | PrimeField, n: int, modulus: Polynomial | None = N
     p = base.p
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if (p - 1) % n != 0:
-        raise NoPrimitiveRoot(f"F_{p} has no primitive {n}th root of unity: {n} does not divide {p - 1}")
     zeta = find_nth_root_of_unity(base, n)
     if modulus is None:
         modulus = default_modulus(base, n)

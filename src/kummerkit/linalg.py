@@ -90,11 +90,8 @@ class Matrix:
         self._check_compatible(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        field = self.field
-        cols = list(zip(*other.raw_rows))
-        zero = field.raw_zero
-        return Matrix._of(field, [field.box([sum(map(operator.mul, row, col), zero) for col in cols])
-                                  for row in self.raw_rows])
+        cols = [mat_apply(self, col) for col in zip(*other.rows)]
+        return Matrix._of(self.field, [[col[i] for col in cols] for i in range(self.nrows)])
 
     def scale(self, k) -> "Matrix":
         k = self.field.coerce(k)
@@ -144,7 +141,9 @@ def rref(m: Matrix) -> RrefResult:
 
     Runs on raw values: a pivot row is reduced when it is normalized, the
     other rows only when one of their entries is tested or used as a
-    multiplier, and every row once at the end."""
+    multiplier, and every row once at the end. The normalized pivot row is
+    zero left of its pivot, so the other rows are updated from the pivot
+    column on."""
     field = m.field
     reduce = field.reduce
     rows = [field.unbox(row) for row in m.rows]
@@ -159,12 +158,14 @@ def rref(m: Matrix) -> RrefResult:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = field.raw_inverse(rows[r][c])
-        prow = rows[r] = [reduce(a * inv) for a in rows[r]]
+        rows[r] = [reduce(a * inv) for a in rows[r]]
+        tail = rows[r][c:]
         for i in range(nrows):
             if i != r:
-                f = reduce(rows[i][c])
+                row = rows[i]
+                f = reduce(row[c])
                 if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+                    row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
     return RrefResult(Matrix._of(field, map(field.box, rows)), pivots, len(pivots))
@@ -220,41 +221,19 @@ def operator_matrix(images: list[ExtensionElement]) -> Matrix:
 def first_linear_dependency(field, vectors, limit: int) -> list:
     """Monic coefficients of the first dependency in a vector sequence.
 
-    Consumes vectors v_0, v_1, ... until some v_k lies in the span of its
-    predecessors, then returns [c_0, ..., c_{k-1}, 1] with
-    sum(c_j * v_j) + v_k = 0. The caller guarantees a dependency occurs
-    within ``limit`` vectors.
-
-    Incremental elimination: an echelon basis of the vectors seen so far is
-    kept, each row paired with the combination of the v_j that produced it.
-    Each new vector is reduced against the rows in insertion order (row r is
-    zero at the pivots of rows before it, so later steps never refill an
-    earlier pivot). The first vector that reduces to zero yields its
-    combination, whose coefficient at v_k is 1. This is exactly the first
-    monic dependency: v_0, ..., v_{k-1} are independent, so the kernel of
-    [v_0 ... v_k] is a line and its monic generator is unique. The cost is
-    O(k * (dim + k)) per vector, O(n^3) for the whole sequence. On raw
-    values, an entry is reduced when it becomes a multiplier, each reduced
-    vector before its pivot search, and the combination once at the end.
+    Returns [c_0, ..., c_{k-1}, 1] with sum(c_j * v_j) + v_k = 0 for the
+    first v_k in the span of its predecessors; the caller guarantees one
+    within ``limit`` vectors. The first ``limit`` vectors are the columns of
+    a matrix and k is its first non-pivot column: columns 0..k-1 are pivots,
+    the kernel of [v_0 ... v_k] is a line, and the RREF row of pivot j holds
+    -c_j in column k.
     """
-    unbox, reduce = field.unbox, field.reduce
-    zero, one = field.zero(), field.one()
-    basis = []  # (pivot column, row with 1 at the pivot, combination)
-    for k, v in enumerate(itertools.islice(vectors, limit)):
-        row = unbox(map(field.coerce, v))
-        combo = unbox([zero] * k + [one])
-        for pivot, brow, bcombo in basis:
-            f = reduce(row[pivot])
-            if f:
-                row = [a - f * b for a, b in zip(row, brow)]
-                combo[: len(bcombo)] = [a - f * b for a, b in zip(combo, bcombo)]
-        row = [reduce(a) for a in row]
-        pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is None:
-            return field.box(combo)
-        inv = field.raw_inverse(row[pivot])
-        basis.append((pivot, [reduce(a * inv) for a in row], [reduce(a * inv) for a in combo]))
-    raise AssertionError("no linear dependency found within the promised bound")
+    columns = list(itertools.islice(vectors, limit))
+    reduced, pivots, rank = rref(Matrix.from_columns(field, columns))
+    k = next((j for j, c in enumerate(pivots) if j != c), rank)
+    if k == len(columns):
+        raise AssertionError("no linear dependency found within the promised bound")
+    return [-reduced.rows[j][k] for j in range(k)] + [field.one()]
 
 
 def poly_at_matrix(p: Polynomial, m: Matrix) -> Matrix:

@@ -7,12 +7,15 @@ denominator, fully reduced, 0/1 for zero, ``str()`` gives ``"num/den"`` with
 the denominator omitted when it is 1). :func:`rational` is the checked
 constructor. Prime-field arithmetic gets its own element class.
 
-The hot loops (the E multiply, polynomial multiply and division, ``rref``,
-the Krylov dependency search, mat-vec and mat-mul) exist once each and run
-on raw values through hooks of the field descriptor: ``unbox(elements)``
-gives the raw values, ``box(values)`` reduces raw values and wraps them as
-elements, ``reduce(value)`` gives a canonical raw value, ``raw_inverse``
-inverts a nonzero raw value and ``raw_zero`` is the raw zero. A loop unboxes
+The hot loops (the E multiply, polynomial multiply and division, ``rref``
+and ``mat_apply``) exist once each. ``rref`` is the only elimination:
+``nullspace`` and the Krylov dependency search ``first_linear_dependency``
+read its result. ``mat_apply`` is the only dot product: ``Matrix.__mul__``
+applies it to each column of the right factor. The loops run on raw values
+through hooks of the field descriptor: ``unbox(elements)`` gives the raw
+values, ``box(values)`` reduces raw values and wraps them as elements,
+``reduce(value)`` gives a canonical raw value, ``raw_inverse`` inverts a
+nonzero raw value and ``raw_zero`` is the raw zero. A loop unboxes
 its operands once, reduces where the algorithm needs a canonical value (a
 pivot test, a multiplier) and once per sum, and boxes its results once; its
 inner updates call no hook. Only :class:`PrimeField` knows that F_p values

@@ -1,9 +1,11 @@
 """The shared arithmetic loops against reference loops over field elements.
 
-Polynomial multiply and ``poly_divmod``, the E x E multiply, ``rref``,
-``mat_apply``, ``Matrix.__mul__`` and ``first_linear_dependency`` each run
-one loop on raw values through the hooks of the field descriptor
-(``unbox``, ``box``, ``reduce``, ``raw_inverse``, ``raw_zero``). Over
+Polynomial multiply and ``poly_divmod``, the E x E multiply, ``rref`` and
+``mat_apply`` each run one loop on raw values through the hooks of the
+field descriptor (``unbox``, ``box``, ``reduce``, ``raw_inverse``,
+``raw_zero``). ``rref`` is the only elimination and ``mat_apply`` the only
+dot product: ``first_linear_dependency`` reads the first dependency off
+``rref`` and ``Matrix.__mul__`` applies ``mat_apply`` to each column. Over
 ``PrimeField`` the raw values are ints reduced mod p; over ``QQ`` and tower
 bases they are the elements themselves. The oracles below are the generic
 loops these operations ran before they were merged, kept verbatim but for
@@ -11,7 +13,10 @@ the branch to the former int kernels: they use the elements' own operators
 and never the hooks. Over a two-level base those operators still multiply
 two base elements by the shared E multiply one level down, so
 ``test_extension_multiply`` also checks that multiply against
-``oracle_ext_mul`` over the ground field. Every property builds one input
+``oracle_ext_mul`` over the ground field. ``oracle_first_linear_dependency``
+is the incremental echelon loop the dependency search ran before it read
+``rref``, and ``oracle_mat_mul`` the row-by-column loop of the former
+mat-mul; both stay as references. Every property builds one input
 and requires the shared loop and the oracle to give equal values, each of
 them canonical for its field, over F_p for every p in ``PRIMES``, over
 ``QQ`` and over the two-level bases ``QQ(i)`` and ``F_5[t]/(t^2 - 2)``.

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from kummerkit import linalg
 from kummerkit.errors import DimensionMismatch
 from kummerkit.linalg import (
     Matrix,
@@ -193,6 +194,22 @@ class TestElementMinPoly:
         # alpha^2 in F_13[X]/(X^4-2) satisfies Y^2 - 2 and nothing smaller
         ext = ExtensionField(F13, Polynomial(F13, [-2, 0, 0, 0, 1]))
         assert element_min_poly(ext.gen() ** 2) == Polynomial(F13, [-2, 0, 1])
+
+    def test_one_rref_and_no_nullspace(self, monkeypatch):
+        # the dependency search eliminates once, through rref itself, so
+        # nullspace keeps counting only the eigenspace kernels
+        calls = {"rref": 0, "nullspace": 0}
+        for name in calls:
+            fn = getattr(linalg, name)
+
+            def counted(m, name=name, fn=fn):
+                calls[name] += 1
+                return fn(m)
+
+            monkeypatch.setattr(linalg, name, counted)
+        ext = ExtensionField(F13, Polynomial(F13, [-2, 0, 0, 0, 1]))
+        assert element_min_poly(ext.gen() ** 2) == Polynomial(F13, [-2, 0, 1])
+        assert calls == {"rref": 1, "nullspace": 0}
 
 
 # -- oracles for the fast paths ---------------------------------------------
