@@ -34,8 +34,8 @@ from .linalg import (
     rref,
     nullspace,
     mat_apply,
-    operator_matrix,
     operator_min_poly,
+    substitution_matrix,
     element_min_poly,
 )
 from .kummer import (

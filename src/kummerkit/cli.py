@@ -268,7 +268,11 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "selftest": cmd_selftest,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:  # an IO error, say an --out that cannot be written
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 def entrypoint():

@@ -27,7 +27,7 @@ from .errors import (
     NotInvertible,
     ValidationError,
 )
-from .linalg import Matrix, element_min_poly, mat_apply, nullspace, operator_matrix, operator_min_poly
+from .linalg import Matrix, element_min_poly, mat_apply, nullspace, operator_min_poly, substitution_matrix
 from .polynomials import Polynomial, cyclotomic_index, poly_divmod
 from .scalars import PrimeField, RationalField, prime_factors
 from .tower import ExtensionElement, ExtensionField
@@ -183,13 +183,9 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
     if ext.modulus.evaluate(sigma_image) != ext.zero():
         raise NotAnAutomorphism("the image of the generator is not a root of the modulus")
 
-    sigma_powers = [ext.one()]
-    for _ in range(n - 1):
-        sigma_powers.append(sigma_powers[-1] * sigma_image)
-
     ctx = ValidatedContext(
         input=CyclicExtensionInput(ext, n, zeta, sigma_image),
-        matrix=operator_matrix(sigma_powers),
+        matrix=substitution_matrix(base, ext.modulus, sigma_image.coords),
         zeta_powers=tuple(zeta_powers),
     )
 

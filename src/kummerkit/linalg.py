@@ -13,7 +13,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .polynomials import Polynomial, poly_lcm
+from .polynomials import Polynomial, poly_lcm, raw_mul_mod
 from .tower import ExtensionElement
 
 
@@ -202,20 +202,16 @@ def mat_apply(m: Matrix, v) -> tuple:
     return tuple(field.box([sum(map(operator.mul, row, v), zero) for row in m.raw_rows]))
 
 
-def operator_matrix(images: list[ExtensionElement]) -> Matrix:
-    """Matrix over the base field whose column j is the coordinates of images[j].
-
-    For an automorphism given on the power basis 1, a, ..., a^(n-1), pass the
-    images of those basis elements in order.
-    """
-    if not images:
-        raise DimensionMismatch("no images")
-    ext = images[0].field
-    if any(not isinstance(img, ExtensionElement) or img.field != ext for img in images):
-        raise DimensionMismatch("images must all live in one extension field")
-    if len(images) != ext.degree:
-        raise DimensionMismatch(f"{len(images)} images for a degree-{ext.degree} extension")
-    return Matrix.from_columns(ext.base, [img.coords for img in images])
+def substitution_matrix(field, f: Polynomial, image) -> Matrix:
+    """Matrix of g(X) -> g(image) on field[X]/(f), f monic of degree d and
+    image the d coordinates of a residue: column j is image^j mod f, each
+    the ``raw_mul_mod`` of the one before and image. It is sigma's matrix
+    (image s) and the Rabin test's Frobenius matrix (image X^p mod f)."""
+    d = f.degree
+    columns = [Polynomial.one(field).padded(d)]
+    while len(columns) < d:
+        columns.append(field.box(raw_mul_mod(field, columns[-1], image, f)))
+    return Matrix._of(field, zip(*columns))
 
 
 def first_linear_dependency(field, vectors, limit: int) -> list:

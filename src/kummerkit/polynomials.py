@@ -182,6 +182,23 @@ def raw_product(field, a, b) -> list:
     return out
 
 
+def raw_mul_mod(field, a, b, f: Polynomial) -> list:
+    """The only multiply mod a monic f of degree d: ``raw_product`` of two
+    sequences of d field elements, whose coefficients of degree >= d are
+    reduced once each, from the top, and folded back with f. Returns d raw
+    values, each sum unreduced."""
+    d = f.degree
+    reduce = field.reduce
+    prod = raw_product(field, a, b)
+    low = field.unbox(f.coeffs[:d])
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = reduce(prod[k])
+        if c:
+            for j, y in enumerate(low, k - d):
+                prod[j] -= c * y
+    return prod[:d]
+
+
 def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Quotient and remainder with deg r < deg b, by schoolbook long
     division on raw values. A remainder coefficient is reduced when it
@@ -244,19 +261,22 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
-    """base^e reduced mod a monic modulus, by square-and-multiply."""
+    """base^e reduced mod a monic modulus, by square-and-multiply on padded
+    coefficient lists through ``raw_mul_mod``; the only residue power."""
     if modulus.degree < 1 or not modulus.is_monic():
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
     if e < 0:
         raise ValueError("negative exponent")
-    result = Polynomial.one(base.field) % modulus
-    base = base % modulus
+    field, d = base.field, modulus.degree
+    result = Polynomial.one(field).padded(d)
+    base = (base % modulus).padded(d)
     while e:
         if e & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
+            result = field.box(raw_mul_mod(field, result, base, modulus))
         e >>= 1
-    return result
+        if e:
+            base = field.box(raw_mul_mod(field, base, base, modulus))
+    return Polynomial._of(field, list(result))
 
 
 @functools.cache
@@ -311,12 +331,13 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
 
     The powers X^(p^k) come from iterating Frobenius as a linear map (Gao &
     Panario, 1997). Over F_p, g(X)^p = g(X^p) for every g, so g -> g^p mod f
-    is the matrix Q whose column j is X^(j*p) mod f. One X^p mod f by
-    squaring builds Q, and then X^(p^k) = Q^k X costs one d x d mat-vec per
-    k, instead of d*log(p) squarings per exponent p^k. The powers are the
-    same residues, so the gcd tests and the final test are the same.
+    is the matrix Q whose column j is X^(j*p) mod f: the substitution matrix
+    of X^p mod f, which squaring finds once. Then X^(p^k) = Q^k X costs one
+    d x d mat-vec per k, instead of d*log(p) squarings per exponent p^k. The
+    powers are the same residues, so the gcd tests and the final test are
+    the same.
     """
-    from .linalg import Matrix, mat_apply  # linalg imports this module
+    from .linalg import mat_apply, substitution_matrix  # linalg imports this module
 
     if not isinstance(f.field, PrimeField):
         raise FieldMismatch(f"irreducibility test needs a prime field, got {f.field}")
@@ -328,12 +349,7 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
     field = f.field
     p = field.p
     x_to_p = poly_pow_mod(Polynomial.x(field), p, f)
-    columns = []
-    column = Polynomial.one(field)
-    for _ in range(d):
-        columns.append(column.padded(d))
-        column = (column * x_to_p) % f
-    q_matrix = Matrix._of(field, zip(*columns))
+    q_matrix = substitution_matrix(field, f, x_to_p.padded(d))
     x = Polynomial.x(field) % f
     frobenius = [x.padded(d)]  # frobenius[k]: X^(p^k) mod f
     for _ in range(d):

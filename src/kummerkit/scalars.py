@@ -11,7 +11,9 @@ The hot loops (the E multiply, polynomial multiply and division, ``rref``
 and ``mat_apply``) exist once each. ``rref`` is the only elimination:
 ``nullspace`` and the Krylov dependency search ``first_linear_dependency``
 read its result. ``mat_apply`` is the only dot product: ``Matrix.__mul__``
-applies it to each column of the right factor. The loops run on raw values
+applies it to each column of the right factor. ``raw_mul_mod`` is the only
+multiply mod f and ``poly_pow_mod``, which runs on it, the only residue
+power (``ExtensionElement.__pow__``). The loops run on raw values
 through hooks of the field descriptor: ``unbox(elements)`` gives the raw
 values, ``box(values)`` reduces raw values and wraps them as elements,
 ``reduce(value)`` gives a canonical raw value, ``raw_inverse`` inverts a

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
-from .polynomials import Polynomial, is_irreducible_mod_p, poly_gcd_extended, raw_product
+from .polynomials import Polynomial, is_irreducible_mod_p, poly_gcd_extended, poly_pow_mod, raw_mul_mod
 from .scalars import IdentityHooks, PrimeField
 
 MAX_TOWER_HEIGHT = 3
@@ -165,10 +165,9 @@ class ExtensionElement:
         (c, 0, ..., 0), and c * sum(a_i X^i) = sum((c a_i) X^i) needs no
         reduction, so the result equals the full product with the embedded
         scalar at n base multiplies instead of n^2. Two extension elements
-        are multiplied schoolbook (``raw_product``) on the base field's raw
-        values, and each coefficient of degree >= n, from the top, is
-        reduced once and folded back with the monic modulus; every
-        coordinate is reduced once at the end.
+        are multiplied by ``raw_mul_mod``, the only multiply mod f, on the
+        base field's raw values, and every coordinate is reduced once at
+        the end; ``poly_pow_mod``, the only residue power, runs on it too.
         """
         field = self.field
         if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):
@@ -180,16 +179,8 @@ class ExtensionElement:
                 return a * b
             c = b.coords[0]  # b embeds a base-field scalar
             return ExtensionElement(field, tuple(x * c for x in self.coords))
-        base, deg = field.base, field.degree
-        reduce = base.reduce
-        prod = raw_product(base, self.coords, other.coords)
-        f = base.unbox(field.modulus.coeffs[:deg])
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = reduce(prod[k])
-            if c:
-                for j, y in enumerate(f, k - deg):
-                    prod[j] -= c * y
-        return ExtensionElement(field, tuple(base.box(prod[:deg])))
+        base = field.base
+        return ExtensionElement(field, tuple(base.box(raw_mul_mod(base, self.coords, other.coords, field.modulus))))
 
     __rmul__ = __mul__
 
@@ -204,14 +195,8 @@ class ExtensionElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        field = self.field
+        return field.element(poly_pow_mod(Polynomial._of(field.base, list(self.coords)), e, field.modulus).coeffs)
 
     def inverse(self) -> "ExtensionElement":
         """Multiplicative inverse via extended gcd with the modulus.

@@ -348,6 +348,37 @@ class TestSelftest:
         assert serial == pooled
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be written is an IO error: exit 3, one
+    line on stderr, no traceback and nothing on stdout."""
+
+    @pytest.fixture(params=["missing-directory", "directory"])
+    def out(self, request, tmp_path):
+        return str(tmp_path / "missing" / "x.json" if request.param == "missing-directory" else tmp_path)
+
+    def check(self, capsys, out, *argv):
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("error: ") and out in err and err.count("\n") == 1
+
+    def test_finite(self, capsys, out):
+        self.check(capsys, out, "finite", "--p", "13", "--n", "4")
+
+    def test_finite_rejection(self, capsys, out):
+        self.check(capsys, out, "finite", "--p", "5", "--n", "3", "--format", "json")
+
+    def test_tower(self, capsys, out):
+        self.check(capsys, out, "tower", "builtin-cubic")
+
+    def test_verify(self, capsys, out, tmp_path):
+        cert = tmp_path / "cert.json"
+        assert run(capsys, "finite", "--p", "13", "--n", "4", "--format", "json", "--out", str(cert))[0] == 0
+        self.check(capsys, out, "verify", str(cert))
+
+    def test_selftest(self, capsys, out):
+        self.check(capsys, out, "selftest", "--max-p", "5")
+
+
 class TestLargePrime:
     def test_small_n_over_a_ten_digit_prime(self):
         # neither the root-of-unity search nor the default-modulus search may

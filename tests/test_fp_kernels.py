@@ -5,7 +5,11 @@ Polynomial multiply and ``poly_divmod``, the E x E multiply, ``rref`` and
 field descriptor (``unbox``, ``box``, ``reduce``, ``raw_inverse``,
 ``raw_zero``). ``rref`` is the only elimination and ``mat_apply`` the only
 dot product: ``first_linear_dependency`` reads the first dependency off
-``rref`` and ``Matrix.__mul__`` applies ``mat_apply`` to each column. Over
+``rref`` and ``Matrix.__mul__`` applies ``mat_apply`` to each column.
+``raw_mul_mod`` is the only multiply mod f and ``poly_pow_mod`` the only
+residue power: the E multiply, ``ExtensionElement.__pow__`` and each column
+of ``substitution_matrix`` run through them, and are checked against
+``oracle_ext_mul`` and ``oracle_pow_mod``. Over
 ``PrimeField`` the raw values are ints reduced mod p; over ``QQ`` and tower
 bases they are the elements themselves. The oracles below are the generic
 loops these operations ran before they were merged, kept verbatim but for
@@ -33,7 +37,16 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from kummerkit.errors import DimensionMismatch
-from kummerkit.linalg import Matrix, RrefResult, element_min_poly, first_linear_dependency, mat_apply, nullspace, rref
+from kummerkit.linalg import (
+    Matrix,
+    RrefResult,
+    element_min_poly,
+    first_linear_dependency,
+    mat_apply,
+    nullspace,
+    rref,
+    substitution_matrix,
+)
 from kummerkit.polynomials import Polynomial, is_irreducible_mod_p, poly_divmod, poly_pow_mod
 from kummerkit.scalars import MR_EXACT_BOUND, PrimeField, PrimeFieldElement, RationalField, is_prime
 from kummerkit.tower import ExtensionElement, ExtensionField
@@ -334,6 +347,26 @@ def test_extension_multiply(data):
         got = element_min_poly(a)
         assert got == Polynomial(base, want)
         assert_canonical(got.coeffs, base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_extension_power_and_substitution_matrix(data):
+    base = data.draw(st.sampled_from(FIELDS))
+    ext = data.draw(extensions(base))
+    d = ext.degree
+    a = ext.element(data.draw(st.lists(elements(base), min_size=d, max_size=d)))
+    e = data.draw(st.integers(0, 12))
+    got, want = a**e, ext.one()
+    for _ in range(e):
+        want = oracle_ext_mul(want, a)
+    assert got == want
+    assert_canonical([got], ext)
+    m = substitution_matrix(base, ext.modulus, a.coords)
+    image = Polynomial(base, a.coords)
+    for j in range(d):
+        assert_canonical(m.column(j), base)
+        assert Polynomial(base, m.column(j)) == oracle_pow_mod(image, j, ext.modulus)
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,10 +20,10 @@ from kummerkit.linalg import (
     first_linear_dependency,
     mat_apply,
     nullspace,
-    operator_matrix,
     operator_min_poly,
     poly_at_matrix,
     rref,
+    substitution_matrix,
 )
 from kummerkit.polynomials import Polynomial
 from kummerkit.scalars import PrimeField, RationalField
@@ -107,27 +107,21 @@ class TestNullspace:
 
 
 class TestOperatorMatrix:
+    """substitution_matrix builds the matrix of the operator g -> g(image)."""
+
     def test_identity_images(self):
-        ext = ExtensionField(F5, Polynomial(F5, [-2, 0, 1]))
-        images = [ext.one(), ext.gen()]
-        assert operator_matrix(images) == Matrix.identity(F5, 2)
+        f = Polynomial(F5, [-2, 0, 1])
+        assert substitution_matrix(F5, f, Polynomial.x(F5).padded(2)) == Matrix.identity(F5, 2)
 
     def test_frobenius_on_f25(self):
         # alpha^5 = 4*alpha by hand: alpha^5 = alpha*(alpha^2)^2 = alpha*4
-        ext = ExtensionField(F5, Polynomial(F5, [-2, 0, 1]))
-        images = [ext.one(), ext.element([0, 4])]
-        assert operator_matrix(images) == diag(F5, [1, 4])
+        f = Polynomial(F5, [-2, 0, 1])
+        assert substitution_matrix(F5, f, Polynomial(F5, [0, 4]).padded(2)) == diag(F5, [1, 4])
 
     def test_frobenius_on_f13_quartic(self):
         # alpha^13 = (alpha^4)^3 * alpha = 8*alpha, so alpha^j -> 8^j alpha^j
-        ext = ExtensionField(F13, Polynomial(F13, [-2, 0, 0, 0, 1]))
-        images = [ext.element([0, 8]) ** j for j in range(4)]  # (8*alpha)^j = 8^j alpha^j
-        assert operator_matrix(images) == diag(F13, [1, 8, 12, 5])
-
-    def test_dimension_mismatch(self):
-        ext = ExtensionField(F5, Polynomial(F5, [-2, 0, 1]))
-        with pytest.raises(DimensionMismatch):
-            operator_matrix([ext.one()])
+        f = Polynomial(F13, [-2, 0, 0, 0, 1])
+        assert substitution_matrix(F13, f, Polynomial(F13, [0, 8]).padded(4)) == diag(F13, [1, 8, 12, 5])
 
 
 class TestMatApply:
