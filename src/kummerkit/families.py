@@ -6,7 +6,11 @@ root of unity in F_p). One hard-coded characteristic-0 instance exercises
 the nested tower: the degree-3 extension K[X]/(X^3 - 3X + 1) of
 K = QQ[t]/(t^2 + t + 1), whose generating automorphism sends the generator
 alpha to alpha^2 - 2. Everything a constructor asserts about itself is
-re-verified at construction time (and again by validate_setup downstream).
+verified at construction time: the Frobenius family's modulus by the Rabin
+test, and the cubic's f(alpha^2 - 2) = 0 by evaluation. validate_setup
+then proves the hypotheses it needs from the field and the image alone,
+reading them off the Rabin test's Frobenius matrix when the image is
+X^p mod f.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ def frobenius_family(p: int | PrimeField, n: int, modulus: Polynomial | None = N
     p is the characteristic or an already-built PrimeField, whose primality
     is then not tested again. Requires n | p-1 so that F_p already contains
     a primitive n-th root of unity. The extension modulus defaults to the
-    lex-first irreducible.
+    lex-first irreducible. sigma's image X^p mod f is column 1 of the Rabin
+    test's Frobenius matrix, which the extension field keeps as
+    ``frobenius``; no power is computed.
     """
     base = p if isinstance(p, PrimeField) else PrimeField(p)
     p = base.p
@@ -64,7 +70,9 @@ def frobenius_family(p: int | PrimeField, n: int, modulus: Polynomial | None = N
         if modulus.degree != n or not modulus.is_monic():
             raise ValidationError(f"modulus must be monic of degree {n}, got {modulus}")
     ext = ExtensionField(base, modulus)  # raises ReducibleModulus on a bad supplied modulus
-    return CyclicExtensionInput(ext, n, zeta, ext.gen() ** p)
+    # in degree 1 the Frobenius is the identity: a^p = a on F_p
+    frobenius_image = ext.element(ext.frobenius.column(1)) if n >= 2 else ext.gen()
+    return CyclicExtensionInput(ext, n, zeta, frobenius_image)
 
 
 def builtin_cubic_over_eisenstein() -> CyclicExtensionInput:

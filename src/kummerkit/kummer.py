@@ -148,6 +148,16 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
     root of the modulus (so alpha -> s extends to a K-endomorphism of E,
     automatically a K-automorphism), and that automorphism has order
     exactly n.
+
+    When E is over F_p, n >= 2 and s is X^p mod f, column 1 of the Rabin
+    test's Frobenius matrix Q (ExtensionField.frobenius), the last two
+    checks are read off the Rabin proof that f is irreducible: f(X^p) =
+    f(X)^p = 0, and the Frobenius of F_(p^n) has order exactly n. Q is then
+    sigma's matrix, and nothing is computed. Otherwise sigma's matrix M is
+    built from s, f(s) is read off it as M*(f_0, ..., f_(n-1)) + s^(n-1)*s
+    (column n-1 of M is s^(n-1)), and sigma^k(alpha) is walked for
+    k = 1, ..., n. Both ways raise the same exceptions and give the same
+    matrix.
     """
     if not isinstance(inp.ext_field, ExtensionField):
         raise ValidationError("E must be an extension field")
@@ -180,15 +190,17 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
         if zeta_powers[n // q] == base.one():
             raise NoPrimitiveRoot(f"zeta^{n // q} = 1, so the order of zeta is not {n}")
 
-    if ext.modulus.evaluate(sigma_image) != ext.zero():
+    validated = CyclicExtensionInput(ext, n, zeta, sigma_image)
+    frobenius = ext.frobenius
+    if n >= 2 and frobenius is not None and sigma_image.coords == frobenius.column(1):
+        return ValidatedContext(input=validated, matrix=frobenius, zeta_powers=tuple(zeta_powers))
+
+    matrix = substitution_matrix(base, ext.modulus, sigma_image.coords)
+    s_to_n = ExtensionElement(ext, matrix.column(n - 1)) * sigma_image
+    if ExtensionElement(ext, mat_apply(matrix, ext.modulus.coeffs[:n])) + s_to_n:
         raise NotAnAutomorphism("the image of the generator is not a root of the modulus")
 
-    ctx = ValidatedContext(
-        input=CyclicExtensionInput(ext, n, zeta, sigma_image),
-        matrix=substitution_matrix(base, ext.modulus, sigma_image.coords),
-        zeta_powers=tuple(zeta_powers),
-    )
-
+    ctx = ValidatedContext(input=validated, matrix=matrix, zeta_powers=tuple(zeta_powers))
     alpha = ext.gen()
     image = alpha
     proper_divisors = [k for k in range(1, n) if n % k == 0]

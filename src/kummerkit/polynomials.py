@@ -324,7 +324,13 @@ def cyclotomic_index(g: Polynomial) -> int | None:
 
 
 def is_irreducible_mod_p(f: Polynomial) -> bool:
-    """Rabin irreducibility test over a prime field.
+    """Rabin irreducibility test over a prime field (``rabin_frobenius``)."""
+    return rabin_frobenius(f) is not None
+
+
+def rabin_frobenius(f: Polynomial):
+    """The Rabin test's Frobenius matrix Q of f over a prime field when f is
+    irreducible, else None.
 
     f of degree d is irreducible iff X^(p^d) = X mod f and, for every prime
     q dividing d, gcd(X^(p^(d/q)) - X, f) = 1.
@@ -335,7 +341,8 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
     of X^p mod f, which squaring finds once. Then X^(p^k) = Q^k X costs one
     d x d mat-vec per k, instead of d*log(p) squarings per exponent p^k. The
     powers are the same residues, so the gcd tests and the final test are
-    the same.
+    the same. For d >= 2, column 1 of Q is X^p mod f, and Q is the matrix of
+    the Frobenius automorphism of F_p[X]/(f) in the power basis.
     """
     from .linalg import mat_apply, substitution_matrix  # linalg imports this module
 
@@ -343,7 +350,7 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
         raise FieldMismatch(f"irreducibility test needs a prime field, got {f.field}")
     d = f.degree
     if d < 1:
-        return False
+        return None
     if not f.is_monic():
         raise NotMonic(f"irreducibility test needs a monic polynomial, got {f}")
     field = f.field
@@ -357,5 +364,5 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
     for q in prime_factors(d):
         h = Polynomial(field, frobenius[d // q]) - x
         if poly_gcd(h, f).degree != 0:
-            return False
-    return frobenius[d] == frobenius[0]
+            return None
+    return q_matrix if frobenius[d] == frobenius[0] else None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
-from .polynomials import Polynomial, is_irreducible_mod_p, poly_gcd_extended, poly_pow_mod, raw_mul_mod
+from .polynomials import Polynomial, poly_gcd_extended, poly_pow_mod, rabin_frobenius, raw_mul_mod
 from .scalars import IdentityHooks, PrimeField
 
 MAX_TOWER_HEIGHT = 3
@@ -21,13 +21,16 @@ MAX_TOWER_HEIGHT = 3
 class ExtensionField(IdentityHooks):
     """base[X]/(modulus) for a monic modulus of degree >= 1 over the base.
 
-    Over a prime-field base the modulus is verified irreducible; over other
-    bases it is accepted as asserted. A reducible one surfaces only when a
-    division meets a zero divisor (NotInvertible), and otherwise may go
-    unseen: some such algebras certify valid (ROADMAP item 1).
+    Over a prime-field base the modulus is verified irreducible by the Rabin
+    test, whose Frobenius matrix the field keeps as ``frobenius``: column j
+    is X^(j*p) mod f, the matrix of a -> a^p in the power basis, so for
+    degree >= 2 column 1 is X^p mod f. Over other bases ``frobenius`` is
+    None and the modulus is accepted as asserted. A reducible one surfaces
+    only when a division meets a zero divisor (NotInvertible), and otherwise
+    may go unseen: some such algebras certify valid (ROADMAP item 1).
     """
 
-    __slots__ = ("base", "modulus", "degree")
+    __slots__ = ("base", "modulus", "degree", "frobenius")
 
     def __init__(self, base, modulus: Polynomial):
         if modulus.field != base:
@@ -38,11 +41,15 @@ class ExtensionField(IdentityHooks):
             raise NotMonic(f"extension modulus must be monic, got {modulus}")
         if base.height() + 1 > MAX_TOWER_HEIGHT:
             raise TowerTooTall(f"tower would have height {base.height() + 1}, cap is {MAX_TOWER_HEIGHT}")
-        if isinstance(base, PrimeField) and not is_irreducible_mod_p(modulus):
-            raise ReducibleModulus(f"{modulus} is reducible over {base}")
+        frobenius = None
+        if isinstance(base, PrimeField):
+            frobenius = rabin_frobenius(modulus)
+            if frobenius is None:
+                raise ReducibleModulus(f"{modulus} is reducible over {base}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", modulus.degree)
+        object.__setattr__(self, "frobenius", frobenius)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")

@@ -9,7 +9,8 @@ dot product: ``first_linear_dependency`` reads the first dependency off
 ``raw_mul_mod`` is the only multiply mod f and ``poly_pow_mod`` the only
 residue power: the E multiply, ``ExtensionElement.__pow__`` and each column
 of ``substitution_matrix`` run through them, and are checked against
-``oracle_ext_mul`` and ``oracle_pow_mod``. Over
+``oracle_ext_mul`` and ``oracle_pow_mod``, as is the Frobenius matrix that
+an extension of F_p keeps from its Rabin test. Over
 ``PrimeField`` the raw values are ints reduced mod p; over ``QQ`` and tower
 bases they are the elements themselves. The oracles below are the generic
 loops these operations ran before they were merged, kept verbatim but for
@@ -367,6 +368,23 @@ def test_extension_power_and_substitution_matrix(data):
     for j in range(d):
         assert_canonical(m.column(j), base)
         assert Polynomial(base, m.column(j)) == oracle_pow_mod(image, j, ext.modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_frobenius_matrix_of_the_rabin_test(data):
+    # over F_p, column j of ExtensionField.frobenius is X^(j*p) mod f, so
+    # column 1 is the Frobenius image X^p mod f; other bases keep none
+    base = data.draw(st.sampled_from(FIELDS))
+    ext = data.draw(extensions(base).filter(lambda e: e.degree >= 2))
+    if not isinstance(base, PrimeField):
+        assert ext.frobenius is None
+        return
+    x = Polynomial.x(base)
+    assert Polynomial(base, ext.frobenius.column(1)) == oracle_pow_mod(x, base.p, ext.modulus)
+    for j in range(ext.degree):
+        assert_canonical(ext.frobenius.column(j), base)
+        assert Polynomial(base, ext.frobenius.column(j)) == oracle_pow_mod(x, j * base.p, ext.modulus)
 
 
 @settings(max_examples=150, deadline=None)

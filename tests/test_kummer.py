@@ -1,6 +1,7 @@
 """Engine tests: hypothesis validation, each pipeline stage against
 hand-derived values for the two Frobenius fixtures, the characteristic-0
-cubic, tamper detection, and canonical-scaling invariance.
+cubic, tamper detection, canonical-scaling invariance, and validate_setup's
+Frobenius path against the general derivation it skips.
 
 Hand derivations behind the frozen values:
   F_25 = F_5[X]/(X^2-2):  alpha^5 = 4*alpha, zeta = 4, x = alpha, x^2 = 2.
@@ -9,27 +10,32 @@ Hand derivations behind the frozen values:
 """
 
 import copy
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kummerkit import kummer, serialize
+from kummerkit import cli, kummer, linalg, serialize
 from kummerkit.errors import (
     AutomorphismOrderMismatch,
     CharacteristicDividesN,
     EmptyEigenspace,
+    FieldMismatch,
+    KummerError,
     NoPrimitiveRoot,
     NotAnAutomorphism,
     NotInvertible,
+    ValidationError,
 )
-from kummerkit.families import builtin_cubic_over_eisenstein, frobenius_family
+from kummerkit.families import builtin_cubic_over_eisenstein, default_modulus, frobenius_family
 from kummerkit.kummer import (
     CHECK_NAMES,
     CyclicExtensionInput,
     EigenReport,
     KummerCertificate,
+    ValidatedContext,
     check_diagonalizability,
     check_fixed_field,
     check_gamma_closure,
@@ -45,7 +51,7 @@ from kummerkit.kummer import (
 )
 from kummerkit.linalg import Matrix, element_min_poly, nullspace, rref
 from kummerkit.polynomials import Polynomial
-from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField
+from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField, is_prime, prime_factors
 from kummerkit.tower import ExtensionElement, ExtensionField
 
 F5 = PrimeField(5)
@@ -599,3 +605,164 @@ def test_eigen_stages_agree_with_the_full_shift(name, data):
         first = next(c for c in line[0] if c)
         x = extract_radical_generator(ctx, report)
         assert x == ctx.ext_field.element([c / first for c in line[0]])
+
+
+# -- sigma's matrix: the Frobenius path against the general one --------------
+
+
+def oracle_validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
+    """validate_setup as it ran before E over F_p kept the Rabin test's
+    Frobenius matrix: f(s) by Horner, sigma's matrix from the powers s^j
+    multiplied in E, and the orbit sigma^k(alpha) for k = 1, ..., n, on
+    every input."""
+    if not isinstance(inp.ext_field, ExtensionField):
+        raise ValidationError("E must be an extension field")
+    ext = inp.ext_field
+    base = ext.base
+    n = inp.n
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if ext.degree != n:
+        raise ValidationError(f"modulus degree {ext.degree} does not match n = {n}")
+    char = base.characteristic()
+    if char and n % char == 0:
+        raise CharacteristicDividesN(f"characteristic {char} divides n = {n}")
+    try:
+        zeta = base.coerce(inp.zeta)
+        sigma_image = ext.coerce(inp.sigma_image)
+    except FieldMismatch as exc:
+        raise ValidationError(str(exc)) from exc
+    if not zeta:
+        raise NoPrimitiveRoot("zeta = 0 is not a root of unity")
+    zeta_powers = [base.one()]
+    for _ in range(n - 1):
+        zeta_powers.append(zeta_powers[-1] * zeta)
+    if zeta_powers[-1] * zeta != base.one():
+        raise NoPrimitiveRoot(f"zeta^{n} != 1")
+    for q in prime_factors(n):
+        if zeta_powers[n // q] == base.one():
+            raise NoPrimitiveRoot(f"zeta^{n // q} = 1, so the order of zeta is not {n}")
+
+    if ext.modulus.evaluate(sigma_image) != ext.zero():
+        raise NotAnAutomorphism("the image of the generator is not a root of the modulus")
+    powers = [ext.one()]
+    while len(powers) < n:
+        powers.append(powers[-1] * sigma_image)
+    ctx = ValidatedContext(
+        input=CyclicExtensionInput(ext, n, zeta, sigma_image),
+        matrix=Matrix.from_columns(base, [s.coords for s in powers]),
+        zeta_powers=tuple(zeta_powers),
+    )
+    alpha = ext.gen()
+    image = alpha
+    proper_divisors = [k for k in range(1, n) if n % k == 0]
+    for k in range(1, n + 1):
+        image = ctx.sigma(image)
+        if k in proper_divisors and image == alpha:
+            raise AutomorphismOrderMismatch(f"the automorphism has order {k}, expected {n}")
+    if image != alpha:
+        raise AutomorphismOrderMismatch(f"sigma^{n}(alpha) != alpha")
+    return ctx
+
+
+# every prime p < 200 with every n | p - 1, n <= 12, over the default modulus
+FROBENIUS_PAIRS = [(p, n) for p in range(2, 200) if is_prime(p) for n in range(1, 13) if (p - 1) % n == 0]
+
+
+def _images(inp):
+    """s = X^(p^k) for k = 1, ..., n + 1 (orders n / gcd(k, n), and k = n + 1
+    is the Frobenius again), then alpha + 1, which is no root of f."""
+    ext, p = inp.ext_field, inp.base_field.p
+    s = ext.gen()
+    for k in range(1, inp.n + 2):
+        s = s**p
+        yield k, s
+    yield None, ext.gen() + 1
+
+
+def _outcome(validate, inp, monkeypatch):
+    """(matrix, certificate bytes, verify report) with validate as
+    validate_setup, certify and verify alike; (class, message) when it
+    raises."""
+    monkeypatch.setattr(kummer, "validate_setup", validate)
+    try:
+        ctx = validate(inp)
+        data = serialize.canonical_dumps(serialize.certificate_to_json(compute_certificate(ctx)))
+        report = verify_certificate_report(serialize.certificate_from_json(serialize.loads(data)))
+    except KummerError as exc:
+        return type(exc), str(exc)
+    return ctx.matrix, data, report
+
+
+def test_frobenius_case_count():
+    assert (len(FROBENIUS_PAIRS), sum(n + 2 for _, n in FROBENIUS_PAIRS)) == (209, 1307)
+
+
+@pytest.mark.parametrize("p,n", FROBENIUS_PAIRS, ids=[f"F{p}-n{n}" for p, n in FROBENIUS_PAIRS])
+def test_validate_setup_matches_the_general_derivation(p, n, monkeypatch):
+    base = frobenius_family(p, n)
+    for k, s in _images(base):
+        inp = CyclicExtensionInput(base.ext_field, n, base.zeta, s)
+        got = _outcome(validate_setup, inp, monkeypatch)
+        assert got == _outcome(oracle_validate_setup, inp, monkeypatch), (k, s)
+        frobenius_image = n >= 2 and k in (1, n + 1)
+        assert (got[0] is base.ext_field.frobenius) == frobenius_image, (k, s)
+        if k is None:
+            assert got == (NotAnAutomorphism, "the image of the generator is not a root of the modulus")
+
+
+class TestFrobeniusMatrixOnce:
+    """Over F_p the Rabin test's Frobenius matrix, kept by ExtensionField, is
+    sigma's matrix when s = X^p mod f: certify and verify build that one
+    substitution matrix and evaluate no polynomial. Any other s takes the
+    general path, which builds sigma's matrix from s and reads f(s) off it."""
+
+    COUNTED = ("substitution_matrix", "evaluate", "__mul__", "sigma")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = dict.fromkeys(self.COUNTED, 0)
+        counting = TestEachKernelOnce.counting
+        # polynomials imports substitution_matrix from linalg when the Rabin test runs
+        for owner in (kummer, linalg):
+            monkeypatch.setattr(owner, "substitution_matrix", counting(calls, "substitution_matrix", owner.substitution_matrix))
+        monkeypatch.setattr(Polynomial, "evaluate", counting(calls, "evaluate", Polynomial.evaluate))
+        monkeypatch.setattr(ExtensionElement, "__mul__", counting(calls, "__mul__", ExtensionElement.__mul__))
+        monkeypatch.setattr(ValidatedContext, "sigma", counting(calls, "sigma", ValidatedContext.sigma))
+        return calls
+
+    def test_cli_certify_and_verify_build_only_the_rabin_matrix(self, calls, tmp_path, capsys):
+        modulus = ",".join(str(c.value) for c in default_modulus(PrimeField(97), 16).coeffs)
+        out = tmp_path / "cert.json"
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(["finite", "--p", "97", "--n", "16", "--modulus", modulus, "--format", "json", "--out", str(out)]) == 0
+        assert (calls["substitution_matrix"], calls["evaluate"]) == (1, 0)
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(["verify", str(out), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"outcome": "valid", "failures": []}
+        assert (calls["substitution_matrix"], calls["evaluate"]) == (1, 0)
+
+    def test_frobenius_input_computes_nothing(self, calls):
+        inp = frobenius_family(97, 16)
+        calls.update(dict.fromkeys(calls, 0))
+        ctx = validate_setup(inp)
+        assert ctx.matrix is inp.ext_field.frobenius
+        assert calls == dict.fromkeys(self.COUNTED, 0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: frobenius_family(97, 16),
+            builtin_cubic_over_eisenstein,
+            lambda: frobenius_family(5, 1),
+        ],
+        ids=["finite-97-16-cube", "builtin-cubic", "finite-5-1"],
+    )
+    def test_general_path_builds_one_matrix_and_evaluates_nothing(self, make, calls):
+        inp = make()
+        if inp.base_field == PrimeField(97):  # sigma^3: s = X^(97^3), of order 16 too
+            inp = CyclicExtensionInput(inp.ext_field, inp.n, inp.zeta, inp.ext_field.gen() ** 97**3)
+        calls.update(dict.fromkeys(calls, 0))
+        ctx = validate_setup(inp)
+        assert (calls["substitution_matrix"], calls["evaluate"], calls["sigma"]) == (1, 0, inp.n)
+        assert ctx.matrix == oracle_validate_setup(inp).matrix
