@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import serialize
-from .errors import InputFormatError, KummerError, ParseError, ValidationError
+from .errors import InputFormatError, KummerError, ParseError, ScalarTooLarge, ValidationError
 from .families import builtin_cubic_over_eisenstein, frobenius_family, parse_tower_spec
 from .kummer import KummerCertificate, compute_certificate, validate_setup, verify_certificate, verify_certificate_report
 from .polynomials import Polynomial
@@ -104,8 +104,16 @@ def _format_certificate_text(cert: KummerCertificate, timings: dict[str, int]) -
     return "\n".join(lines) + "\n"
 
 
+def _render_certificate(cert: KummerCertificate, fmt: str, timings: dict[str, int]) -> str:
+    try:
+        if fmt == "json":
+            return serialize.canonical_dumps(serialize.certificate_to_json(cert))
+        return _format_certificate_text(cert, timings)
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        raise ScalarTooLarge("the certificate has a scalar past the interpreter's digit limit for integer string conversion") from exc
+
+
 def _run_pipeline(build_input, fmt: str, out: str | None) -> int:
-    timings: dict[str, int] = {}
     try:
         t0 = time.perf_counter_ns()
         inp = build_input()
@@ -114,6 +122,8 @@ def _run_pipeline(build_input, fmt: str, out: str | None) -> int:
         t2 = time.perf_counter_ns()
         cert = compute_certificate(ctx)
         t3 = time.perf_counter_ns()
+        timings = {"build": t1 - t0, "validate": t2 - t1, "certificate": t3 - t2}
+        text = _render_certificate(cert, fmt, {stage: ns // 1_000_000 for stage, ns in timings.items()})
     except InputFormatError as exc:
         _emit_error(exc, fmt, out)
         return 3
@@ -123,15 +133,7 @@ def _run_pipeline(build_input, fmt: str, out: str | None) -> int:
     except KummerError as exc:
         _emit_error(exc, fmt, out)
         return 2
-    timings.update(
-        build=(t1 - t0) // 1_000_000,
-        validate=(t2 - t1) // 1_000_000,
-        certificate=(t3 - t2) // 1_000_000,
-    )
-    if fmt == "json":
-        _write(serialize.canonical_dumps(serialize.certificate_to_json(cert)), out)
-    else:
-        _write(_format_certificate_text(cert, timings), out)
+    _write(text, out)
     return 0 if cert.is_valid() else 2
 
 

@@ -83,6 +83,11 @@ class EmptyEigenspace(ValidationError):
     """The expected eigenspace is empty; the input lied about being cyclic."""
 
 
+class ScalarTooLarge(ValidationError):
+    """A certificate scalar has more decimal digits than the interpreter's
+    int-to-str conversion limit (sys.get_int_max_str_digits()) allows."""
+
+
 # -- serialization errors -------------------------------------------------
 
 class ParseError(InputFormatError):

@@ -28,8 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix, element_min_poly, mat_apply, nullspace, operator_min_poly, substitution_matrix
-from .polynomials import Polynomial, cyclotomic_index, poly_divmod
-from .scalars import PrimeField, RationalField, prime_factors
+from .polynomials import Polynomial, poly_divmod
+from .scalars import prime_factors
 from .tower import ExtensionElement, ExtensionField
 
 CHECK_NAMES = (
@@ -68,29 +68,12 @@ class CyclicExtensionInput:
 
 
 @dataclass(frozen=True)
-class ValidatedContext:
-    """Input that passed validate_setup, plus the automorphism's matrix and
-    the powers of zeta."""
+class ValidatedContext(CyclicExtensionInput):
+    """An input that passed validate_setup, with zeta and the image coerced
+    into K and E, plus the automorphism's matrix and the powers of zeta."""
 
-    input: CyclicExtensionInput
     matrix: Matrix  # column j: the coordinates of s^j over K
     zeta_powers: tuple  # zeta^0, ..., zeta^(n-1) in K
-
-    @property
-    def ext_field(self) -> ExtensionField:
-        return self.input.ext_field
-
-    @property
-    def base_field(self):
-        return self.input.base_field
-
-    @property
-    def n(self) -> int:
-        return self.input.n
-
-    @property
-    def zeta(self):
-        return self.input.zeta
 
     def sigma(self, e: ExtensionElement) -> ExtensionElement:
         """Apply the automorphism: the image of sum(c_j * alpha^j) is
@@ -141,7 +124,8 @@ class KummerCertificate:
 
 
 def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
-    """Check every hypothesis; raise a ValidationError subclass on failure.
+    """Check every hypothesis and return the validated input; raise a
+    ValidationError subclass on failure.
 
     Checks, in order: structural consistency, characteristic does not divide
     n, zeta has exact order n, the asserted image s of the generator is a
@@ -149,15 +133,15 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
     automatically a K-automorphism), and that automorphism has order
     exactly n.
 
-    When E is over F_p, n >= 2 and s is X^p mod f, column 1 of the Rabin
-    test's Frobenius matrix Q (ExtensionField.frobenius), the last two
-    checks are read off the Rabin proof that f is irreducible: f(X^p) =
-    f(X)^p = 0, and the Frobenius of F_(p^n) has order exactly n. Q is then
+    When E is over F_p and s is X^p mod f (ExtensionField.frobenius_image),
+    the last two checks are read off the Rabin proof that f is irreducible:
+    f(X^p) = f(X)^p = 0, and the Frobenius of F_(p^n) has order exactly n.
+    The Rabin test's Frobenius matrix Q (ExtensionField.frobenius) is then
     sigma's matrix, and nothing is computed. Otherwise sigma's matrix M is
     built from s, f(s) is read off it as M*(f_0, ..., f_(n-1)) + s^(n-1)*s
     (column n-1 of M is s^(n-1)), and sigma^k(alpha) is walked for
     k = 1, ..., n. Both ways raise the same exceptions and give the same
-    matrix.
+    matrix, in every degree n >= 1.
     """
     if not isinstance(inp.ext_field, ExtensionField):
         raise ValidationError("E must be an extension field")
@@ -190,17 +174,15 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
         if zeta_powers[n // q] == base.one():
             raise NoPrimitiveRoot(f"zeta^{n // q} = 1, so the order of zeta is not {n}")
 
-    validated = CyclicExtensionInput(ext, n, zeta, sigma_image)
-    frobenius = ext.frobenius
-    if n >= 2 and frobenius is not None and sigma_image.coords == frobenius.column(1):
-        return ValidatedContext(input=validated, matrix=frobenius, zeta_powers=tuple(zeta_powers))
+    if ext.frobenius is not None and sigma_image.coords == ext.frobenius_image:
+        return ValidatedContext(ext, n, zeta, sigma_image, ext.frobenius, tuple(zeta_powers))
 
     matrix = substitution_matrix(base, ext.modulus, sigma_image.coords)
     s_to_n = ExtensionElement(ext, matrix.column(n - 1)) * sigma_image
     if ExtensionElement(ext, mat_apply(matrix, ext.modulus.coeffs[:n])) + s_to_n:
         raise NotAnAutomorphism("the image of the generator is not a root of the modulus")
 
-    ctx = ValidatedContext(input=validated, matrix=matrix, zeta_powers=tuple(zeta_powers))
+    ctx = ValidatedContext(ext, n, zeta, sigma_image, matrix, tuple(zeta_powers))
     alpha = ext.gen()
     image = alpha
     proper_divisors = [k for k in range(1, n) if n % k == 0]
@@ -324,15 +306,9 @@ def _binomial_factorization_holds(ctx: ValidatedContext, x: ExtensionElement, c)
 
 
 def _is_proven_field(k) -> bool:
-    """True when K is proven a field by code that already ran: F_p (is_prime
-    when the PrimeField was built), QQ, an extension of F_p (its modulus
-    Rabin-tested when the ExtensionField was built), or QQ[t]/(Phi_m)
-    (irreducible by Gauss's theorem). False means unproven, not disproven."""
-    if isinstance(k, (PrimeField, RationalField)):
-        return True
-    if isinstance(k, ExtensionField):
-        return isinstance(k.base, PrimeField) or cyclotomic_index(k.modulus) is not None
-    return False
+    """K's ``proven_field``, recorded when K was built (False: unproven, not
+    disproven); a seam where the full derivation can be forced."""
+    return k.proven_field
 
 
 def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
@@ -362,7 +338,7 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     to zeta^(i+1)*x for every i iff sigma(x) = zeta*x, the root orbit.
     sigma fixes K (column 0 of M is e_0), so it fixes x^n when x^n is in K.
 
-    K proven a field (_is_proven_field): as zeta has exact order n,
+    K proven a field (K.proven_field): as zeta has exact order n,
     prod_i (X - zeta^i*Y) = X^n - Y^n in K[X, Y], so for any x the binomial
     factorization holds iff x^n = c. Only over a K not proven a field is the
     product computed.
@@ -445,7 +421,8 @@ def compute_certificate(ctx: ValidatedContext) -> KummerCertificate:
     for _, flag, holds in checks:
         if flag is not None:
             flags[flag] = flags[flag] and holds
-    return KummerCertificate(ctx.input, report, x, c, x_min_poly, flags)
+    inp = CyclicExtensionInput(ctx.ext_field, ctx.n, ctx.zeta, ctx.sigma_image)
+    return KummerCertificate(inp, report, x, c, x_min_poly, flags)
 
 
 def certify(inp: CyclicExtensionInput) -> KummerCertificate:

@@ -329,8 +329,8 @@ def is_irreducible_mod_p(f: Polynomial) -> bool:
 
 
 def rabin_frobenius(f: Polynomial):
-    """The Rabin test's Frobenius matrix Q of f over a prime field when f is
-    irreducible, else None.
+    """(Q, the d coordinates of X^p mod f as a tuple) for f irreducible
+    over a prime field, else None; Q is the Rabin test's Frobenius matrix.
 
     f of degree d is irreducible iff X^(p^d) = X mod f and, for every prime
     q dividing d, gcd(X^(p^(d/q)) - X, f) = 1.
@@ -341,8 +341,8 @@ def rabin_frobenius(f: Polynomial):
     of X^p mod f, which squaring finds once. Then X^(p^k) = Q^k X costs one
     d x d mat-vec per k, instead of d*log(p) squarings per exponent p^k. The
     powers are the same residues, so the gcd tests and the final test are
-    the same. For d >= 2, column 1 of Q is X^p mod f, and Q is the matrix of
-    the Frobenius automorphism of F_p[X]/(f) in the power basis.
+    the same. In every degree Q, the substitution matrix of X^p mod f, is
+    the matrix of the Frobenius of F_p[X]/(f) ([[1]] when d = 1).
     """
     from .linalg import mat_apply, substitution_matrix  # linalg imports this module
 
@@ -355,8 +355,8 @@ def rabin_frobenius(f: Polynomial):
         raise NotMonic(f"irreducibility test needs a monic polynomial, got {f}")
     field = f.field
     p = field.p
-    x_to_p = poly_pow_mod(Polynomial.x(field), p, f)
-    q_matrix = substitution_matrix(field, f, x_to_p.padded(d))
+    x_to_p = poly_pow_mod(Polynomial.x(field), p, f).padded(d)
+    q_matrix = substitution_matrix(field, f, x_to_p)
     x = Polynomial.x(field) % f
     frobenius = [x.padded(d)]  # frobenius[k]: X^(p^k) mod f
     for _ in range(d):
@@ -365,4 +365,4 @@ def rabin_frobenius(f: Polynomial):
         h = Polynomial(field, frobenius[d // q]) - x
         if poly_gcd(h, f).degree != 0:
             return None
-    return q_matrix if frobenius[d] == frobenius[0] else None
+    return (q_matrix, x_to_p) if frobenius[d] == frobenius[0] else None

@@ -284,6 +284,7 @@ class PrimeField:
     Its raw values are ints, reduced mod p only by ``reduce`` and ``box``."""
 
     __slots__ = ("p",)
+    proven_field = True  # p passed is_prime
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -377,6 +378,7 @@ class RationalField(IdentityHooks):
     """Descriptor for the rationals; elements are fractions.Fraction values."""
 
     __slots__ = ()
+    proven_field = True
 
     def zero(self) -> Fraction:
         return Fraction(0)

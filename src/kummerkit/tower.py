@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
-from .polynomials import Polynomial, poly_gcd_extended, poly_pow_mod, rabin_frobenius, raw_mul_mod
+from .polynomials import Polynomial, cyclotomic_index, poly_gcd_extended, poly_pow_mod, rabin_frobenius, raw_mul_mod
 from .scalars import IdentityHooks, PrimeField
 
 MAX_TOWER_HEIGHT = 3
@@ -21,16 +21,19 @@ MAX_TOWER_HEIGHT = 3
 class ExtensionField(IdentityHooks):
     """base[X]/(modulus) for a monic modulus of degree >= 1 over the base.
 
-    Over a prime-field base the modulus is verified irreducible by the Rabin
-    test, whose Frobenius matrix the field keeps as ``frobenius``: column j
-    is X^(j*p) mod f, the matrix of a -> a^p in the power basis, so for
-    degree >= 2 column 1 is X^p mod f. Over other bases ``frobenius`` is
-    None and the modulus is accepted as asserted. A reducible one surfaces
-    only when a division meets a zero divisor (NotInvertible), and otherwise
-    may go unseen: some such algebras certify valid (ROADMAP item 1).
+    Building the field records what it proved, for every caller to read.
+    ``proven_field``: the modulus passed the Rabin test over F_p, or it
+    equals some Phi_m over QQ (``cyclotomic_index``; irreducible by Gauss).
+    Over F_p the field also keeps the Rabin test's Frobenius matrix as
+    ``frobenius`` (column j is X^(j*p) mod f) and the coordinates of
+    X^p mod f as the tuple ``frobenius_image``; over other bases both are
+    None. A modulus not proven irreducible is accepted as asserted: a
+    reducible one surfaces only when a division meets a zero divisor
+    (NotInvertible), and otherwise may go unseen, so some such algebras
+    certify valid (ROADMAP item 1).
     """
 
-    __slots__ = ("base", "modulus", "degree", "frobenius")
+    __slots__ = ("base", "modulus", "degree", "frobenius", "frobenius_image", "proven_field")
 
     def __init__(self, base, modulus: Polynomial):
         if modulus.field != base:
@@ -41,15 +44,18 @@ class ExtensionField(IdentityHooks):
             raise NotMonic(f"extension modulus must be monic, got {modulus}")
         if base.height() + 1 > MAX_TOWER_HEIGHT:
             raise TowerTooTall(f"tower would have height {base.height() + 1}, cap is {MAX_TOWER_HEIGHT}")
-        frobenius = None
+        frobenius = frobenius_image = None
         if isinstance(base, PrimeField):
-            frobenius = rabin_frobenius(modulus)
-            if frobenius is None:
+            rabin = rabin_frobenius(modulus)
+            if rabin is None:
                 raise ReducibleModulus(f"{modulus} is reducible over {base}")
+            frobenius, frobenius_image = rabin
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", modulus.degree)
         object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "frobenius_image", frobenius_image)
+        object.__setattr__(self, "proven_field", frobenius is not None or cyclotomic_index(modulus) is not None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")

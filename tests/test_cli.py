@@ -5,6 +5,7 @@ asserted directly; one test drives the installed console path end to end.
 """
 
 import concurrent.futures
+import importlib
 import json
 import os
 import resource
@@ -18,6 +19,8 @@ from kummerkit import cli, scalars, serialize
 from kummerkit.cli import main
 from kummerkit.scalars import MR_EXACT_BOUND
 from kummerkit.families import builtin_cubic_over_eisenstein
+
+from test_determinism import simplest_quartic
 
 
 def child_env():
@@ -165,6 +168,31 @@ class TestTower:
         code, out, _ = run(capsys, "tower", str(spec))
         assert code == 3
         assert out.startswith("error: ParseError: cannot read")
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("command", ["tower", "verify"])
+    def test_deeply_nested_json_is_a_parse_error(self, capsys, tmp_path, command):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 100000 + "]" * 100000)
+        code, out, _ = run(capsys, command, str(doc))
+        assert (code, out) == (3, "error: ParseError: invalid JSON: nested too deeply\n")
+        code, out, _ = run(capsys, command, str(doc), "--format", "json")
+        assert code == 3
+        assert json.loads(out)["error"] == {"code": "ParseError", "message": "invalid JSON: nested too deeply"}
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter writes ints of any size")
+    def test_scalar_past_the_digit_limit_is_rejected(self, capsys, tmp_path):
+        # a 1100-digit a parses, but the certificate's scalars pass the
+        # interpreter's 4300-digit limit for int-to-str conversion
+        spec = tmp_path / "quartic.json"
+        spec.write_text(serialize.canonical_dumps(serialize.input_to_json(simplest_quartic(10**1099 + 7))))
+        message = "the certificate has a scalar past the interpreter's digit limit for integer string conversion"
+        code, out, err = run(capsys, "tower", str(spec))
+        assert (code, out, err) == (1, f"error: ScalarTooLarge: {message}\n", "")
+        code, out, err = run(capsys, "tower", str(spec), "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {"code": "ScalarTooLarge", "message": message}
 
 
 class TestVerify:
@@ -412,3 +440,21 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["c"] == "2"
+
+    def test_console_script_exits_with_mains_code(self, monkeypatch):
+        # the [project.scripts] target of pyproject.toml, read without
+        # tomllib, which Python 3.10 lacks
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        scripts = {}
+        for line in section.splitlines():
+            name, eq, value = line.partition("=")
+            if eq:
+                scripts[name.strip()] = value.strip().strip('"')
+        module, _, attr = scripts["kummerkit"].partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        for argv, code in ((["finite", "--p", "13", "--n", "4", "--format", "json"], 0), (["finite", "--p", "13"], 3)):
+            monkeypatch.setattr(sys, "argv", ["kummerkit", *argv])
+            with pytest.raises(SystemExit) as exited:
+                entry()
+            assert exited.value.code == main(argv) == code

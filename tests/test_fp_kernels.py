@@ -35,6 +35,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummerkit.errors import DimensionMismatch
@@ -373,18 +374,30 @@ def test_extension_power_and_substitution_matrix(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_frobenius_matrix_of_the_rabin_test(data):
-    # over F_p, column j of ExtensionField.frobenius is X^(j*p) mod f, so
-    # column 1 is the Frobenius image X^p mod f; other bases keep none
+    # over F_p, column j of ExtensionField.frobenius is X^(j*p) mod f, and
+    # frobenius_image is X^p mod f; other bases keep neither
     base = data.draw(st.sampled_from(FIELDS))
-    ext = data.draw(extensions(base).filter(lambda e: e.degree >= 2))
+    ext = data.draw(extensions(base))
     if not isinstance(base, PrimeField):
-        assert ext.frobenius is None
+        assert ext.frobenius is None and ext.frobenius_image is None
         return
     x = Polynomial.x(base)
-    assert Polynomial(base, ext.frobenius.column(1)) == oracle_pow_mod(x, base.p, ext.modulus)
+    assert Polynomial(base, ext.frobenius_image) == oracle_pow_mod(x, base.p, ext.modulus)
     for j in range(ext.degree):
         assert_canonical(ext.frobenius.column(j), base)
         assert Polynomial(base, ext.frobenius.column(j)) == oracle_pow_mod(x, j * base.p, ext.modulus)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_frobenius_image_in_every_degree(p):
+    base = PrimeField(p)
+    x = Polynomial.x(base)
+    for d in range(1, 7):
+        ext = ExtensionField(base, Polynomial(base, irreducible(p, d, 0)))
+        assert type(ext.frobenius_image) is tuple and len(ext.frobenius_image) == d
+        assert_canonical(ext.frobenius_image, base)
+        assert Polynomial(base, ext.frobenius_image) == oracle_pow_mod(x, p, ext.modulus)
+        assert ext.frobenius == substitution_matrix(base, ext.modulus, ext.frobenius_image)
 
 
 @settings(max_examples=150, deadline=None)

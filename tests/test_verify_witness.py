@@ -219,6 +219,28 @@ class TestProvenFields:
     def test_cyclotomic_index_needs_a_rational_polynomial(self):
         assert cyclotomic_index(cyclotomic_polynomial(4, PrimeField(13))) is None
 
+    @staticmethod
+    def proven_by_type(k) -> bool:
+        """The rule kummer applied to K by type before each field recorded
+        what building it proved: F_p, QQ, an extension of F_p, or
+        QQ[t]/(Phi_m)."""
+        if isinstance(k, (PrimeField, RationalField)):
+            return True
+        if isinstance(k, ExtensionField):
+            return isinstance(k.base, PrimeField) or cyclotomic_index(k.modulus) is not None
+        return False
+
+    def test_proven_field_agrees_with_the_rule_by_type(self):
+        f625 = ExtensionField(F25, Polynomial(F25, [-F25.gen(), 0, 1]))
+        qq_tower = builtin_cubic_over_eisenstein().ext_field  # QQ, QQ(zeta_3), then the cubic
+        fields = [PrimeField(13), QQ, F25, f625, qq_tower]
+        fields += [ExtensionField(QQ, cyclotomic_polynomial(m, QQ)) for m in range(1, 31)]
+        fields += [ExtensionField(QQ, Polynomial(QQ, coeffs)) for coeffs in ([-1, 0, 1], [2, 0, 1], [-4, 0, 1])]
+        for k in fields:
+            assert k.proven_field is self.proven_by_type(k), k
+        assert [k.proven_field for k in fields[:5]] == [True, True, True, False, False]
+        assert [k.proven_field for k in fields[-3:]] == [False, False, False]
+
     def test_proven_fields(self):
         qq_zeta_3 = builtin_cubic_over_eisenstein().base_field
         proven = [PrimeField(13), QQ, F25, qq_zeta_3, ExtensionField(QQ, Polynomial(QQ, [1, 0, 1]))]
