@@ -347,10 +347,15 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     nonzero element of K. Each x^i is then a nonzero zeta^i-eigenvector, as
     x^i * x^(n-i) = x^n != 0, so n distinct eigenvalues in dimension n give
     the eigen report (i, zeta^i, 1) for every i, a complete spectrum and the
-    fixed space span{1}. Verify then computes no kernel (its fresh report
-    carries no eigenvectors); certify extracts x from the report, so it
-    computes it. When a premise fails, the full derivation runs, and a K or
-    E that is not a field may raise NotInvertible with the zero divisor met.
+    fixed space span{1}. Eigenvectors for distinct eigenvalues are
+    independent over K (Lang, Algebra, VI 6), so 1, x, ..., x^(n-1) are,
+    and x's min poly has degree n; it divides X^n - x^n, so it equals
+    X^n - x^n, with the computed x^n as constant (never a claimed c, which
+    "x^n = c" tests). Verify then computes no kernel (its fresh report
+    carries no eigenvectors) and no elimination at all; certify extracts x
+    from the report, so it computes it. When a premise fails, the full
+    derivation runs, with element_min_poly for x's min poly, and a K or E
+    that is not a field may raise NotInvertible with the zero divisor met.
     """
     n = ctx.n
     if claimed is None:
@@ -382,7 +387,10 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
         return report, x, None, None, checks
 
     c = x_pow_n.coords[0] if claimed is None else claimed.c
-    x_min_poly = element_min_poly(x)
+    if witness:
+        x_min_poly = Polynomial.x_pow_minus_const(ctx.base_field, n, x_pow_n.coords[0])
+    else:
+        x_min_poly = element_min_poly(x)
     x_pow_n_is_c = x_pow_n == ctx.ext_field.embed(c)
     checks += [
         ("sigma(x) = zeta*x", "root_orbit_transitive", sigma_x_ok),
@@ -437,9 +445,10 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
     hold. Stored intermediates (eigen report, c, x_min_poly, flags) are
     checked against fresh recomputations rather than believed. The checks
     and the facts read off proofs are _derive's, shared with certify; a
-    claimed x that is a witness over a proven field costs one sigma(x), one
-    x^n and the min poly of x, no kernel: O(n^3) in all. A K or E that is
-    not a field may raise NotInvertible.
+    claimed x that is a witness over a proven field costs one sigma(x) and
+    one x^n after validate_setup, O(n^2 log n) operations in K with no
+    elimination, as its min poly is X^n - x^n. A K or E that is not a field
+    may raise NotInvertible.
     """
     try:
         ctx = validate_setup(cert.input)

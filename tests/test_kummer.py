@@ -54,6 +54,8 @@ from kummerkit.polynomials import Polynomial
 from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField, is_prime, prime_factors
 from kummerkit.tower import ExtensionElement, ExtensionField
 
+from test_verify_witness import NOT_FIELDS
+
 F5 = PrimeField(5)
 F13 = PrimeField(13)
 
@@ -464,10 +466,18 @@ class TestEachKernelOnce:
     from validate_setup, so no stage computes the operator min poly. Over a
     proven field neither certify nor verify expands the binomial product,
     and verify reads every spectral flag off a witness x, computing no
-    kernel; for an x that is no witness it computes the n kernels. Closure
-    multiplies nothing in E."""
+    kernel; for an x that is no witness it computes the n kernels. For a
+    witness x, certify and verify read x's min poly off it as X^n - x^n and
+    call element_min_poly never; off the witness path they call it once.
+    Closure multiplies nothing in E."""
 
-    COUNTED = ("nullspace", "operator_min_poly", "check_diagonalizability", "_binomial_factorization_holds")
+    COUNTED = (
+        "nullspace",
+        "operator_min_poly",
+        "check_diagonalizability",
+        "_binomial_factorization_holds",
+        "element_min_poly",
+    )
 
     @staticmethod
     def counting(calls, name, fn):
@@ -493,7 +503,7 @@ class TestEachKernelOnce:
         assert cert.is_valid()
         assert calls["nullspace"] == inp.n
         assert calls["operator_min_poly"] == calls["check_diagonalizability"] == 0
-        assert calls["_binomial_factorization_holds"] == 0
+        assert calls["_binomial_factorization_holds"] == calls["element_min_poly"] == 0
         parsed = serialize.certificate_from_json(serialize.certificate_to_json(cert))
         calls.update(dict.fromkeys(calls, 0))
         assert verify_certificate_report(parsed) == (True, [])
@@ -510,6 +520,14 @@ class TestEachKernelOnce:
         assert not ok and "sigma(x) = zeta*x" in failures
         assert calls["nullspace"] == inp.n
         assert calls["_binomial_factorization_holds"] == calls["operator_min_poly"] == 0
+        assert calls["element_min_poly"] == 1
+
+    def test_certify_over_an_unproven_k_computes_the_min_poly_once(self, calls):
+        # K = QQ[t]/(t^2 - 1) is not proven a field, so x is no witness
+        inp = NOT_FIELDS["K=QQ[t]/(t^2-1)"]()
+        certify(inp)
+        assert calls["element_min_poly"] == 1
+        assert calls["nullspace"] == inp.n
 
     @pytest.mark.parametrize(
         "make", [lambda: frobenius_family(97, 16), builtin_cubic_over_eisenstein], ids=["finite-97-16", "builtin-cubic"]

@@ -24,6 +24,11 @@ nilpotent x, the builtin cubic, and Shanks' cubic and the simplest quartic
 at three values of a each.
 
 The nilpotent inputs are pinned as invalid: x^n = c = 0 fails c_in_base.
+
+For a witness x, certify and verify read x's min poly off it as X^n - x^n.
+``element_min_poly`` is the oracle for that, on x and on the witness 2*x,
+for the sweep, n = 1, the builtin cubic, Shanks' cubic and the simplest
+quartic.
 """
 
 import json
@@ -49,6 +54,7 @@ from kummerkit.kummer import (
     verify_certificate,
     verify_certificate_report,
 )
+from kummerkit.linalg import element_min_poly
 from kummerkit.polynomials import Polynomial, cyclotomic_index, cyclotomic_polynomial
 from kummerkit.scalars import PrimeField, RationalField
 from kummerkit.tower import ExtensionField
@@ -86,6 +92,10 @@ def assert_certify_paths_agree(inp):
     with mock.patch.object(kummer, "_is_proven_field", lambda k: False):
         full = certify_outcome(inp)
     assert certify_outcome(inp) == full
+
+
+def no_min_poly(*args):
+    raise AssertionError("the witness path computes no min poly of x")
 
 
 def random_element(field, rng):
@@ -264,13 +274,36 @@ class TestProvenFields:
     def test_valid_certificates_take_the_witness_path(self, name):
         inp = self.VALID[name]()
         assert_certify_paths_agree(inp)
-        parsed = serialize.certificate_from_json(serialize.certificate_to_json(certify(inp)))
 
         def no_kernel(*args):
             raise AssertionError("the witness path computes no eigen spectrum")
 
-        with mock.patch.object(kummer, "eigen_spectrum", no_kernel):
-            assert verify_certificate_report(parsed) == (True, [])
+        with mock.patch.object(kummer, "element_min_poly", no_min_poly):
+            parsed = serialize.certificate_from_json(serialize.certificate_to_json(certify(inp)))
+            with mock.patch.object(kummer, "eigen_spectrum", no_kernel):
+                assert verify_certificate_report(parsed) == (True, [])
+
+
+MIN_POLY_CASES = {
+    f"finite-{p}-{n}": (lambda p=p, n=n: frobenius_family(p, n)) for p, n in SWEEP + [(5, 1), (13, 1)]
+} | TestProvenFields.VALID
+
+
+@pytest.mark.parametrize("name", sorted(MIN_POLY_CASES))
+def test_min_poly_read_off_a_witness_matches_krylov(name):
+    # the theorem: for a witness x over a proven field, x's min poly is
+    # X^n - x^n; element_min_poly is the oracle, for x and for the witness
+    # 2*x, whose min poly is X^n - 2^n*c
+    cert = certify(MIN_POLY_CASES[name]())
+    assert cert.is_valid()
+    assert cert.x_min_poly == element_min_poly(cert.x)
+    n, k_field = cert.input.n, cert.input.base_field
+    x, c = cert.x * 2, cert.c * 2**n
+    x_min_poly = element_min_poly(x)
+    assert x_min_poly == Polynomial.x_pow_minus_const(k_field, n, c)
+    doubled = replace(cert, x=x, c=c, x_min_poly=x_min_poly)
+    with mock.patch.object(kummer, "element_min_poly", no_min_poly):
+        assert verify_certificate_report(doubled) == (True, [])
 
 
 # -- hypothesis property ---------------------------------------------------------
