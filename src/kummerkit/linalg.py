@@ -13,14 +13,14 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .polynomials import Polynomial, poly_lcm, raw_mul_mod
+from .polynomials import Polynomial, poly_lcm
 from .tower import ExtensionElement
 
 
 class Matrix:
     """Immutable dense matrix; ``rows`` is a tuple of row tuples."""
 
-    __slots__ = ("field", "rows", "_raw_rows")
+    __slots__ = ("field", "_rows", "_raw_rows")
 
     def __init__(self, field, rows):
         rows = tuple(tuple(field.coerce(c) for c in row) for row in rows)
@@ -29,7 +29,7 @@ class Matrix:
             if any(len(r) != width for r in rows):
                 raise DimensionMismatch("ragged rows")
         self.field = field
-        self.rows = rows
+        self._rows = rows
 
     @classmethod
     def _of(cls, field, rows) -> "Matrix":
@@ -37,23 +37,52 @@ class Matrix:
         which are trusted and not coerced."""
         m = object.__new__(cls)
         m.field = field
-        m.rows = tuple(map(tuple, rows))
+        m._rows = tuple(map(tuple, rows))
         return m
+
+    @classmethod
+    def _of_raw(cls, field, raw_rows) -> "Matrix":
+        """A matrix from equal-length rows of the field's raw values, which
+        need not be reduced; they are boxed on the first read of ``rows``."""
+        m = object.__new__(cls)
+        m.field = field
+        m._raw_rows = tuple(raw_rows)
+        return m
+
+    @property
+    def rows(self) -> tuple:
+        """The rows as field elements, boxed on first use: rows never change."""
+        try:
+            return self._rows
+        except AttributeError:
+            self._rows = tuple(tuple(self.field.box(row)) for row in self._raw_rows)
+            return self._rows
 
     @property
     def raw_rows(self) -> tuple:
         """The rows as the field's raw values, unboxed on first use: rows never change."""
-        if not hasattr(self, "_raw_rows"):
-            self._raw_rows = tuple(map(self.field.unbox, self.rows))
-        return self._raw_rows
+        try:
+            return self._raw_rows
+        except AttributeError:
+            self._raw_rows = tuple(map(self.field.unbox, self._rows))
+            return self._raw_rows
+
+    @property
+    def _shape_rows(self) -> tuple:
+        """Whichever of the rows and the raw rows is at hand: either gives the shape."""
+        try:
+            return self._rows
+        except AttributeError:
+            return self._raw_rows
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._shape_rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        rows = self._shape_rows
+        return len(rows[0]) if rows else 0
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -141,12 +170,12 @@ def rref(m: Matrix) -> RrefResult:
 
     Runs on raw values: a pivot row is reduced when it is normalized, the
     other rows only when one of their entries is tested or used as a
-    multiplier, and every row once at the end. The normalized pivot row is
-    zero left of its pivot, so the other rows are updated from the pivot
-    column on."""
+    multiplier. The normalized pivot row is zero left of its pivot, so the
+    other rows are updated from the pivot column on. The reduced matrix
+    keeps the raw rows and boxes them only when its ``rows`` are read."""
     field = m.field
     reduce = field.reduce
-    rows = [field.unbox(row) for row in m.rows]
+    rows = list(map(list, m.raw_rows))
     nrows = len(rows)
     pivots = []
     r = 0
@@ -168,50 +197,77 @@ def rref(m: Matrix) -> RrefResult:
                     row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return RrefResult(Matrix._of(field, map(field.box, rows)), pivots, len(pivots))
+    return RrefResult(Matrix._of_raw(field, rows), pivots, len(pivots))
 
 
 def nullspace(m: Matrix) -> list[tuple]:
     """Basis of the right kernel, one vector per free column, ascending.
 
     Each basis vector carries the entry 1 at its own free column (standard
-    RREF parametrization), which makes the basis canonical.
+    RREF parametrization), which makes the basis canonical. Only the entries
+    of the free columns in the pivot rows are boxed.
     """
     reduced, pivots, rank = rref(m)
-    zero, one = m.field.zero(), m.field.one()
+    field = m.field
+    zero, one = field.zero(), field.one()
+    raw = reduced.raw_rows
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
         v = [zero] * m.ncols
         v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.rows[r][fc]
+        for pc, c in zip(pivots, field.box([-raw[r][fc] for r in range(rank)])):
+            v[pc] = c
         basis.append(tuple(v))
     assert rank + len(basis) == m.ncols  # rank-nullity
     return basis
 
 
+def raw_mat_apply(field, rows, v) -> list:
+    """The only dot product: rows of raw values times a vector of raw
+    values, each entry reduced once."""
+    reduce, zero = field.reduce, field.raw_zero
+    return [reduce(sum(map(operator.mul, row, v), zero)) for row in rows]
+
+
 def mat_apply(m: Matrix, v) -> tuple:
-    """Matrix-vector product, one reduction per entry."""
+    """Matrix-vector product on field elements: ``raw_mat_apply``, boxed."""
     field = m.field
     v = field.unbox(map(field.coerce, v))
     if len(v) != m.ncols:
         raise DimensionMismatch(f"vector of length {len(v)} against {m.nrows}x{m.ncols}")
-    zero = field.raw_zero
-    return tuple(field.box([sum(map(operator.mul, row, v), zero) for row in m.raw_rows]))
+    return tuple(field.box(raw_mat_apply(field, m.raw_rows, v)))
 
 
 def substitution_matrix(field, f: Polynomial, image) -> Matrix:
     """Matrix of g(X) -> g(image) on field[X]/(f), f monic of degree d and
-    image the d coordinates of a residue: column j is image^j mod f, each
-    the ``raw_mul_mod`` of the one before and image. It is sigma's matrix
-    (image s) and the Rabin test's Frobenius matrix (image X^p mod f)."""
+    image the d coordinates of a residue: column j is image^j mod f. It is
+    sigma's matrix (image s) and the Rabin test's Frobenius matrix (image
+    X^p mod f).
+
+    First the matrix T of multiplication by image: its column i is
+    image*X^i mod f, found from column i - 1 by one shift and one fold of
+    f, d^2 base multiplies in all. Column j + 1 of the result is then T
+    times column j: about d^3 multiplies in dot products, where a
+    ``raw_mul_mod`` per column would cost about 2d^3. The result keeps its
+    raw rows and boxes them only when its ``rows`` are read."""
     d = f.degree
-    columns = [Polynomial.one(field).padded(d)]
+    reduce = field.reduce
+    low = field.unbox(f.coeffs[:d])
+    column = field.unbox(image)
+    t_columns = [column]
+    for _ in range(d - 1):
+        top = column[-1]
+        column = [field.raw_zero] + column[:-1]
+        if top:
+            column = [reduce(a - top * y) for a, y in zip(column, low)]
+        t_columns.append(column)
+    t_rows = list(zip(*t_columns))
+    columns = [field.unbox(Polynomial.one(field).padded(d))]
     while len(columns) < d:
-        columns.append(field.box(raw_mul_mod(field, columns[-1], image, f)))
-    return Matrix._of(field, zip(*columns))
+        columns.append(raw_mat_apply(field, t_rows, columns[-1]))
+    return Matrix._of_raw(field, zip(*columns))
 
 
 def first_linear_dependency(field, vectors, limit: int) -> list:
@@ -229,7 +285,8 @@ def first_linear_dependency(field, vectors, limit: int) -> list:
     k = next((j for j, c in enumerate(pivots) if j != c), rank)
     if k == len(columns):
         raise AssertionError("no linear dependency found within the promised bound")
-    return [-reduced.rows[j][k] for j in range(k)] + [field.one()]
+    raw = reduced.raw_rows
+    return field.box([-raw[j][k] for j in range(k)]) + [field.one()]
 
 
 def poly_at_matrix(p: Polynomial, m: Matrix) -> Matrix:

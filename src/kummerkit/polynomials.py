@@ -199,21 +199,18 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     return prod[:d]
 
 
-def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder with deg r < deg b, by schoolbook long
-    division on raw values. A remainder coefficient is reduced when it
-    becomes a quotient digit, and the remainder once at the end."""
-    if not isinstance(a, Polynomial) or not isinstance(b, Polynomial):
-        raise TypeError("poly_divmod expects two polynomials")
-    a._check_same_field(b)
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    field = a.field
-    if a.degree < b.degree:
-        return Polynomial.zero(field), a
+def raw_divmod(field, a, b) -> tuple[list, list]:
+    """The only division loop: quotient and remainder of two lists of raw
+    values, b with a nonzero last value, by schoolbook long division. A
+    remainder coefficient is reduced when it becomes a quotient digit, and
+    the remainder once at the end. When a is shorter than b the quotient
+    is empty and the remainder is a, with no inverse taken. The remainder
+    has min(len(a), len(b) - 1) values, trailing zeros included."""
     reduce = field.reduce
-    rem, b = field.unbox(a.coeffs), field.unbox(b.coeffs)
     db = len(b) - 1
+    if len(a) <= db:
+        return [], [reduce(c) for c in a]
+    rem = list(a)
     inv_lead = field.raw_inverse(b[-1])
     quo = [None] * (len(rem) - db)  # every digit is set below
     for k in range(len(quo) - 1, -1, -1):
@@ -222,15 +219,37 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
         if c:
             for j, y in enumerate(b, k):
                 rem[j] -= c * y
-    return Polynomial._of(field, field.box(quo)), Polynomial._of(field, field.box(rem[:db]))
+    return quo, [reduce(c) for c in rem[:db]]
+
+
+def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Quotient and remainder with deg r < deg b: ``raw_divmod``, boxed."""
+    if not isinstance(a, Polynomial) or not isinstance(b, Polynomial):
+        raise TypeError("poly_divmod expects two polynomials")
+    a._check_same_field(b)
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    field = a.field
+    quo, rem = raw_divmod(field, field.unbox(a.coeffs), field.unbox(b.coeffs))
+    return Polynomial._of(field, field.box(quo)), Polynomial._of(field, field.box(rem))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd."""
+    """Monic gcd, zero when both operands are zero: Euclid on raw values
+    through ``raw_divmod``, each remainder stripped of its trailing zeros,
+    and one scaling by the inverse of the last leading coefficient."""
     a._check_same_field(b)
+    field = a.field
+    a, b = field.unbox(a.coeffs), field.unbox(b.coeffs)
     while b:
-        a, b = b, a % b
-    return a.monic()
+        rem = raw_divmod(field, a, b)[1]
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, rem
+    if a:
+        inv = field.raw_inverse(a[-1])
+        a = [c * inv for c in a]
+    return Polynomial._of(field, field.box(a))
 
 
 def poly_gcd_extended(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -261,21 +280,28 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
-    """base^e reduced mod a monic modulus, by square-and-multiply on padded
-    coefficient lists through ``raw_mul_mod``; the only residue power."""
+    """base^e reduced mod a monic modulus; the only residue power.
+
+    Left to right on padded coefficient lists through ``raw_mul_mod``: from
+    the bit below the top bit of e down, square, and on a set bit multiply
+    by base, with base as the first factor. ``raw_product`` skips the zero
+    coefficients of its first factor, so a multiply by a sparse base such
+    as X costs d base multiplies, and so does each square while the result
+    is still a power X^k with k < d.
+    """
     if modulus.degree < 1 or not modulus.is_monic():
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
     if e < 0:
         raise ValueError("negative exponent")
     field, d = base.field, modulus.degree
-    result = Polynomial.one(field).padded(d)
+    if not e:
+        return Polynomial.one(field)
     base = (base % modulus).padded(d)
-    while e:
-        if e & 1:
-            result = field.box(raw_mul_mod(field, result, base, modulus))
-        e >>= 1
-        if e:
-            base = field.box(raw_mul_mod(field, base, base, modulus))
+    result = base
+    for bit in bin(e)[3:]:
+        result = field.box(raw_mul_mod(field, result, result, modulus))
+        if bit == "1":
+            result = field.box(raw_mul_mod(field, base, result, modulus))
     return Polynomial._of(field, list(result))
 
 
@@ -333,18 +359,22 @@ def rabin_frobenius(f: Polynomial):
     over a prime field, else None; Q is the Rabin test's Frobenius matrix.
 
     f of degree d is irreducible iff X^(p^d) = X mod f and, for every prime
-    q dividing d, gcd(X^(p^(d/q)) - X, f) = 1.
+    q dividing d, gcd(X^(p^(d/q)) - X, f) = 1 (Rabin 1980).
+
+    For d >= 2 the test first rejects f with a root in F_p, that is with
+    gcd(X^p - X, f) != 1, before Q is built: most reducible f have one
+    (Ben-Or 1981). Q is built only for f with no root.
 
     The powers X^(p^k) come from iterating Frobenius as a linear map (Gao &
     Panario, 1997). Over F_p, g(X)^p = g(X^p) for every g, so g -> g^p mod f
     is the matrix Q whose column j is X^(j*p) mod f: the substitution matrix
-    of X^p mod f, which squaring finds once. Then X^(p^k) = Q^k X costs one
-    d x d mat-vec per k, instead of d*log(p) squarings per exponent p^k. The
-    powers are the same residues, so the gcd tests and the final test are
-    the same. In every degree Q, the substitution matrix of X^p mod f, is
-    the matrix of the Frobenius of F_p[X]/(f) ([[1]] when d = 1).
+    of X^p mod f, which one ``poly_pow_mod`` finds. Then X^(p^k) = Q^k X
+    costs one d x d ``raw_mat_apply`` per k on raw values, and the gcd test
+    at k = d/q runs as the loop reaches k; k = 1 is the root test. In every
+    degree Q, the substitution matrix of X^p mod f, is the matrix of the
+    Frobenius of F_p[X]/(f) ([[1]] when d = 1).
     """
-    from .linalg import mat_apply, substitution_matrix  # linalg imports this module
+    from .linalg import raw_mat_apply, substitution_matrix  # linalg imports this module
 
     if not isinstance(f.field, PrimeField):
         raise FieldMismatch(f"irreducibility test needs a prime field, got {f.field}")
@@ -354,15 +384,23 @@ def rabin_frobenius(f: Polynomial):
     if not f.is_monic():
         raise NotMonic(f"irreducibility test needs a monic polynomial, got {f}")
     field = f.field
-    p = field.p
-    x_to_p = poly_pow_mod(Polynomial.x(field), p, f).padded(d)
+
+    def coprime(power) -> bool:
+        """gcd(power - X, f) = 1, for a residue given as d >= 2 raw values."""
+        h = list(power)
+        h[1] -= 1
+        return poly_gcd(Polynomial._of(field, field.box(h)), f).degree == 0
+
+    x_to_p = poly_pow_mod(Polynomial.x(field), field.p, f).padded(d)
+    if d >= 2 and not coprime(field.unbox(x_to_p)):
+        return None
     q_matrix = substitution_matrix(field, f, x_to_p)
-    x = Polynomial.x(field) % f
-    frobenius = [x.padded(d)]  # frobenius[k]: X^(p^k) mod f
-    for _ in range(d):
-        frobenius.append(mat_apply(q_matrix, frobenius[-1]))
-    for q in prime_factors(d):
-        h = Polynomial(field, frobenius[d // q]) - x
-        if poly_gcd(h, f).degree != 0:
+    rows = q_matrix.raw_rows
+    tested = {d // q for q in prime_factors(d)} - {1}
+    x = field.unbox((Polynomial.x(field) % f).padded(d))
+    power = x  # X^(p^k) mod f
+    for k in range(1, d + 1):
+        power = raw_mat_apply(field, rows, power)
+        if k in tested and not coprime(power):
             return None
-    return (q_matrix, x_to_p) if frobenius[d] == frobenius[0] else None
+    return (q_matrix, x_to_p) if power == x else None

@@ -7,11 +7,15 @@ denominator, fully reduced, 0/1 for zero, ``str()`` gives ``"num/den"`` with
 the denominator omitted when it is 1). :func:`rational` is the checked
 constructor. Prime-field arithmetic gets its own element class.
 
-The hot loops (the E multiply, polynomial multiply and division, ``rref``
-and ``mat_apply``) exist once each. ``rref`` is the only elimination:
-``nullspace`` and the Krylov dependency search ``first_linear_dependency``
-read its result. ``mat_apply`` is the only dot product: ``Matrix.__mul__``
-applies it to each column of the right factor. ``raw_mul_mod`` is the only
+The hot loops (the E multiply, polynomial multiply, ``raw_divmod``,
+``rref`` and ``raw_mat_apply``) exist once each. ``raw_divmod`` is the only
+division: ``poly_divmod`` boxes its result and ``poly_gcd`` runs Euclid on
+raw values through it. ``rref`` is the only elimination: ``nullspace`` and
+the Krylov dependency search ``first_linear_dependency`` read its result
+and box only the entries they return. ``raw_mat_apply`` is the only dot
+product: ``mat_apply`` boxes it, ``Matrix.__mul__`` applies that to each
+column of the right factor, and ``substitution_matrix`` and the Rabin
+test's Frobenius steps call it on raw values. ``raw_mul_mod`` is the only
 multiply mod f and ``poly_pow_mod``, which runs on it, the only residue
 power (``ExtensionElement.__pow__``). The loops run on raw values
 through hooks of the field descriptor: ``unbox(elements)`` gives the raw

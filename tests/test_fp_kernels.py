@@ -1,16 +1,20 @@
 """The shared arithmetic loops against reference loops over field elements.
 
-Polynomial multiply and ``poly_divmod``, the E x E multiply, ``rref`` and
-``mat_apply`` each run one loop on raw values through the hooks of the
-field descriptor (``unbox``, ``box``, ``reduce``, ``raw_inverse``,
-``raw_zero``). ``rref`` is the only elimination and ``mat_apply`` the only
-dot product: ``first_linear_dependency`` reads the first dependency off
-``rref`` and ``Matrix.__mul__`` applies ``mat_apply`` to each column.
-``raw_mul_mod`` is the only multiply mod f and ``poly_pow_mod`` the only
-residue power: the E multiply, ``ExtensionElement.__pow__`` and each column
-of ``substitution_matrix`` run through them, and are checked against
-``oracle_ext_mul`` and ``oracle_pow_mod``, as is the Frobenius matrix that
-an extension of F_p keeps from its Rabin test. Over
+Polynomial multiply, ``raw_divmod`` (under ``poly_divmod`` and the Euclid
+of ``poly_gcd``), the E x E multiply, ``rref`` and ``raw_mat_apply``
+(under ``mat_apply``) each run one loop on raw values through the hooks of
+the field descriptor (``unbox``, ``box``, ``reduce``, ``raw_inverse``,
+``raw_zero``). ``rref`` is the only elimination and ``raw_mat_apply`` the
+only dot product: ``first_linear_dependency`` reads the first dependency
+off ``rref``, ``Matrix.__mul__`` applies ``mat_apply`` to each column, and
+``substitution_matrix`` steps each column from the one before by its
+multiply-by-image matrix. ``raw_mul_mod`` is the only multiply mod f and
+``poly_pow_mod`` the only residue power: the E multiply and
+``ExtensionElement.__pow__`` run through them, and are checked against
+``oracle_ext_mul`` and ``oracle_pow_mod``, as are each column of
+``substitution_matrix`` and the Frobenius matrix that an extension of F_p
+keeps from its Rabin test. ``oracle_poly_gcd`` is the Euclid ``poly_gcd``
+ran on elements before it ran on raw values. Over
 ``PrimeField`` the raw values are ints reduced mod p; over ``QQ`` and tower
 bases they are the elements themselves. The oracles below are the generic
 loops these operations ran before they were merged, kept verbatim but for
@@ -49,7 +53,13 @@ from kummerkit.linalg import (
     rref,
     substitution_matrix,
 )
-from kummerkit.polynomials import Polynomial, is_irreducible_mod_p, poly_divmod, poly_pow_mod
+from kummerkit.polynomials import (
+    Polynomial,
+    is_irreducible_mod_p,
+    poly_divmod,
+    poly_gcd,
+    poly_pow_mod,
+)
 from kummerkit.scalars import MR_EXACT_BOUND, PrimeField, PrimeFieldElement, RationalField, is_prime
 from kummerkit.tower import ExtensionElement, ExtensionField
 
@@ -184,6 +194,12 @@ def oracle_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
         base = oracle_poly_divmod(oracle_poly_mul(base, base), modulus)[1]
         e >>= 1
     return result
+
+
+def oracle_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    while b:
+        a, b = b, oracle_poly_divmod(a, b)[1]
+    return a.monic()
 
 
 # -- inputs ------------------------------------------------------------------
@@ -371,6 +387,22 @@ def test_extension_power_and_substitution_matrix(data):
         assert Polynomial(base, m.column(j)) == oracle_pow_mod(image, j, ext.modulus)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substitution_matrix_over_any_monic_modulus(data):
+    # the ring field[X]/(f) is all the matrix needs, so f is drawn freely
+    field = data.draw(st.sampled_from(FIELDS))
+    d = data.draw(st.integers(1, 6))
+    f = Polynomial(field, data.draw(st.lists(elements(field), min_size=d, max_size=d)) + [field.one()])
+    coords = data.draw(st.lists(elements(field), min_size=d, max_size=d))
+    m = substitution_matrix(field, f, coords)
+    assert (m.nrows, m.ncols) == (d, d)
+    image = Polynomial(field, coords)
+    for j in range(d):
+        assert_canonical(m.column(j), field)
+        assert Polynomial(field, m.column(j)) == oracle_pow_mod(image, j, f)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_frobenius_matrix_of_the_rabin_test(data):
@@ -412,6 +444,47 @@ def test_polynomial_multiply_and_divmod(data):
     assert (q, r) == oracle_poly_divmod(a, b)
     assert_canonical(q.coeffs + r.coeffs, field)
     assert q * b + r == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_poly_gcd(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a, b = data.draw(polys(field)), data.draw(polys(field))  # either may be zero
+    if data.draw(st.booleans()):  # a common factor of degree >= 1
+        c = data.draw(polys(field, 3).filter(lambda c: c.degree >= 1))
+        a, b = oracle_poly_mul(a, c), oracle_poly_mul(b, c)
+    got = poly_gcd(a, b)
+    assert got == oracle_poly_gcd(a, b)
+    assert_canonical(got.coeffs, field)
+    assert got == poly_gcd(b, a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_poly_gcd_of_zero_operands(field):
+    zero = Polynomial.zero(field)
+    g = Polynomial(field, [field.from_int(2), field.one(), field.from_int(3)])
+    for a, b in ((zero, zero), (g, zero), (zero, g)):
+        got = poly_gcd(a, b)
+        assert got == oracle_poly_gcd(a, b)
+        assert_canonical(got.coeffs, field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_poly_pow_mod_at_chosen_exponents(data):
+    # e = p is the Frobenius power the Rabin test takes; 0 to 3 cover the
+    # first bits of the left-to-right loop
+    field = data.draw(st.sampled_from(FIELDS))
+    d = data.draw(st.integers(1, 5))
+    modulus = Polynomial(field, data.draw(st.lists(elements(field), min_size=d, max_size=d)) + [field.one()])
+    base = data.draw(st.one_of(st.just(Polynomial.x(field)), polys(field)))
+    char = field.characteristic()
+    exponents = [0, 1, 2, 3] + ([char, data.draw(st.integers(0, 10**6))] if char else [data.draw(st.integers(4, 30))])
+    for e in exponents:
+        got = poly_pow_mod(base, e, modulus)
+        assert got == oracle_pow_mod(base, e, modulus), e
+        assert_canonical(got.coeffs, field)
 
 
 @settings(max_examples=100, deadline=None)

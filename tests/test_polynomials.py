@@ -3,7 +3,7 @@
 Independent oracles: an int-tuple polynomial arithmetic (mod p) written here
 from scratch for trial-division irreducibility and naive powering, the
 evaluate-at-root rule for division remainders, and sympy's cyclotomic
-polynomials.
+polynomials and irreducibility test.
 """
 
 import itertools
@@ -14,7 +14,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from kummerkit import linalg
 from kummerkit.errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
+from kummerkit.families import default_modulus
 from kummerkit.polynomials import (
     Polynomial,
     cyclotomic_polynomial,
@@ -23,6 +25,7 @@ from kummerkit.polynomials import (
     poly_gcd,
     poly_gcd_extended,
     poly_pow_mod,
+    rabin_frobenius,
 )
 from kummerkit.scalars import PrimeField, RationalField
 
@@ -229,7 +232,7 @@ class TestIrreducibility:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_agrees_with_trial_division(self, p):
         field = PrimeField(p)
-        max_deg = 4 if p <= 5 else 3
+        max_deg = 5 if p <= 5 else 3
         for deg in range(1, max_deg + 1):
             for f in o_monic_polys(p, deg):
                 assert is_irreducible_mod_p(Polynomial(field, f)) == o_irreducible(f, p), f
@@ -264,6 +267,93 @@ class TestIrreducibilityAgainstSympy:
             assert got == sympy_irreducible(f, p), (p, f)
             irreducible += got
         assert 0 < irreducible < 300  # both outcomes exercised
+
+
+def sympy_first_irreducible(p, n):
+    """The lex-first monic irreducible of degree n over F_p by sympy, with
+    the coefficient tuple (c_0, ..., c_{n-1}) read left to right; for
+    n >= 2 the tuples with c_0 = 0 are skipped, since X divides them."""
+    for c_0 in range(1 if n >= 2 else 0, p):
+        for rest in itertools.product(range(p), repeat=n - 1):
+            if sympy_irreducible((c_0,) + rest + (1,), p):
+                return (c_0,) + rest + (1,)
+    raise AssertionError(f"no irreducible of degree {n} over F_{p}")
+
+
+def sympy_irreducible_factor(p, deg, rng):
+    """A random monic irreducible of the given degree over F_p, by sympy."""
+    while True:
+        g = tuple(rng.randrange(p) for _ in range(deg)) + (1,)
+        if sympy_irreducible(g, p):
+            return g
+
+
+class TestRabinTest:
+    """``rabin_frobenius`` rejects f with a root before it builds Q, and runs
+    each gcd test of Rabin's criterion as its Frobenius loop reaches it."""
+
+    def test_seeded_random_up_to_degree_16_against_sympy(self):
+        rng = random.Random(1997)
+        primes = [q for q in range(2, 2000) if sympy.isprime(q)]
+        irreducible = 0
+        for _ in range(150):
+            p = rng.choice(primes)
+            deg = rng.randrange(1, 17)
+            f = tuple(rng.randrange(p) for _ in range(deg)) + (1,)
+            got = rabin_frobenius(Polynomial(PrimeField(p), f)) is not None
+            assert got == sympy_irreducible(f, p), (p, f)
+            irreducible += got
+        assert 0 < irreducible < 150  # both outcomes exercised
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [
+            (2, 2),  # d = 4: rejected by the gcd test at k = 2
+            (3, 3),  # d = 6: passes k = 2, rejected at k = 3
+            (4, 4),  # d = 8: rejected at k = 4
+            (2, 3),  # d = 5 prime: no gcd test after the root test; X^(p^5) != X
+            (2, 5),  # d = 7 prime: likewise
+            (3, 5),  # d = 8: passes k = 4, X^(p^8) != X
+            (4, 5),  # d = 9: passes k = 3, X^(p^9) != X
+        ],
+    )
+    def test_reducible_without_a_root(self, degrees):
+        rng = random.Random(str(degrees))
+        for p in (2, 3, 1009, 1999):
+            f = o_mul(*(sympy_irreducible_factor(p, e, rng) for e in degrees), p)
+            assert not sympy_irreducible(f, p)
+            assert rabin_frobenius(Polynomial(PrimeField(p), f)) is None, (p, f)
+
+    def test_a_root_rejects_before_q_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("substitution_matrix reached")
+
+        monkeypatch.setattr(linalg, "substitution_matrix", refuse)
+        rng = random.Random(1981)
+        for p in (2, 3, 7, 1201):
+            field = PrimeField(p)
+            for deg in range(2, 17):
+                root = rng.randrange(p)
+                cofactor = tuple(rng.randrange(p) for _ in range(deg - 1)) + (1,)
+                f = o_mul((-root % p, 1), cofactor, p)
+                assert rabin_frobenius(Polynomial(field, f)) is None, (p, f)
+        with pytest.raises(AssertionError, match="substitution_matrix reached"):
+            rabin_frobenius(Polynomial(PrimeField(7), [1, 0, 1]))  # no root: Q is needed
+
+    def test_the_frobenius_steps_make_no_mat_apply_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mat_apply reached")
+
+        monkeypatch.setattr(linalg, "mat_apply", refuse)
+        field = PrimeField(1249)
+        f = default_modulus(field, 16)
+        assert rabin_frobenius(f) is not None
+
+    @pytest.mark.parametrize("p", [q for q in range(2, 200) if sympy.isprime(q)])
+    def test_default_modulus_is_the_lex_first_irreducible(self, p):
+        for n in range(1, 13):
+            if (p - 1) % n == 0:
+                assert default_modulus(PrimeField(p), n).coeffs == Polynomial(PrimeField(p), sympy_first_irreducible(p, n)).coeffs, (p, n)
 
 
 class TestPowMod:
