@@ -15,6 +15,7 @@ QQ) is not always caught: it may certify valid (ROADMAP item 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 
 from .errors import (
     AutomorphismOrderMismatch,
@@ -70,10 +71,22 @@ class CyclicExtensionInput:
 @dataclass(frozen=True)
 class ValidatedContext(CyclicExtensionInput):
     """An input that passed validate_setup, with zeta and the image coerced
-    into K and E, plus the automorphism's matrix and the powers of zeta."""
+    into K and E, plus the powers of zeta and the automorphism's matrix."""
 
-    matrix: Matrix  # column j: the coordinates of s^j over K
     zeta_powers: tuple  # zeta^0, ..., zeta^(n-1) in K
+
+    @property
+    def sigma_is_frobenius(self) -> bool:
+        """sigma is a -> a^p of E over F_p: s = X^p mod f (E.frobenius_image)."""
+        return self.sigma_image.coords == self.ext_field.frobenius_image
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """sigma's matrix, column j the coordinates of s^j over K, built on
+        first read: E's Frobenius matrix when sigma is the Frobenius."""
+        if self.sigma_is_frobenius:
+            return self.ext_field.frobenius
+        return substitution_matrix(self.base_field, self.modulus, self.sigma_image.coords)
 
     def sigma(self, e: ExtensionElement) -> ExtensionElement:
         """Apply the automorphism: the image of sum(c_j * alpha^j) is
@@ -134,14 +147,15 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
     exactly n.
 
     When E is over F_p and s is X^p mod f (ExtensionField.frobenius_image),
-    the last two checks are read off the Rabin proof that f is irreducible:
-    f(X^p) = f(X)^p = 0, and the Frobenius of F_(p^n) has order exactly n.
-    The Rabin test's Frobenius matrix Q (ExtensionField.frobenius) is then
-    sigma's matrix, and nothing is computed. Otherwise sigma's matrix M is
-    built from s, f(s) is read off it as M*(f_0, ..., f_(n-1)) + s^(n-1)*s
-    (column n-1 of M is s^(n-1)), and sigma^k(alpha) is walked for
-    k = 1, ..., n. Both ways raise the same exceptions and give the same
-    matrix, in every degree n >= 1.
+    the last two checks are read off the proof that f is irreducible,
+    recorded when E was built (the Rabin test, or a certificate's Kummer
+    witness): f(X^p) = f(X)^p = 0, and the Frobenius of F_(p^n) has order
+    exactly n. Nothing is computed, and sigma's matrix (ctx.matrix) is E's
+    Frobenius matrix Q, read only by a caller that needs it. Otherwise
+    sigma's matrix M is built from s, f(s) is read off it as
+    M*(f_0, ..., f_(n-1)) + s^(n-1)*s (column n-1 of M is s^(n-1)), and
+    sigma^k(alpha) is walked for k = 1, ..., n. Both ways raise the same
+    exceptions and give the same matrix, in every degree n >= 1.
     """
     if not isinstance(inp.ext_field, ExtensionField):
         raise ValidationError("E must be an extension field")
@@ -174,15 +188,15 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
         if zeta_powers[n // q] == base.one():
             raise NoPrimitiveRoot(f"zeta^{n // q} = 1, so the order of zeta is not {n}")
 
-    if ext.frobenius is not None and sigma_image.coords == ext.frobenius_image:
-        return ValidatedContext(ext, n, zeta, sigma_image, ext.frobenius, tuple(zeta_powers))
+    ctx = ValidatedContext(ext, n, zeta, sigma_image, tuple(zeta_powers))
+    if ctx.sigma_is_frobenius:
+        return ctx
 
-    matrix = substitution_matrix(base, ext.modulus, sigma_image.coords)
+    matrix = ctx.matrix
     s_to_n = ExtensionElement(ext, matrix.column(n - 1)) * sigma_image
     if ExtensionElement(ext, mat_apply(matrix, ext.modulus.coeffs[:n])) + s_to_n:
         raise NotAnAutomorphism("the image of the generator is not a root of the modulus")
 
-    ctx = ValidatedContext(ext, n, zeta, sigma_image, matrix, tuple(zeta_powers))
     alpha = ext.gen()
     image = alpha
     proper_divisors = [k for k in range(1, n) if n % k == 0]
@@ -325,7 +339,7 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     ends the list at "x != 0", since nothing after it is defined; c and the
     min poly are then None.
 
-    Three kinds of fact are read off proofs instead of computed, each under
+    Four kinds of fact are read off proofs instead of computed, each under
     exactly its own premise, for certify and verify alike; every holds value
     is the one the full derivation computes.
 
@@ -356,6 +370,17 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     from the report, so it computes it. When a premise fails, the full
     derivation runs, with element_min_poly for x's min poly, and a K or E
     that is not a field may raise NotInvertible with the zero divisor met.
+
+    K = F_p, sigma the Frobenius (s = X^p mod f) and x^n a nonzero c' in
+    F_p: g(X)^p = g(X^p) over F_p, so sigma(x) = x^p, which is
+    x * (x^n)^((p-1)/n) = c'^((p-1)/n) * x; x is a unit, so
+    sigma(x) = zeta*x iff c'^((p-1)/n) = zeta, one power in F_p and no
+    matrix. It holds in any F_p-algebra; it waits on the proven-field seam
+    only so that forcing the full derivation applies sigma's matrix too.
+    x^n is computed once: when E was proven a field by this x's Kummer
+    witness (E.kummer_witness), the x^n found then is used. So a witness
+    verify of an F_p certificate with s = X^p mod f computes X^p and x^n
+    while parsing, and after that no matrix and no power.
     """
     n = ctx.n
     if claimed is None:
@@ -366,8 +391,14 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     proven_field = _is_proven_field(ctx.base_field)
     witness = False
     if x:
-        sigma_x_ok, x_pow_n = ctx.sigma(x) == x * ctx.zeta_pow(1), x**n
-        x_pow_n_in_k = x_pow_n.as_base() is not None
+        known = ctx.ext_field.kummer_witness
+        x_pow_n = ctx.ext_field.embed(known[1]) if known is not None and known[0] == x.coords else x**n
+        c_computed = x_pow_n.as_base()
+        if proven_field and c_computed and ctx.sigma_is_frobenius:
+            sigma_x_ok = c_computed ** ((ctx.base_field.p - 1) // n) == ctx.zeta_pow(1)
+        else:
+            sigma_x_ok = ctx.sigma(x) == x * ctx.zeta_pow(1)
+        x_pow_n_in_k = c_computed is not None
         witness = proven_field and sigma_x_ok and x_pow_n_in_k and bool(x_pow_n)
     if claimed is not None and witness:
         report = EigenReport(tuple(EigenEntry(i, ctx.zeta_pow(i), 1) for i in range(n)))
@@ -447,8 +478,11 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
     and the facts read off proofs are _derive's, shared with certify; a
     claimed x that is a witness over a proven field costs one sigma(x) and
     one x^n after validate_setup, O(n^2 log n) operations in K with no
-    elimination, as its min poly is X^n - x^n. A K or E that is not a field
-    may raise NotInvertible.
+    elimination, as its min poly is X^n - x^n. Over F_p with s = X^p mod f
+    it costs less: parsing the certificate proved E a field with one X^p
+    and one x^n (ExtensionField's Kummer witness), sigma(x) = zeta*x is
+    read off x^n, and no matrix is built or applied. A K or E that is not a
+    field may raise NotInvertible.
     """
     try:
         ctx = validate_setup(cert.input)

@@ -404,3 +404,37 @@ def rabin_frobenius(f: Polynomial):
         if k in tested and not coprime(power):
             return None
     return (q_matrix, x_to_p) if power == x else None
+
+
+def kummer_frobenius(f: Polynomial, n: int, zeta: int, image, x):
+    """(the d coordinates of X^p mod f as a tuple, (x's d coordinates, x^n))
+    when a Kummer witness proves f irreducible over a prime field, else
+    None; it raises nothing for ints zeta and n and int sequences image and
+    x (the coordinates of s and of x, at most d each).
+
+    The premises: deg f = n, zeta has exact order n in F_p, s = X^p mod f,
+    and x^n, computed, is a nonzero constant c with c^((p-1)/n) = zeta (so
+    x != 0). Then f is irreducible. Over F_p, g(X)^p = g(X^p) for every g,
+    so a -> a^p is the endomorphism X -> X^p of E = F_p[X]/(f) whatever f
+    is, and x^p = x * (x^n)^((p-1)/n) = zeta*x. So 1, x, ..., x^(n-1) are
+    nonzero (x is a unit) eigenvectors for the distinct eigenvalues
+    zeta^i, a basis of E, and E is F_p[Y]/(Y^n - c). As zeta has exact
+    order n, c^((p-1)/q) = zeta^(n/q) != 1 for every prime q | n, so c is
+    no q-th power and Y^n - c is irreducible (Capelli; Lang, Algebra,
+    VI 9, Thm 9.1, whose -4K^4 clause is void: i = zeta^(n/4) is in F_p
+    when 4 | n, so -4 is a fourth power). Costs two ``poly_pow_mod``: X^p
+    and x^n.
+    """
+    field = f.field
+    p, d = field.p, f.degree
+    zeta %= p
+    if d != n or pow(zeta, n, p) != 1 or any(pow(zeta, n // q, p) == 1 for q in prime_factors(n)):
+        return None
+    x_to_p = poly_pow_mod(Polynomial.x(field), p, f).padded(d)
+    if Polynomial(field, image).padded(d) != x_to_p:
+        return None
+    x = Polynomial(field, x)
+    x_to_n = poly_pow_mod(x, n, f)
+    if x_to_n.degree != 0 or pow(x_to_n.coeffs[0].value, (p - 1) // n, p) != zeta:
+        return None
+    return x_to_p, (x.padded(d), x_to_n.coeffs[0])

@@ -150,11 +150,11 @@ def field_from_json(obj):
     raise SchemaViolation(f"unknown field kind {kind!r}")
 
 
-def _build_extension(base, modulus) -> ExtensionField:
+def _build_extension(base, modulus, witness=None) -> ExtensionField:
     # structural defects in a document are schema violations, not arithmetic
     # errors; ReducibleModulus stays a validation rejection
     try:
-        return ExtensionField(base, modulus)
+        return ExtensionField(base, modulus, witness)
     except (NotMonic, TowerTooTall, ValueError) as exc:
         raise SchemaViolation(str(exc)) from exc
 
@@ -175,7 +175,10 @@ def input_to_json(inp: CyclicExtensionInput) -> dict:
     }
 
 
-def input_from_json(obj) -> CyclicExtensionInput:
+def input_from_json(obj, x=None) -> CyclicExtensionInput:
+    """The input a tower spec describes. A certificate passes its encoded x
+    too: over F_p its Kummer witness may then prove E a field instead of the
+    Rabin test (``ExtensionField``), with the same result."""
     if not isinstance(obj, dict):
         raise SchemaViolation(f"tower spec must be an object, got {obj!r}")
     missing = [k for k in INPUT_KEYS if k not in obj]
@@ -183,11 +186,32 @@ def input_from_json(obj) -> CyclicExtensionInput:
         raise SchemaViolation(f"tower spec is missing keys: {', '.join(missing)}")
     base = field_from_json(obj["base"])
     modulus = poly_from_json(base, obj["modulus"])
-    ext = _build_extension(base, modulus)
+    ext = _build_extension(base, modulus, _kummer_witness(obj, base, modulus, x))
     n = _int_from_json(obj["n"], "n")
     zeta = element_from_json(base, obj["zeta"])
     sigma_image = element_from_json(ext, obj["sigma_image"])
     return CyclicExtensionInput(ext, n, zeta, sigma_image)
+
+
+def _kummer_witness(obj, base, modulus, x):
+    """(n, zeta, s, x) as ints, for ``ExtensionField`` over F_p, or None
+    when x is None, the base is not F_p, or a piece does not fit the
+    schema; every piece is parsed again after the build, with its usual
+    error."""
+    if x is None or not isinstance(base, PrimeField):
+        return None
+    image = obj["sigma_image"]
+    if not (isinstance(image, list) and isinstance(x, list) and max(len(image), len(x)) <= modulus.degree):
+        return None
+    try:
+        return (
+            _int_from_json(obj["n"], "n"),
+            _int_from_json(obj["zeta"], "zeta"),
+            [_int_from_json(c, "coordinate") for c in image],
+            [_int_from_json(c, "coordinate") for c in x],
+        )
+    except SchemaViolation:
+        return None
 
 
 # -- certificates -------------------------------------------------------------
@@ -218,7 +242,7 @@ def certificate_from_json(obj) -> KummerCertificate:
                 raise MalformedCertificate(f"certificate is missing '{key}'")
         if obj["version"] != CERTIFICATE_VERSION:
             raise MalformedCertificate(f"unsupported certificate version {obj['version']!r}")
-        inp = input_from_json(obj["input"])
+        inp = input_from_json(obj["input"], obj["x"])
         base, ext = inp.base_field, inp.ext_field
         entries = []
         if not isinstance(obj["eigen"], list):

@@ -12,7 +12,15 @@ from __future__ import annotations
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
-from .polynomials import Polynomial, cyclotomic_index, poly_gcd_extended, poly_pow_mod, rabin_frobenius, raw_mul_mod
+from .polynomials import (
+    Polynomial,
+    cyclotomic_index,
+    kummer_frobenius,
+    poly_gcd_extended,
+    poly_pow_mod,
+    rabin_frobenius,
+    raw_mul_mod,
+)
 from .scalars import IdentityHooks, PrimeField
 
 MAX_TOWER_HEIGHT = 3
@@ -22,20 +30,31 @@ class ExtensionField(IdentityHooks):
     """base[X]/(modulus) for a monic modulus of degree >= 1 over the base.
 
     Building the field records what it proved, for every caller to read.
-    ``proven_field``: the modulus passed the Rabin test over F_p, or it
-    equals some Phi_m over QQ (``cyclotomic_index``; irreducible by Gauss).
-    Over F_p the field also keeps the Rabin test's Frobenius matrix as
-    ``frobenius`` (column j is X^(j*p) mod f) and the coordinates of
-    X^p mod f as the tuple ``frobenius_image``; over other bases both are
-    None. A modulus not proven irreducible is accepted as asserted: a
-    reducible one surfaces only when a division meets a zero divisor
-    (NotInvertible), and otherwise may go unseen, so some such algebras
-    certify valid (ROADMAP item 1).
+    ``proven_field``: the modulus is irreducible over F_p, or it equals
+    some Phi_m over QQ (``cyclotomic_index``; irreducible by Gauss). Over
+    F_p the field keeps the coordinates of X^p mod f as the tuple
+    ``frobenius_image``, and ``frobenius`` is the Frobenius matrix Q
+    (column j is X^(j*p) mod f); over other bases both are None.
+
+    Over F_p, ``witness`` may offer a certificate's Kummer witness
+    (n, zeta, s, x) as ints, with at most d coordinates each for s and x.
+    When ``kummer_frobenius`` finds that it proves the modulus irreducible
+    (one X^p and one x^n), no Rabin test runs: the field records the
+    witness as ``kummer_witness``, (x's coordinates, x^n), and builds Q
+    from ``frobenius_image`` when ``frobenius`` is first read. Otherwise
+    ``kummer_witness`` is None and the Rabin test runs, which raises
+    ReducibleModulus on a reducible modulus and keeps its Q. Both ways give
+    the same field, with the same ``frobenius_image`` and Q.
+
+    A modulus over another base, not proven irreducible, is accepted as
+    asserted: a reducible one surfaces only when a division meets a zero
+    divisor (NotInvertible), and otherwise may go unseen, so some such
+    algebras certify valid (ROADMAP item 1).
     """
 
-    __slots__ = ("base", "modulus", "degree", "frobenius", "frobenius_image", "proven_field")
+    __slots__ = ("base", "modulus", "degree", "_frobenius", "frobenius_image", "kummer_witness", "proven_field")
 
-    def __init__(self, base, modulus: Polynomial):
+    def __init__(self, base, modulus: Polynomial, witness=None):
         if modulus.field != base:
             raise FieldMismatch(f"modulus over {modulus.field}, base is {base}")
         if modulus.degree < 1:
@@ -44,18 +63,33 @@ class ExtensionField(IdentityHooks):
             raise NotMonic(f"extension modulus must be monic, got {modulus}")
         if base.height() + 1 > MAX_TOWER_HEIGHT:
             raise TowerTooTall(f"tower would have height {base.height() + 1}, cap is {MAX_TOWER_HEIGHT}")
-        frobenius = frobenius_image = None
+        frobenius = frobenius_image = kummer_witness = None
         if isinstance(base, PrimeField):
-            rabin = rabin_frobenius(modulus)
-            if rabin is None:
-                raise ReducibleModulus(f"{modulus} is reducible over {base}")
-            frobenius, frobenius_image = rabin
+            proof = None if witness is None else kummer_frobenius(modulus, *witness)
+            if proof is not None:
+                frobenius_image, kummer_witness = proof
+            else:
+                rabin = rabin_frobenius(modulus)
+                if rabin is None:
+                    raise ReducibleModulus(f"{modulus} is reducible over {base}")
+                frobenius, frobenius_image = rabin
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", modulus.degree)
-        object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "_frobenius", frobenius)
         object.__setattr__(self, "frobenius_image", frobenius_image)
-        object.__setattr__(self, "proven_field", frobenius is not None or cyclotomic_index(modulus) is not None)
+        object.__setattr__(self, "kummer_witness", kummer_witness)
+        object.__setattr__(self, "proven_field", frobenius_image is not None or cyclotomic_index(modulus) is not None)
+
+    @property
+    def frobenius(self):
+        """Q, the substitution matrix of X^p mod f over F_p (None over other
+        bases): the Rabin test's, or built on first read."""
+        if self._frobenius is None and self.frobenius_image is not None:
+            from .linalg import substitution_matrix  # linalg imports this module
+
+            object.__setattr__(self, "_frobenius", substitution_matrix(self.base, self.modulus, self.frobenius_image))
+        return self._frobenius
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")

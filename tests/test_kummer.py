@@ -666,14 +666,9 @@ def oracle_validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
     powers = [ext.one()]
     while len(powers) < n:
         powers.append(powers[-1] * sigma_image)
-    ctx = ValidatedContext(
-        ext,
-        n,
-        zeta,
-        sigma_image,
-        matrix=Matrix.from_columns(base, [s.coords for s in powers]),
-        zeta_powers=tuple(zeta_powers),
-    )
+    ctx = ValidatedContext(ext, n, zeta, sigma_image, zeta_powers=tuple(zeta_powers))
+    # the oracle's own matrix, in place of the one ctx.matrix would build
+    object.__setattr__(ctx, "matrix", Matrix.from_columns(base, [s.coords for s in powers]))
     alpha = ext.gen()
     image = alpha
     proper_divisors = [k for k in range(1, n) if n % k == 0]
@@ -734,9 +729,10 @@ def test_validate_setup_matches_the_general_derivation(p, n, monkeypatch):
 
 class TestFrobeniusMatrixOnce:
     """Over F_p the Rabin test's Frobenius matrix, kept by ExtensionField, is
-    sigma's matrix when s = X^p mod f: certify and verify build that one
-    substitution matrix and evaluate no polynomial. Any other s takes the
-    general path, which builds sigma's matrix from s and reads f(s) off it."""
+    sigma's matrix when s = X^p mod f: certify builds that one substitution
+    matrix and evaluates no polynomial, and verify, whose Kummer witness
+    proves E a field, builds none. Any other s takes the general path,
+    which builds sigma's matrix from s and reads f(s) off it."""
 
     COUNTED = ("substitution_matrix", "evaluate", "__mul__", "sigma")
 
@@ -761,7 +757,7 @@ class TestFrobeniusMatrixOnce:
         calls.update(dict.fromkeys(calls, 0))
         assert cli.main(["verify", str(out), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"outcome": "valid", "failures": []}
-        assert (calls["substitution_matrix"], calls["evaluate"]) == (1, 0)
+        assert (calls["substitution_matrix"], calls["evaluate"]) == (0, 0)  # the Kummer witness proves E
 
     def test_frobenius_input_computes_nothing(self, calls):
         for inp in (frobenius_family(97, 16), frobenius_family(5, 1)):
