@@ -6,37 +6,42 @@ root of unity in F_p). One hard-coded characteristic-0 instance exercises
 the nested tower: the degree-3 extension K[X]/(X^3 - 3X + 1) of
 K = QQ[t]/(t^2 + t + 1), whose generating automorphism sends the generator
 alpha to alpha^2 - 2. The constructors re-check nothing that is proven
-elsewhere: the Frobenius family's modulus passes the Rabin test when its
-field is built, and validate_setup proves every hypothesis on every use,
+elsewhere: the Frobenius family's modulus passes the Rabin test once, when
+its field is built (the default modulus is found by building the field of
+each candidate), and validate_setup proves every hypothesis on every use,
 the cubic's f(alpha^2 - 2) = 0 included, reading them off the Rabin proof
 when the image is X^p mod f.
 """
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ReducibleModulus, ValidationError
 from .kummer import CyclicExtensionInput
-from .polynomials import Polynomial, is_irreducible_mod_p
+from .polynomials import Polynomial
 from .scalars import PrimeField, RationalField, find_nth_root_of_unity
 from .tower import ExtensionField
 from . import serialize
 
 
-def default_modulus(field: PrimeField, n: int) -> Polynomial:
-    """First monic irreducible of degree n, in lexicographic order of the
-    coefficient tuple (c_0, ..., c_{n-1}).
+def default_modulus(field: PrimeField, n: int) -> ExtensionField:
+    """The field F_p[X]/(f) for f the first monic irreducible of degree n,
+    in lexicographic order of the coefficient tuple (c_0, ..., c_{n-1}).
 
-    Tuples with c_0 = 0 are skipped for n >= 2: they all have the root 0, so
-    the lex-first irreducible never lies among them. The tuples are stepped
-    through like an odometer, the last coordinate turning fastest, so no
-    range of p values is ever held in memory.
+    Each candidate is tried by building its field, whose Rabin test either
+    raises ReducibleModulus or is the proof the returned field keeps, so
+    the winning modulus is tested once. Tuples with c_0 = 0 are skipped for
+    n >= 2: they all have the root 0, so the lex-first irreducible never
+    lies among them. The tuples are stepped through like an odometer, the
+    last coordinate turning fastest, so no range of p values is ever held
+    in memory.
     """
     p = field.p
     digits = [0 if n == 1 else 1] + [0] * (n - 1)
     while True:
-        candidate = Polynomial(field, digits + [1])
-        if is_irreducible_mod_p(candidate):
-            return candidate
+        try:
+            return ExtensionField(field, Polynomial(field, digits + [1]))
+        except ReducibleModulus:
+            pass
         k = n - 1
         while digits[k] == p - 1:
             if k == 0:
@@ -51,24 +56,24 @@ def frobenius_family(p: int | PrimeField, n: int, modulus: Polynomial | None = N
 
     p is the characteristic or an already-built PrimeField, whose primality
     is then not tested again. Requires n | p-1 so that F_p already contains
-    a primitive n-th root of unity. The extension modulus defaults to the
-    lex-first irreducible. sigma's image X^p mod f is the extension field's
-    ``frobenius_image``, which the Rabin test computed; no power is
+    a primitive n-th root of unity. The extension field defaults to
+    ``default_modulus``'s, built once; a supplied modulus is Rabin-tested
+    when its field is built. sigma's image X^p mod f is the extension
+    field's ``frobenius_image``, which the Rabin test computed; no power is
     computed here.
     """
     base = p if isinstance(p, PrimeField) else PrimeField(p)
-    p = base.p
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     zeta = find_nth_root_of_unity(base, n)
     if modulus is None:
-        modulus = default_modulus(base, n)
+        ext = default_modulus(base, n)
     else:
         if modulus.field != base:
             raise ValidationError(f"modulus must be over {base}")
         if modulus.degree != n or not modulus.is_monic():
             raise ValidationError(f"modulus must be monic of degree {n}, got {modulus}")
-    ext = ExtensionField(base, modulus)  # raises ReducibleModulus on a bad supplied modulus
+        ext = ExtensionField(base, modulus)  # raises ReducibleModulus on a bad supplied modulus
     return CyclicExtensionInput(ext, n, zeta, ext.element(ext.frobenius_image))
 
 

@@ -154,8 +154,9 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
     Frobenius matrix Q, read only by a caller that needs it. Otherwise
     sigma's matrix M is built from s, f(s) is read off it as
     M*(f_0, ..., f_(n-1)) + s^(n-1)*s (column n-1 of M is s^(n-1)), and
-    sigma^k(alpha) is walked for k = 1, ..., n. Both ways raise the same
-    exceptions and give the same matrix, in every degree n >= 1.
+    sigma^k(alpha) is walked for k = 1, ..., n from sigma(alpha) = s, by
+    n - 1 applications of sigma. Both ways raise the same exceptions and
+    give the same matrix, in every degree n >= 1.
     """
     if not isinstance(inp.ext_field, ExtensionField):
         raise ValidationError("E must be an extension field")
@@ -198,12 +199,11 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
         raise NotAnAutomorphism("the image of the generator is not a root of the modulus")
 
     alpha = ext.gen()
-    image = alpha
-    proper_divisors = [k for k in range(1, n) if n % k == 0]
-    for k in range(1, n + 1):
-        image = ctx.sigma(image)
-        if k in proper_divisors and image == alpha:
+    image = sigma_image  # sigma(alpha); at n = 1, f(s) = 0 forces s = alpha
+    for k in range(1, n):
+        if n % k == 0 and image == alpha:
             raise AutomorphismOrderMismatch(f"the automorphism has order {k}, expected {n}")
+        image = ctx.sigma(image)
     if image != alpha:
         raise AutomorphismOrderMismatch(f"sigma^{n}(alpha) != alpha")
     return ctx
@@ -227,17 +227,21 @@ def eigen_spectrum(ctx: ValidatedContext, m: Matrix) -> EigenReport:
     """Eigenvalue report over the candidate eigenvalues zeta^0, ..., zeta^(n-1).
 
     For each power of zeta, the eigenspace is the kernel of M - zeta^i*I,
-    formed by subtracting zeta^i on the diagonal of M's rows; candidates with
-    a nonzero kernel are listed together with their dimension and the first
-    RREF kernel basis vector as the stored eigenvector. This is the only
-    kernel computation of the pipeline: check_fixed_field and
-    extract_radical_generator read the report.
+    formed by subtracting the raw value of zeta^i on the diagonal of M's raw
+    rows; candidates with a nonzero kernel are listed together with their
+    dimension and the first RREF kernel basis vector as the stored
+    eigenvector. This is the only kernel computation of the pipeline:
+    check_fixed_field and extract_radical_generator read the report.
     """
+    field = m.field
+    raw_powers = field.unbox(ctx.zeta_powers)
     entries = []
     for i in range(ctx.n):
         lam = ctx.zeta_pow(i)
-        shifted = [row[:j] + (row[j] - lam,) + row[j + 1 :] for j, row in enumerate(m.rows)]
-        basis = nullspace(Matrix._of(m.field, shifted))
+        shifted = [list(row) for row in m.raw_rows]
+        for j, row in enumerate(shifted):
+            row[j] -= raw_powers[i]
+        basis = nullspace(Matrix._of_raw(field, shifted))
         if basis:
             entries.append(EigenEntry(i, lam, len(basis), ctx.ext_field.element(basis[0])))
     assert sum(e.dimension for e in entries) <= ctx.n

@@ -18,71 +18,42 @@ from .tower import ExtensionElement
 
 
 class Matrix:
-    """Immutable dense matrix; ``rows`` is a tuple of row tuples."""
+    """Immutable dense matrix, kept only as ``raw_rows``: a tuple of rows of
+    the field's raw values, which need not be reduced."""
 
-    __slots__ = ("field", "_rows", "_raw_rows")
+    __slots__ = ("field", "raw_rows")
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(field.coerce(c) for c in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        raw_rows = tuple(field.unbox(map(field.coerce, row)) for row in rows)
+        if raw_rows:
+            width = len(raw_rows[0])
+            if any(len(r) != width for r in raw_rows):
                 raise DimensionMismatch("ragged rows")
         self.field = field
-        self._rows = rows
-
-    @classmethod
-    def _of(cls, field, rows) -> "Matrix":
-        """A matrix from equal-length rows of elements already in the field,
-        which are trusted and not coerced."""
-        m = object.__new__(cls)
-        m.field = field
-        m._rows = tuple(map(tuple, rows))
-        return m
+        self.raw_rows = raw_rows
 
     @classmethod
     def _of_raw(cls, field, raw_rows) -> "Matrix":
         """A matrix from equal-length rows of the field's raw values, which
-        need not be reduced; they are boxed on the first read of ``rows``."""
+        are trusted: neither coerced nor reduced."""
         m = object.__new__(cls)
         m.field = field
-        m._raw_rows = tuple(raw_rows)
+        m.raw_rows = tuple(raw_rows)
         return m
 
     @property
     def rows(self) -> tuple:
-        """The rows as field elements, boxed on first use: rows never change."""
-        try:
-            return self._rows
-        except AttributeError:
-            self._rows = tuple(tuple(self.field.box(row)) for row in self._raw_rows)
-            return self._rows
-
-    @property
-    def raw_rows(self) -> tuple:
-        """The rows as the field's raw values, unboxed on first use: rows never change."""
-        try:
-            return self._raw_rows
-        except AttributeError:
-            self._raw_rows = tuple(map(self.field.unbox, self._rows))
-            return self._raw_rows
-
-    @property
-    def _shape_rows(self) -> tuple:
-        """Whichever of the rows and the raw rows is at hand: either gives the shape."""
-        try:
-            return self._rows
-        except AttributeError:
-            return self._raw_rows
+        """The rows as a tuple of row tuples of field elements, boxed on
+        each read."""
+        return tuple(tuple(self.field.box(row)) for row in self.raw_rows)
 
     @property
     def nrows(self) -> int:
-        return len(self._shape_rows)
+        return len(self.raw_rows)
 
     @property
     def ncols(self) -> int:
-        rows = self._shape_rows
-        return len(rows[0]) if rows else 0
+        return len(self.raw_rows[0]) if self.raw_rows else 0
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -105,7 +76,7 @@ class Matrix:
         return cls(field, [[col[i] for col in columns] for i in range(n)])
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
+        return tuple(self.field.box([row[j] for row in self.raw_rows]))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other, same_shape=True)
@@ -119,8 +90,8 @@ class Matrix:
         self._check_compatible(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        cols = [mat_apply(self, col) for col in zip(*other.rows)]
-        return Matrix._of(self.field, [[col[i] for col in cols] for i in range(self.nrows)])
+        cols = [raw_mat_apply(self.field, self.raw_rows, col) for col in zip(*other.raw_rows)]
+        return Matrix._of_raw(self.field, [tuple(col[i] for col in cols) for i in range(self.nrows)])
 
     def scale(self, k) -> "Matrix":
         k = self.field.coerce(k)
@@ -172,7 +143,7 @@ def rref(m: Matrix) -> RrefResult:
     other rows only when one of their entries is tested or used as a
     multiplier. The normalized pivot row is zero left of its pivot, so the
     other rows are updated from the pivot column on. The reduced matrix
-    keeps the raw rows and boxes them only when its ``rows`` are read."""
+    is made of the raw rows as they stand, reduced or not."""
     field = m.field
     reduce = field.reduce
     rows = list(map(list, m.raw_rows))
@@ -250,8 +221,8 @@ def substitution_matrix(field, f: Polynomial, image) -> Matrix:
     image*X^i mod f, found from column i - 1 by one shift and one fold of
     f, d^2 base multiplies in all. Column j + 1 of the result is then T
     times column j: about d^3 multiplies in dot products, where a
-    ``raw_mul_mod`` per column would cost about 2d^3. The result keeps its
-    raw rows and boxes them only when its ``rows`` are read."""
+    ``raw_mul_mod`` per column would cost about 2d^3. The result is made
+    of the raw rows, never boxed here."""
     d = f.degree
     reduce = field.reduce
     low = field.unbox(f.coeffs[:d])

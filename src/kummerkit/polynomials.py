@@ -350,7 +350,11 @@ def cyclotomic_index(g: Polynomial) -> int | None:
 
 
 def is_irreducible_mod_p(f: Polynomial) -> bool:
-    """Rabin irreducibility test over a prime field (``rabin_frobenius``)."""
+    """Rabin irreducibility test over a prime field (``rabin_frobenius``).
+
+    The package never calls it: a modulus is proven by building its
+    ExtensionField, which keeps the Rabin test's Frobenius matrix, so a
+    separate yes/no test would only repeat it."""
     return rabin_frobenius(f) is not None
 
 

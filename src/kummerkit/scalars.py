@@ -13,9 +13,10 @@ division: ``poly_divmod`` boxes its result and ``poly_gcd`` runs Euclid on
 raw values through it. ``rref`` is the only elimination: ``nullspace`` and
 the Krylov dependency search ``first_linear_dependency`` read its result
 and box only the entries they return. ``raw_mat_apply`` is the only dot
-product: ``mat_apply`` boxes it, ``Matrix.__mul__`` applies that to each
-column of the right factor, and ``substitution_matrix`` and the Rabin
-test's Frobenius steps call it on raw values. ``raw_mul_mod`` is the only
+product: ``mat_apply`` boxes it, and ``Matrix.__mul__`` (on each raw
+column of the right factor), ``substitution_matrix`` and the Rabin test's
+Frobenius steps call it on raw values. A ``Matrix`` keeps only its raw
+rows, which its ``rows`` box on each read. ``raw_mul_mod`` is the only
 multiply mod f and ``poly_pow_mod``, which runs on it, the only residue
 power (``ExtensionElement.__pow__``). The loops run on raw values
 through hooks of the field descriptor: ``unbox(elements)`` gives the raw

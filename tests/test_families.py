@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from kummerkit import cli, polynomials, tower
 from kummerkit.errors import NoPrimitiveRoot, NotPrime, ParseError, ReducibleModulus, SchemaViolation, ValidationError
 from kummerkit.families import (
     builtin_cubic_over_eisenstein,
@@ -18,7 +19,7 @@ from kummerkit.families import (
     parse_tower_spec,
 )
 from kummerkit.kummer import validate_setup
-from kummerkit.polynomials import Polynomial
+from kummerkit.polynomials import Polynomial, rabin_frobenius
 from kummerkit.scalars import PrimeField, PrimeFieldElement
 from kummerkit import serialize
 
@@ -58,7 +59,7 @@ class TestDefaultModulus:
     def test_lex_first_contract(self, p, n):
         expected = oracle_lex_first_irreducible(p, n)
         got = default_modulus(PrimeField(p), n)
-        assert tuple(c.value for c in got.coeffs) == expected
+        assert tuple(c.value for c in got.modulus.coeffs) == expected
 
     def test_stable_across_runs(self):
         a = default_modulus(F13, 4)
@@ -66,7 +67,50 @@ class TestDefaultModulus:
         assert a == b
 
     def test_degree_one_is_x(self):
-        assert default_modulus(F5, 1) == Polynomial.x(F5)
+        assert default_modulus(F5, 1).modulus == Polynomial.x(F5)
+
+
+class TestOneRabinTestPerCandidate:
+    """On the default-modulus path the Rabin test runs once per candidate,
+    the winning modulus included: default_modulus returns the field that
+    the winner's test built, and frobenius_family and the CLI use it."""
+
+    PAIRS = [(97, 16), (13, 4), (5, 1), (263, 2), (1993, 3), (1171, 5), (449, 7), (2081, 8)]
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        tested = []
+
+        def counting(f):
+            tested.append(tuple(c.value for c in f.coeffs))
+            return rabin_frobenius(f)
+
+        for owner in (polynomials, tower):
+            monkeypatch.setattr(owner, "rabin_frobenius", counting)
+        return tested
+
+    @staticmethod
+    def candidates_up_to(p, winner):
+        """The odometer's candidates in order, up to the winner: c_0 = 0 is
+        skipped for n >= 2."""
+        n = len(winner) - 1
+        out = []
+        for prefix in itertools.product(range(p) if n == 1 else range(1, p), *[range(p)] * (n - 1)):
+            out.append(prefix + (1,))
+            if out[-1] == winner:
+                return out
+
+    @pytest.mark.parametrize("p,n", PAIRS)
+    def test_frobenius_family(self, tested, p, n):
+        modulus = tuple(c.value for c in frobenius_family(p, n).modulus.coeffs)
+        assert tested == self.candidates_up_to(p, modulus)
+
+    @pytest.mark.parametrize("p,n", PAIRS)
+    def test_cli_finite(self, tested, tmp_path, p, n):
+        out = tmp_path / "cert.json"
+        assert cli.main(["finite", "--p", str(p), "--n", str(n), "--format", "json", "--out", str(out)]) == 0
+        modulus = tuple(map(int, json.loads(out.read_text())["input"]["modulus"]))
+        assert tested == self.candidates_up_to(p, modulus)
 
 
 class TestFrobeniusFamily:

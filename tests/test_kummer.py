@@ -749,7 +749,7 @@ class TestFrobeniusMatrixOnce:
         return calls
 
     def test_cli_certify_and_verify_build_only_the_rabin_matrix(self, calls, tmp_path, capsys):
-        modulus = ",".join(str(c.value) for c in default_modulus(PrimeField(97), 16).coeffs)
+        modulus = ",".join(str(c.value) for c in default_modulus(PrimeField(97), 16).modulus.coeffs)
         out = tmp_path / "cert.json"
         calls.update(dict.fromkeys(calls, 0))
         assert cli.main(["finite", "--p", "97", "--n", "16", "--modulus", modulus, "--format", "json", "--out", str(out)]) == 0
@@ -781,5 +781,5 @@ class TestFrobeniusMatrixOnce:
             inp = CyclicExtensionInput(inp.ext_field, inp.n, inp.zeta, inp.ext_field.gen() ** 97**3)
         calls.update(dict.fromkeys(calls, 0))
         ctx = validate_setup(inp)
-        assert (calls["substitution_matrix"], calls["evaluate"], calls["sigma"]) == (1, 0, inp.n)
+        assert (calls["substitution_matrix"], calls["evaluate"], calls["sigma"]) == (1, 0, inp.n - 1)
         assert ctx.matrix == oracle_validate_setup(inp).matrix

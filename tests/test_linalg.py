@@ -81,6 +81,39 @@ class TestRref:
             assert rref(once).matrix == once
 
 
+class TestRawRows:
+    """A matrix keeps only raw rows, which need not be reduced: one whose raw
+    values are unreduced reads, compares and hashes as the matrix built from
+    the reduced elements."""
+
+    QQ_I = ExtensionField(QQ, Polynomial(QQ, [1, 0, 1]))
+
+    @staticmethod
+    def assert_same(m, expected):
+        assert m.rows == expected.rows
+        assert [m.column(j) for j in range(m.ncols)] == [expected.column(j) for j in range(expected.ncols)]
+        assert m == expected and hash(m) == hash(expected)
+
+    def test_of_raw_with_values_past_p_and_negative(self):
+        m = Matrix._of_raw(F13, [[13, -1, 27], [-13, 40, -27]])
+        self.assert_same(m, Matrix(F13, [[0, 12, 1], [0, 1, 12]]))
+
+    @pytest.mark.parametrize("field", [F13, QQ, QQ_I], ids=["F13", "QQ", "QQ(i)"])
+    def test_rref_result(self, field):
+        rng = random.Random(2)
+        unreduced = 0
+        for _ in range(10):
+            rows = [[field.coerce(rng.randrange(-6, 7)) for _ in range(4)] for _ in range(3)]
+            if field is self.QQ_I:
+                rows = [[a + self.QQ_I.gen() * rng.randrange(-3, 4) for a in row] for row in rows]
+            reduced = rref(Matrix(field, rows)).matrix
+            boxed = Matrix(field, reduced.rows)
+            unreduced += reduced.raw_rows != boxed.raw_rows
+            self.assert_same(reduced, boxed)
+        if field is F13:
+            assert unreduced  # rref leaves rows it only updated unreduced
+
+
 class TestNullspace:
     def test_identity_has_trivial_kernel(self):
         assert nullspace(Matrix.identity(F5, 3)) == []

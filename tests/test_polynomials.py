@@ -346,14 +346,14 @@ class TestRabinTest:
 
         monkeypatch.setattr(linalg, "mat_apply", refuse)
         field = PrimeField(1249)
-        f = default_modulus(field, 16)
+        f = default_modulus(field, 16).modulus
         assert rabin_frobenius(f) is not None
 
     @pytest.mark.parametrize("p", [q for q in range(2, 200) if sympy.isprime(q)])
     def test_default_modulus_is_the_lex_first_irreducible(self, p):
         for n in range(1, 13):
             if (p - 1) % n == 0:
-                assert default_modulus(PrimeField(p), n).coeffs == Polynomial(PrimeField(p), sympy_first_irreducible(p, n)).coeffs, (p, n)
+                assert default_modulus(PrimeField(p), n).modulus.coeffs == Polynomial(PrimeField(p), sympy_first_irreducible(p, n)).coeffs, (p, n)
 
 
 class TestPowMod:

@@ -174,7 +174,7 @@ def three_level_towers(draw):
     cyclic extension."""
     p = draw(st.sampled_from([2, 3, 5, 7, 13, 97]))
     base = PrimeField(p)
-    k_field = ExtensionField(base, default_modulus(base, draw(st.integers(1, 3))))
+    k_field = default_modulus(base, draw(st.integers(1, 3)))
     n = draw(st.integers(1, 4))
     k_elems = st.lists(st.integers(0, p - 1), min_size=k_field.degree, max_size=k_field.degree).map(k_field.element)
     ext = ExtensionField(k_field, Polynomial(k_field, draw(st.lists(k_elems, min_size=n, max_size=n)) + [k_field.one()]))
