@@ -1,0 +1,199 @@
+"""Timings of the F_p field kernels, standard library only.
+
+Usage, from the repository root:
+
+    python3 bench/kernels.py [--quick] [--out BENCH_18.json] [--tree LABEL=DIR ...]
+
+Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
+name of its own, so several trees load side by side in one process; with
+none, the checkout holding this script is timed, labelled "this tree".
+Kernels, for each (p, d) of the grid, with f = (X + 1)^d - c irreducible of
+degree d over F_p (c^((p-1)/d) has exact order d, so X^d - c is
+irreducible), whose coefficients are all nonzero:
+
+* ``E multiply``: ``ExtensionElement.__mul__`` of two dense elements of
+  F_p[X]/(f), that is one ``raw_mul_mod`` plus one unbox and one box, on a
+  field whose modulus has already been multiplied by;
+* ``poly_pow_mod X^p``: X^p mod f on a fresh copy of f (its construction
+  timed too), as the Rabin test computes it for every candidate modulus;
+* ``poly_pow_mod x^n``: y^d mod f for a dense y, on a modulus already used;
+* ``kummer_frobenius``: the witness check that a verify runs while it
+  parses an F_p certificate (X^p and x^n, x = X + 1), on a fresh copy of f
+  (its construction timed too);
+* ``default_modulus``: the lex-first irreducible of degree n over F_p.
+
+Each kernel runs in rounds of enough calls to last ``ROUND_S``, the trees
+taking turns round by round, in an order that alternates, so that a host
+whose speed drifts slows every tree alike. The best and the median round
+give the time per call. ``speedups`` divides the first tree's best time
+by each other tree's. ``--quick`` runs the smallest grid.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+WIDE_P = 2417851639229258349405569  # prime, 1 mod 128, 81 bits: slots wider than one word
+GRID = [(1201, d) for d in (2, 4, 8, 16)] + [(p, d) for p in (7681, WIDE_P) for d in (2, 4, 8, 16, 32, 64, 128)]
+QUICK_GRID = [(7681, 2), (7681, 4), (WIDE_P, 4)]
+MODULUS_CASES = [(12289, 64)]
+QUICK_MODULUS_CASES = [(97, 8)]
+KERNELS = ("E multiply", "poly_pow_mod X^p", "poly_pow_mod x^n", "kummer_frobenius", "default_modulus")
+ROUNDS = 21
+ROUND_S = 0.02
+
+
+def load(root: Path, name: str):
+    """The kummerkit of the checkout root, imported as the package name."""
+    package = root / "src" / "kummerkit"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def round_length(calls) -> int:
+    """Calls per round: k doubles until k calls last ROUND_S."""
+    k = 1
+    while True:
+        start = time.perf_counter()
+        calls(k)
+        if time.perf_counter() - start >= ROUND_S or k >= 1 << 16:
+            return k
+        k *= 2
+
+
+def time_per_call(calls_by_tree: list) -> list:
+    """Best and median microseconds per call of each tree's ``calls(k)``,
+    which makes k calls, over ROUNDS rounds taken in turn."""
+    lengths = [round_length(calls) for calls in calls_by_tree]
+    rounds = [[] for _ in calls_by_tree]
+    for r in range(ROUNDS):
+        order = range(len(calls_by_tree)) if r % 2 == 0 else reversed(range(len(calls_by_tree)))
+        for i in order:
+            start = time.perf_counter()
+            calls_by_tree[i](lengths[i])
+            rounds[i].append((time.perf_counter() - start) / lengths[i])
+    return [
+        {"best_us": min(t) * 1e6, "median_us": statistics.median(t) * 1e6, "calls_per_round": k}
+        for t, k in zip(rounds, lengths)
+    ]
+
+
+def instance(p: int, d: int) -> tuple[list, int]:
+    """(coefficients of f = (X + 1)^d - c, zeta = c^((p-1)/d)) for the least
+    c >= 2 whose zeta has exact order d."""
+    primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
+    for c in range(2, p):
+        zeta = pow(c, (p - 1) // d, p)
+        if all(pow(zeta, d // q, p) != 1 for q in primes):
+            break
+    binomial, coeffs = 1, []
+    for k in range(d + 1):  # the coefficient of X^k in (X + 1)^d
+        coeffs.append(binomial % p)
+        binomial = binomial * (d - k) // (k + 1)
+    coeffs[0] = (coeffs[0] - c) % p
+    return coeffs, zeta
+
+
+def kernels(kk, p: int, d: int) -> list:
+    """The first four KERNELS of one tree at (p, d), as functions of k."""
+    Polynomial, poly_pow_mod = kk.polynomials.Polynomial, kk.polynomials.poly_pow_mod
+    field = kk.scalars.PrimeField(p)
+    coeffs, zeta = instance(p, d)
+    rng = random.Random(f"{p}-{d}")
+    f = Polynomial(field, coeffs)
+    image = [c.value for c in poly_pow_mod(Polynomial.x(field), p, f).coeffs]
+    witness = (d, zeta, image, [1, 1])
+    ext = kk.tower.ExtensionField(field, f, witness)
+    assert ext.kummer_witness is not None, (p, d)
+    a, b = (ext.element([rng.randrange(p) for _ in range(d)]) for _ in range(2))
+    y = Polynomial(field, [rng.randrange(p) for _ in range(d)])
+    a * b  # the field's modulus has been multiplied by
+
+    def e_multiply(k):
+        for _ in range(k):
+            a * b
+
+    def x_to_p(k):
+        for g in [Polynomial(field, coeffs) for _ in range(k)]:
+            poly_pow_mod(Polynomial.x(field), p, g)
+
+    def x_to_n(k):
+        for _ in range(k):
+            poly_pow_mod(y, d, f)
+
+    def witness_check(k):
+        for g in [Polynomial(field, coeffs) for _ in range(k)]:
+            assert kk.polynomials.kummer_frobenius(g, *witness) is not None
+
+    return [e_multiply, x_to_p, x_to_n, witness_check]
+
+
+def default_modulus_calls(kk, p: int, n: int):
+    field = kk.scalars.PrimeField(p)
+    return lambda k: [kk.families.default_modulus(field, n) for _ in range(k)]
+
+
+def results(trees: list, quick: bool) -> list:
+    """One row per kernel and case, with each tree's timing under its label."""
+    labels = [label for label, _ in trees]
+    cases = []
+    for p, d in QUICK_GRID if quick else GRID:
+        per_tree = [kernels(kk, p, d) for _, kk in trees]
+        cases += [(name, p, d, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[:4])]
+    for p, n in QUICK_MODULUS_CASES if quick else MODULUS_CASES:
+        cases.append(("default_modulus", p, n, [default_modulus_calls(kk, p, n) for _, kk in trees]))
+    out = []
+    for name, p, d, calls_by_tree in cases:
+        timings = time_per_call(calls_by_tree)
+        out.append({"kernel": name, "p": p, "d": d, **dict(zip(labels, timings))})
+        best = ", ".join(f"{label} {t['best_us']:.1f}" for label, t in zip(labels, timings))
+        print(f"{name:18} p={p} d={d}: {best} us", file=sys.stderr)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="the smallest grid")
+    parser.add_argument("--out", default="BENCH_18.json", help="where to write the JSON")
+    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR", help="a checkout to time")
+    args = parser.parse_args(argv)
+    specs = [tree.split("=", 1) for tree in args.tree] or [["this tree", Path(__file__).resolve().parents[1]]]
+    trees = [(label, load(Path(root), f"kummerkit_tree{i}")) for i, (label, root) in enumerate(specs)]
+    rows = results(trees, args.quick)
+    first = trees[0][0]
+    doc = {
+        "about": "Time per call of the F_p kernels (bench/kernels.py) in microseconds: the best and the median "
+        f"of {ROUNDS} rounds per tree, the trees taking turns. 'speedups' divides the first tree's best time "
+        "by each other tree's.",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
+        "grid": "quick" if args.quick else "full",
+        "trees": [label for label, _ in trees],
+        "results": rows,
+        "speedups": {
+            label: [
+                {"kernel": r["kernel"], "p": r["p"], "d": r["d"], "speedup": round(r[first]["best_us"] / r[label]["best_us"], 2)}
+                for r in rows
+            ]
+            for label, _ in trees[1:]
+        },
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

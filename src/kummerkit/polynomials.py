@@ -10,15 +10,21 @@ ring arithmetic plus division.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 
 from .errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
 from .scalars import PrimeField, RationalField, prime_factors
 
 
 class Polynomial:
-    """Immutable dense polynomial; ``coeffs[i]`` is the coefficient of X^i."""
+    """Immutable dense polynomial; ``coeffs[i]`` is the coefficient of X^i.
 
-    __slots__ = ("field", "coeffs")
+    ``fold_table`` is None until ``raw_mul_mod`` first reduces by this
+    polynomial over F_p; it then holds the packed X^(d+k) mod f that every
+    later multiply mod this polynomial reuses (``_build_fold_table``)."""
+
+    __slots__ = ("field", "coeffs", "fold_table")
 
     def __init__(self, field, coeffs=()):
         coeffs = [field.coerce(c) for c in coeffs]
@@ -26,6 +32,7 @@ class Polynomial:
             coeffs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "fold_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -39,6 +46,7 @@ class Polynomial:
         poly = object.__new__(cls)
         object.__setattr__(poly, "field", field)
         object.__setattr__(poly, "coeffs", tuple(coeffs))
+        object.__setattr__(poly, "fold_table", None)
         return poly
 
     @classmethod
@@ -107,7 +115,8 @@ class Polynomial:
         self._check_same_field(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.field)
-        return Polynomial._of(self.field, self.field.box(raw_product(self.field, self.coeffs, other.coeffs)))
+        field = self.field
+        return Polynomial._of(field, field.box(raw_product(field, field.unbox(self.coeffs), field.unbox(other.coeffs))))
 
     def scale(self, k) -> "Polynomial":
         k = self.field.coerce(k)
@@ -171,11 +180,20 @@ class Polynomial:
 
 
 def raw_product(field, a, b) -> list:
-    """Schoolbook product of two nonempty sequences of field elements, as
-    raw values with each sum unreduced."""
-    b = field.unbox(b)
+    """The only polynomial product: two nonempty sequences of canonical raw
+    values, multiplied into raw values with each sum unreduced.
+
+    Where raw values are ints in [0, p) (``field.raw_int_bound`` is p), both
+    sequences are packed into one int each, multiplied once and unpacked
+    (Kronecker substitution, see ``raw_mul_mod``); every sum comes out as
+    the exact int the schoolbook loop would give. Elsewhere (QQ, towers) it
+    is that schoolbook loop, which skips the zero values of a."""
+    p = field.raw_int_bound
+    if p is not None:
+        width = _slot_width(p, min(len(a), len(b)))
+        return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
     out = [field.raw_zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(field.unbox(a)):
+    for i, x in enumerate(a):
         if x:
             for k, y in enumerate(b, i):
                 out[k] += x * y
@@ -183,11 +201,37 @@ def raw_product(field, a, b) -> list:
 
 
 def raw_mul_mod(field, a, b, f: Polynomial) -> list:
-    """The only multiply mod a monic f of degree d: ``raw_product`` of two
-    sequences of d field elements, whose coefficients of degree >= d are
-    reduced once each, from the top, and folded back with f. Returns d raw
-    values, each sum unreduced."""
+    """The only multiply mod a monic f of degree d: two sequences of d
+    canonical raw values, multiplied into d canonical raw values.
+
+    Over F_p (``field.raw_int_bound`` is p) the product is packed, W bits
+    per slot (``_slot_width``): a and b become the ints A = sum a_i 2^(iW)
+    and B, C = A*B is one big-int multiply, and its d - 1 high slots are
+    each reduced mod p and folded back by adding h_k times the k-th entry
+    of f's fold table, X^(d+k) mod f packed the same way
+    (``_build_fold_table``, built on first use and kept as
+    ``f.fold_table``); the d low slots are then unpacked and reduced. No
+    slot overflows into the next, because every packed value is a
+    nonnegative int: a, b and the table entries are canonical, in [0, p).
+    So slot k of C is the exact sum of a_i b_j over i + j = k, at most d
+    terms each at most (p-1)^2, that is at most d(p-1)^2; a folded low
+    slot adds d - 1 terms h_k t_j below p^2 to it, so it stays below
+    2d p^2 <= 2^W. A negative value would borrow from the slot above, and
+    an unreduced one could overflow its own.
+
+    Over other bases (QQ, towers) raw values are canonical elements: the
+    schoolbook ``raw_product`` is folded back with f from the top, one
+    degree at a time."""
     d = f.degree
+    p = field.raw_int_bound
+    if p is not None:
+        width, mask, rows = f.fold_table or _build_fold_table(field, f)
+        packed = _pack(a, width)
+        prod = packed * packed if a is b else packed * _pack(b, width)
+        low = prod & mask
+        for h, row in zip(_unpack(prod >> width * d, width, d - 1), rows):
+            low += h % p * row
+        return [c % p for c in _unpack(low, width, d)]
     reduce = field.reduce
     prod = raw_product(field, a, b)
     low = field.unbox(f.coeffs[:d])
@@ -197,6 +241,50 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
             for j, y in enumerate(low, k - d):
                 prod[j] -= c * y
     return prod[:d]
+
+
+def _slot_width(p: int, d: int) -> int:
+    """Bits per slot of a packed product of d values in [0, p): enough for
+    every sum below 2d p^2 (``raw_mul_mod``), and one 64-bit word while
+    that fits, so the codec moves whole words (``_pack``)."""
+    return max(64, (2 * d * p * p).bit_length())
+
+
+def _pack(values, width: int) -> int:
+    """The int sum(values[i] << i*width) of ints in [0, 2^width): through
+    an array of 64-bit words when width is 64, else shift by shift."""
+    if width == 64:
+        return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
+    n = 0
+    for c in reversed(values):
+        n = n << width | c
+    return n
+
+
+def _unpack(n: int, width: int, count: int) -> list:
+    """The count slots of ``_pack``'s int n, lowest first; n < 2^(count*width)."""
+    if width == 64:
+        return array("Q", n.to_bytes(8 * count, sys.byteorder)).tolist()
+    mask = (1 << width) - 1
+    return [n >> shift & mask for shift in range(0, count * width, width)]
+
+
+def _build_fold_table(field, f: Polynomial) -> tuple:
+    """(W, 2^(dW) - 1, [X^(d+k) mod f packed, for k = 0..d-2]) for a monic
+    f of degree d over a base with int raw values, kept as ``f.fold_table``.
+    Each row comes from the one before by one shift and one fold of
+    X^d = -(f_0 + ... + f_(d-1) X^(d-1)), every value reduced."""
+    d, p = f.degree, field.raw_int_bound
+    width = _slot_width(p, d)
+    x_to_d = [-c % p for c in field.unbox(f.coeffs[:d])]
+    row, rows = x_to_d, []
+    for _ in range(d - 1):
+        rows.append(_pack(row, width))
+        top = row[-1]
+        row = [(c + top * y) % p for c, y in zip([0] + row[:-1], x_to_d)]
+    table = (width, (1 << d * width) - 1, rows)
+    object.__setattr__(f, "fold_table", table)
+    return table
 
 
 def raw_divmod(field, a, b) -> tuple[list, list]:
@@ -282,12 +370,12 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     """base^e reduced mod a monic modulus; the only residue power.
 
-    Left to right on padded coefficient lists through ``raw_mul_mod``: from
-    the bit below the top bit of e down, square, and on a set bit multiply
-    by base, with base as the first factor. ``raw_product`` skips the zero
-    coefficients of its first factor, so a multiply by a sparse base such
-    as X costs d base multiplies, and so does each square while the result
-    is still a power X^k with k < d.
+    Left to right through ``raw_mul_mod`` on the d raw values of base mod
+    the modulus, unboxed once: from the bit below the top bit of e down,
+    square, and on a set bit multiply by base. The result is boxed once, at
+    the end. Over F_p every step is one packed multiply and one fold by the
+    modulus's fold table, which the first step builds and every later power
+    or E multiply mod the same modulus reuses.
     """
     if modulus.degree < 1 or not modulus.is_monic():
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
@@ -296,13 +384,13 @@ def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     field, d = base.field, modulus.degree
     if not e:
         return Polynomial.one(field)
-    base = (base % modulus).padded(d)
+    base = field.unbox((base % modulus).padded(d))
     result = base
     for bit in bin(e)[3:]:
-        result = field.box(raw_mul_mod(field, result, result, modulus))
+        result = raw_mul_mod(field, result, result, modulus)
         if bit == "1":
-            result = field.box(raw_mul_mod(field, base, result, modulus))
-    return Polynomial._of(field, list(result))
+            result = raw_mul_mod(field, base, result, modulus)
+    return Polynomial._of(field, field.box(result))
 
 
 @functools.cache
@@ -427,7 +515,7 @@ def kummer_frobenius(f: Polynomial, n: int, zeta: int, image, x):
     no q-th power and Y^n - c is irreducible (Capelli; Lang, Algebra,
     VI 9, Thm 9.1, whose -4K^4 clause is void: i = zeta^(n/4) is in F_p
     when 4 | n, so -4 is a fourth power). Costs two ``poly_pow_mod``: X^p
-    and x^n.
+    and x^n, which share f's fold table (``raw_mul_mod``).
     """
     field = f.field
     p, d = field.p, f.degree

@@ -16,21 +16,25 @@ and box only the entries they return. ``raw_mat_apply`` is the only dot
 product: ``mat_apply`` boxes it, and ``Matrix.__mul__`` (on each raw
 column of the right factor), ``substitution_matrix`` and the Rabin test's
 Frobenius steps call it on raw values. A ``Matrix`` keeps only its raw
-rows, which its ``rows`` box on each read. ``raw_mul_mod`` is the only
-multiply mod f and ``poly_pow_mod``, which runs on it, the only residue
-power (``ExtensionElement.__pow__``). The loops run on raw values
+rows, which its ``rows`` box on each read. ``raw_product`` is the only
+polynomial product, ``raw_mul_mod`` the only multiply mod f and
+``poly_pow_mod``, which runs on it, the only residue power
+(``ExtensionElement.__pow__``). The loops run on raw values
 through hooks of the field descriptor: ``unbox(elements)`` gives the raw
 values, ``box(values)`` reduces raw values and wraps them as elements,
 ``reduce(value)`` gives a canonical raw value, ``raw_inverse`` inverts a
-nonzero raw value and ``raw_zero`` is the raw zero. A loop unboxes
+nonzero raw value, ``raw_zero`` is the raw zero, and ``raw_int_bound`` is p
+when the raw values are ints reduced mod p, else None. A loop unboxes
 its operands once, reduces where the algorithm needs a canonical value (a
 pivot test, a multiplier) and once per sum, and boxes its results once; its
 inner updates call no hook. Only :class:`PrimeField` knows that F_p values
 are ints there: an element's raw value is its ``value``, reduction is
-``% p``, and a sum of products stays an unreduced int until it is reduced.
+``% p``, a sum of products stays an unreduced int until it is reduced, and
+``raw_int_bound`` lets ``raw_product`` and ``raw_mul_mod`` pack a sequence
+of canonical values into one int (Kronecker substitution).
 :class:`RationalField` and :class:`~kummerkit.tower.ExtensionField` share
 the identity hooks of :class:`IdentityHooks`, whose raw values are the
-elements themselves.
+elements themselves and whose products run the schoolbook loops.
 
 No floating point appears anywhere in this module or its callers.
 """
@@ -322,6 +326,11 @@ class PrimeField:
 
     raw_zero = 0
 
+    @property
+    def raw_int_bound(self) -> int:
+        """p: the raw values are ints reduced mod p, canonical in [0, p)."""
+        return self.p
+
     def unbox(self, elements) -> list[int]:
         return [c.value for c in elements]
 
@@ -361,6 +370,7 @@ class IdentityHooks:
     ``reduce`` and ``box`` change nothing."""
 
     __slots__ = ()
+    raw_int_bound = None  # raw values are not ints
 
     @property
     def raw_zero(self):

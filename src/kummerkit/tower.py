@@ -213,8 +213,10 @@ class ExtensionElement:
         reduction, so the result equals the full product with the embedded
         scalar at n base multiplies instead of n^2. Two extension elements
         are multiplied by ``raw_mul_mod``, the only multiply mod f, on the
-        base field's raw values, and every coordinate is reduced once at
-        the end; ``poly_pow_mod``, the only residue power, runs on it too.
+        base field's raw values, unboxed once (once for a square), and
+        boxed once; ``poly_pow_mod``, the only residue power, runs on it
+        too. Over F_p that is one packed multiply and one fold by the
+        modulus's fold table, which the field's multiplies and powers share.
         """
         field = self.field
         if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):
@@ -227,7 +229,9 @@ class ExtensionElement:
             c = b.coords[0]  # b embeds a base-field scalar
             return ExtensionElement(field, tuple(x * c for x in self.coords))
         base = field.base
-        return ExtensionElement(field, tuple(base.box(raw_mul_mod(base, self.coords, other.coords, field.modulus))))
+        a = base.unbox(self.coords)
+        b = a if other is self else base.unbox(other.coords)
+        return ExtensionElement(field, tuple(base.box(raw_mul_mod(base, a, b, field.modulus))))
 
     __rmul__ = __mul__
 

@@ -106,6 +106,20 @@ class TestOneRabinTestPerCandidate:
         assert tested == self.candidates_up_to(p, modulus)
 
     @pytest.mark.parametrize("p,n", PAIRS)
+    def test_one_fold_table_per_candidate(self, tested, monkeypatch, p, n):
+        # each candidate's X^p builds its own modulus's table, and only that one
+        tables = []
+        build = polynomials._build_fold_table
+
+        def counting(field, f):
+            tables.append(tuple(c.value for c in f.coeffs))
+            return build(field, f)
+
+        monkeypatch.setattr(polynomials, "_build_fold_table", counting)
+        default_modulus(PrimeField(p), n)
+        assert tables == tested
+
+    @pytest.mark.parametrize("p,n", PAIRS)
     def test_cli_finite(self, tested, tmp_path, p, n):
         out = tmp_path / "cert.json"
         assert cli.main(["finite", "--p", str(p), "--n", str(n), "--format", "json", "--out", str(out)]) == 0

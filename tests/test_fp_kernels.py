@@ -24,20 +24,33 @@ two base elements by the shared E multiply one level down, so
 ``test_extension_multiply`` also checks that multiply against
 ``oracle_ext_mul`` over the ground field. ``oracle_first_linear_dependency``
 is the incremental echelon loop the dependency search ran before it read
-``rref``, and ``oracle_mat_mul`` the row-by-column loop of the former
-mat-mul; both stay as references. Every property builds one input
+``rref``, ``oracle_mat_mul`` the row-by-column loop of the former
+mat-mul, and ``oracle_raw_product`` the schoolbook loop ``raw_product``
+ran on F_p's int raw values before it packed them; all three stay as
+references. Every property builds one input
 and requires the shared loop and the oracle to give equal values, each of
 them canonical for its field, over F_p for every p in ``PRIMES``, over
 ``QQ`` and over the two-level bases ``QQ(i)`` and ``F_5[t]/(t^2 - 2)``.
 
 The largest p is prime, 1 mod 4 and below ``MR_EXACT_BOUND``, so products of
 two values reach about 164 bits before they are reduced.
+
+Over F_p, ``raw_product`` and ``raw_mul_mod`` pack the values into one int
+each (Kronecker substitution) and fold the high slots back with the
+modulus's fold table. The packed tests run them at p in ``PACKED_PRIMES``,
+whose slots span one 64-bit word up to about 170 bits, and d up to 128:
+at the largest slot load (every operand coefficient and every low
+coefficient of f equal to p - 1), on a zero operand, on a square (one
+operand twice) and on the sparse base X. A namespace with the modulus
+stands in for the extension there, since the multiply needs only the ring
+F_p[X]/(f) and a degree-128 field would spend seconds on its Rabin test.
 """
 
 import functools
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,12 +66,15 @@ from kummerkit.linalg import (
     rref,
     substitution_matrix,
 )
+from kummerkit import polynomials
 from kummerkit.polynomials import (
     Polynomial,
     is_irreducible_mod_p,
     poly_divmod,
     poly_gcd,
     poly_pow_mod,
+    raw_mul_mod,
+    raw_product,
 )
 from kummerkit.scalars import MR_EXACT_BOUND, PrimeField, PrimeFieldElement, RationalField, is_prime
 from kummerkit.tower import ExtensionElement, ExtensionField
@@ -85,6 +101,15 @@ def oracle_poly_mul(self: Polynomial, other: Polynomial) -> Polynomial:
         for j, b in enumerate(other.coeffs):
             out[i + j] = out[i + j] + a * b
     return Polynomial(self.field, out)
+
+
+def oracle_raw_product(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
 
 
 def oracle_poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -500,3 +525,110 @@ def test_poly_pow_mod(data):
     got = poly_pow_mod(base, e, modulus)
     assert got == oracle_pow_mod(base, e, modulus)
     assert_canonical(got.coeffs, field)
+
+
+# -- the packed product over F_p -----------------------------------------------
+
+PACKED_PRIMES = (2, 3, 13, 1201, 2**61 - 1, BIG_P)
+PACKED_DEGREES = (1, 2, 3, 8, 16, 64, 128)
+
+
+def ring(field, modulus: Polynomial):
+    """field[X]/(modulus) as the E multiply and ``oracle_ext_mul`` read it:
+    its base, modulus and degree, with no irreducibility proof."""
+    return SimpleNamespace(base=field, modulus=modulus, degree=modulus.degree)
+
+
+def check_packed_multiply(field, f: Polynomial, a: list, b: list):
+    """raw_product against the schoolbook loop, and raw_mul_mod and the E
+    multiply against ``oracle_ext_mul``, on the raw values a and b."""
+    assert raw_product(field, a, b) == oracle_raw_product(a, b)
+    e = ring(field, f)
+    x, y = ExtensionElement(e, tuple(field.box(a))), ExtensionElement(e, tuple(field.box(b)))
+    want = oracle_ext_mul(x, y).coords
+    got = raw_mul_mod(field, a, b, f)
+    assert all(0 <= c < field.p for c in got) and field.box(got) == list(want)
+    got = x * y
+    assert got.coords == want
+    assert_canonical(got.coords, field)
+    assert raw_mul_mod(field, a, a, f) == [c.value for c in oracle_ext_mul(x, x).coords]
+
+
+@pytest.mark.parametrize("d", PACKED_DEGREES)
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_multiply_and_power(p, d):
+    field = PrimeField(p)
+    rng = random.Random(f"packed-{p}-{d}")
+    top = [p - 1] * d
+    heaviest = Polynomial(field, top + [1])  # every low coefficient p - 1
+    dense = Polynomial(field, [rng.randrange(p) for _ in range(d)] + [1])
+    for f in (heaviest, dense):
+        x = field.unbox((Polynomial.x(field) % f).padded(d))
+        for a, b in (
+            (top, top),  # the largest slot load
+            ([0] * d, [rng.randrange(p) for _ in range(d)]),
+            ([rng.randrange(p) for _ in range(d)], [0] * d),
+            (x, top),
+            ([rng.randrange(p) for _ in range(d)], [rng.randrange(p) for _ in range(d)]),
+        ):
+            check_packed_multiply(field, f, a, b)
+        # the exponent p is the Frobenius power; the oracle loop is slow at large d
+        bases = (Polynomial.x(field), Polynomial(field, top), Polynomial(field, [rng.randrange(p) for _ in range(d)]))
+        for base, e in itertools.product(bases, (0, 1, 2, 3, p)) if d <= 16 else zip(bases, (5, 3, 6)):
+            got = poly_pow_mod(base, e, f)
+            assert got == oracle_pow_mod(base, e, f), e
+            assert_canonical(got.coeffs, field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_multiply_property(data):
+    next_prime = lambda n: next(q for q in itertools.count(n) if is_prime(q))  # noqa: E731
+    p = data.draw(st.one_of(st.sampled_from(PACKED_PRIMES), st.integers(2, 2**81).map(next_prime)), label="p")
+    d = data.draw(st.integers(1, 40), label="d")
+    field = PrimeField(p)
+    values = st.lists(st.one_of(st.integers(0, p - 1), st.sampled_from([0, p - 1])), min_size=d, max_size=d)
+    f = Polynomial(field, data.draw(values) + [1])
+    check_packed_multiply(field, f, data.draw(values), data.draw(values))
+    b = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * d))
+    a = data.draw(values)
+    assert raw_product(field, a, b) == oracle_raw_product(a, b)
+
+
+@pytest.fixture
+def fold_tables(monkeypatch):
+    """The moduli whose fold table is built, as coefficient tuples, in order."""
+    built = []
+    build = polynomials._build_fold_table
+
+    def counting(field, f):
+        built.append(f.coeffs)
+        return build(field, f)
+
+    monkeypatch.setattr(polynomials, "_build_fold_table", counting)
+    return built
+
+
+@pytest.mark.parametrize("p", [13, 1201, BIG_P])
+def test_one_fold_table_per_modulus(p, fold_tables):
+    # the Rabin test's X^p builds the table; multiplies and powers reuse it
+    field = PrimeField(p)
+    coeffs = irreducible(p, 4, 0)  # its search tests other moduli
+    fold_tables.clear()
+    ext = ExtensionField(field, Polynomial(field, coeffs))
+    assert fold_tables == [ext.modulus.coeffs]
+    a, b = ext.element([1, 2, 3, 4]), ext.element([5, 0, 7, 1])
+    for _ in range(5):
+        a = a * b * a
+    assert a**p == a.field.element(oracle_pow_mod(Polynomial(field, a.coords), p, ext.modulus).coeffs)
+    assert fold_tables == [ext.modulus.coeffs]
+    assert ext.modulus.fold_table is not None
+
+
+def test_no_fold_table_over_other_bases(fold_tables):
+    for base in (QQ, QQ_I, F_25):
+        ext = ExtensionField(base, Polynomial(base, [base.one(), base.zero(), base.one(), base.one()]))
+        a = ext.element([base.one(), base.from_int(2), base.zero()])
+        assert a * a == oracle_ext_mul(a, a) and a**5 == oracle_ext_mul(oracle_ext_mul(a * a, a * a), a)
+        assert ext.modulus.fold_table is None
+    assert fold_tables == []

@@ -7,8 +7,9 @@ c^((p-1)/n) = zeta prove f irreducible, so no Rabin test runs and Q is
 built only if read. Otherwise the Rabin test runs as before. Here:
 
 * a witness verify makes no Rabin test, no substitution matrix and no dot
-  product, and two residue powers (X^p and x^n); an off-witness one (a
-  random x, or s = X^(p^3) mod f) runs the Rabin test once;
+  product, and two residue powers (X^p and x^n), which share the one fold
+  table built for the modulus; an off-witness one (a random x, or
+  s = X^(p^3) mod f) runs the Rabin test once;
 * with the probe patched to fail, CLI ``verify`` prints the same bytes and
   exits with the same code on every tamper-corpus mutation and on every
   certificate of a prime p < 200 with n | p - 1, n <= 12, and its variants;
@@ -39,7 +40,7 @@ from test_polynomials import sympy_irreducible
 from test_tamper import INSTANCES as TAMPER_INSTANCES, corpus_mutations
 from test_verify_witness import random_element, variants
 
-COUNTED = ("rabin_frobenius", "substitution_matrix", "raw_mat_apply", "poly_pow_mod")
+COUNTED = ("rabin_frobenius", "substitution_matrix", "raw_mat_apply", "poly_pow_mod", "_build_fold_table")
 
 
 @pytest.fixture
@@ -91,7 +92,13 @@ def test_witness_verify_runs_no_rabin_test_and_no_matrix(p, n, calls, tmp_path, 
         calls.update(dict.fromkeys(calls, 0))
         code, out = cli_verify(doc, tmp_path, capsys)
         assert (code, json.loads(out)["outcome"]) == ((0, "valid") if ok else (2, "invalid"))
-        assert calls == {"rabin_frobenius": 0, "substitution_matrix": 0, "raw_mat_apply": 0, "poly_pow_mod": 2}
+        assert calls == {
+            "rabin_frobenius": 0,
+            "substitution_matrix": 0,
+            "raw_mat_apply": 0,
+            "poly_pow_mod": 2,
+            "_build_fold_table": 1,
+        }
 
 
 def test_off_witness_verify_runs_the_rabin_test_once(calls, tmp_path, capsys):
