@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py [--quick] [--out BENCH_18.json] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_19.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -20,6 +20,8 @@ irreducible), whose coefficients are all nonzero:
 * ``kummer_frobenius``: the witness check that a verify runs while it
   parses an F_p certificate (X^p and x^n, x = X + 1), on a fresh copy of f
   (its construction timed too);
+* ``substitution_matrix``: the matrix whose column j is (X^p)^j mod f, as
+  the Rabin test builds Q after X^p, on a modulus already multiplied by;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
 Each kernel runs in rounds of enough calls to last ``ROUND_S``, the trees
@@ -47,7 +49,7 @@ GRID = [(1201, d) for d in (2, 4, 8, 16)] + [(p, d) for p in (7681, WIDE_P) for 
 QUICK_GRID = [(7681, 2), (7681, 4), (WIDE_P, 4)]
 MODULUS_CASES = [(12289, 64)]
 QUICK_MODULUS_CASES = [(97, 8)]
-KERNELS = ("E multiply", "poly_pow_mod X^p", "poly_pow_mod x^n", "kummer_frobenius", "default_modulus")
+KERNELS = ("E multiply", "poly_pow_mod X^p", "poly_pow_mod x^n", "kummer_frobenius", "substitution_matrix", "default_modulus")
 ROUNDS = 21
 ROUND_S = 0.02
 
@@ -109,14 +111,14 @@ def instance(p: int, d: int) -> tuple[list, int]:
 
 
 def kernels(kk, p: int, d: int) -> list:
-    """The first four KERNELS of one tree at (p, d), as functions of k."""
+    """The KERNELS of one tree at (p, d) but the last, as functions of k."""
     Polynomial, poly_pow_mod = kk.polynomials.Polynomial, kk.polynomials.poly_pow_mod
     field = kk.scalars.PrimeField(p)
     coeffs, zeta = instance(p, d)
     rng = random.Random(f"{p}-{d}")
     f = Polynomial(field, coeffs)
-    image = [c.value for c in poly_pow_mod(Polynomial.x(field), p, f).coeffs]
-    witness = (d, zeta, image, [1, 1])
+    image = poly_pow_mod(Polynomial.x(field), p, f).padded(d)
+    witness = (d, zeta, [c.value for c in image], [1, 1])
     ext = kk.tower.ExtensionField(field, f, witness)
     assert ext.kummer_witness is not None, (p, d)
     a, b = (ext.element([rng.randrange(p) for _ in range(d)]) for _ in range(2))
@@ -139,7 +141,11 @@ def kernels(kk, p: int, d: int) -> list:
         for g in [Polynomial(field, coeffs) for _ in range(k)]:
             assert kk.polynomials.kummer_frobenius(g, *witness) is not None
 
-    return [e_multiply, x_to_p, x_to_n, witness_check]
+    def q_matrix(k):
+        for _ in range(k):
+            kk.linalg.substitution_matrix(field, f, image)
+
+    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix]
 
 
 def default_modulus_calls(kk, p: int, n: int):
@@ -153,7 +159,7 @@ def results(trees: list, quick: bool) -> list:
     cases = []
     for p, d in QUICK_GRID if quick else GRID:
         per_tree = [kernels(kk, p, d) for _, kk in trees]
-        cases += [(name, p, d, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[:4])]
+        cases += [(name, p, d, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[:-1])]
     for p, n in QUICK_MODULUS_CASES if quick else MODULUS_CASES:
         cases.append(("default_modulus", p, n, [default_modulus_calls(kk, p, n) for _, kk in trees]))
     out = []
@@ -168,7 +174,7 @@ def results(trees: list, quick: bool) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="the smallest grid")
-    parser.add_argument("--out", default="BENCH_18.json", help="where to write the JSON")
+    parser.add_argument("--out", required=True, help="where to write the JSON")
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR", help="a checkout to time")
     args = parser.parse_args(argv)
     specs = [tree.split("=", 1) for tree in args.tree] or [["this tree", Path(__file__).resolve().parents[1]]]

@@ -13,7 +13,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .polynomials import Polynomial, poly_lcm
+from .polynomials import Polynomial, poly_lcm, raw_mul_mod
 from .tower import ExtensionElement
 
 
@@ -213,31 +213,18 @@ def mat_apply(m: Matrix, v) -> tuple:
 
 def substitution_matrix(field, f: Polynomial, image) -> Matrix:
     """Matrix of g(X) -> g(image) on field[X]/(f), f monic of degree d and
-    image the d coordinates of a residue: column j is image^j mod f. It is
-    sigma's matrix (image s) and the Rabin test's Frobenius matrix (image
-    X^p mod f).
-
-    First the matrix T of multiplication by image: its column i is
-    image*X^i mod f, found from column i - 1 by one shift and one fold of
-    f, d^2 base multiplies in all. Column j + 1 of the result is then T
-    times column j: about d^3 multiplies in dot products, where a
-    ``raw_mul_mod`` per column would cost about 2d^3. The result is made
-    of the raw rows, never boxed here."""
+    image the d coordinates of a residue: column j is image^j mod f, and
+    column j + 1 is one ``raw_mul_mod`` of column j by image, from the
+    column of 1. It is sigma's matrix (image s) and the Rabin test's
+    Frobenius matrix (image X^p mod f). The result is made of the raw rows,
+    never boxed here."""
     d = f.degree
-    reduce = field.reduce
-    low = field.unbox(f.coeffs[:d])
-    column = field.unbox(image)
-    t_columns = [column]
-    for _ in range(d - 1):
-        top = column[-1]
-        column = [field.raw_zero] + column[:-1]
-        if top:
-            column = [reduce(a - top * y) for a, y in zip(column, low)]
-        t_columns.append(column)
-    t_rows = list(zip(*t_columns))
-    columns = [field.unbox(Polynomial.one(field).padded(d))]
+    if len(image) != d:
+        raise DimensionMismatch(f"an image of {len(image)} coordinates mod a modulus of degree {d}")
+    image = field.unbox(image)
+    columns = [field.unbox([field.one()]) + [field.raw_zero] * (d - 1)]
     while len(columns) < d:
-        columns.append(raw_mat_apply(field, t_rows, columns[-1]))
+        columns.append(raw_mul_mod(field, columns[-1], image, f))
     return Matrix._of_raw(field, zip(*columns))
 
 

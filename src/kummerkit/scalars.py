@@ -14,11 +14,12 @@ raw values through it. ``rref`` is the only elimination: ``nullspace`` and
 the Krylov dependency search ``first_linear_dependency`` read its result
 and box only the entries they return. ``raw_mat_apply`` is the only dot
 product: ``mat_apply`` boxes it, and ``Matrix.__mul__`` (on each raw
-column of the right factor), ``substitution_matrix`` and the Rabin test's
-Frobenius steps call it on raw values. A ``Matrix`` keeps only its raw
-rows, which its ``rows`` box on each read. ``raw_product`` is the only
-polynomial product, ``raw_mul_mod`` the only multiply mod f and
-``poly_pow_mod``, which runs on it, the only residue power
+column of the right factor) and the Rabin test's Frobenius steps call it
+on raw values. A ``Matrix`` keeps only its raw rows, which its ``rows``
+box on each read. ``raw_product`` is the only polynomial product,
+``raw_mul_mod`` the only multiply mod f (the E multiply and each column
+of ``substitution_matrix``) and ``poly_pow_mod``, which runs on it, the
+only residue power
 (``ExtensionElement.__pow__``). The loops run on raw values
 through hooks of the field descriptor: ``unbox(elements)`` gives the raw
 values, ``box(values)`` reduces raw values and wraps them as elements,

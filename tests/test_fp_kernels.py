@@ -6,28 +6,27 @@ of ``poly_gcd``), the E x E multiply, ``rref`` and ``raw_mat_apply``
 the field descriptor (``unbox``, ``box``, ``reduce``, ``raw_inverse``,
 ``raw_zero``). ``rref`` is the only elimination and ``raw_mat_apply`` the
 only dot product: ``first_linear_dependency`` reads the first dependency
-off ``rref``, ``Matrix.__mul__`` applies ``mat_apply`` to each column, and
-``substitution_matrix`` steps each column from the one before by its
-multiply-by-image matrix. ``raw_mul_mod`` is the only multiply mod f and
-``poly_pow_mod`` the only residue power: the E multiply and
-``ExtensionElement.__pow__`` run through them, and are checked against
-``oracle_ext_mul`` and ``oracle_pow_mod``, as are each column of
-``substitution_matrix`` and the Frobenius matrix that an extension of F_p
-keeps from its Rabin test. ``oracle_poly_gcd`` is the Euclid ``poly_gcd``
-ran on elements before it ran on raw values. Over
-``PrimeField`` the raw values are ints reduced mod p; over ``QQ`` and tower
-bases they are the elements themselves. The oracles below are the generic
-loops these operations ran before they were merged, kept verbatim but for
-the branch to the former int kernels: they use the elements' own operators
-and never the hooks. Over a two-level base those operators still multiply
-two base elements by the shared E multiply one level down, so
-``test_extension_multiply`` also checks that multiply against
-``oracle_ext_mul`` over the ground field. ``oracle_first_linear_dependency``
-is the incremental echelon loop the dependency search ran before it read
-``rref``, ``oracle_mat_mul`` the row-by-column loop of the former
-mat-mul, and ``oracle_raw_product`` the schoolbook loop ``raw_product``
-ran on F_p's int raw values before it packed them; all three stay as
-references. Every property builds one input
+off ``rref`` and ``Matrix.__mul__`` applies ``mat_apply`` to each column.
+``raw_mul_mod`` is the only multiply mod f and ``poly_pow_mod`` the only
+residue power: the E multiply, ``ExtensionElement.__pow__`` and
+``substitution_matrix`` (column j + 1 is column j times the image) run
+through them. The first two are checked against ``oracle_ext_mul`` and
+``oracle_pow_mod``, as are each column of ``substitution_matrix`` and the
+Frobenius matrix that an extension of F_p keeps from its Rabin test.
+``oracle_poly_gcd`` is the Euclid ``poly_gcd`` ran on elements before it
+ran on raw values. Over ``PrimeField`` the raw values are ints reduced mod
+p; over ``QQ`` and tower bases they are the elements themselves. The
+oracles below are the generic loops these operations ran before they were
+merged, kept verbatim but for the branch to the former int kernels: they
+use the elements' own operators and never the hooks. Over a two-level base
+those operators still multiply two base elements by the shared E multiply
+one level down, so ``test_extension_multiply`` also checks that multiply
+against ``oracle_ext_mul`` over the ground field.
+``oracle_first_linear_dependency`` is the incremental echelon loop the
+dependency search ran before it read ``rref``, ``oracle_mat_mul`` the
+row-by-column loop of the former mat-mul, and ``oracle_raw_product`` the
+schoolbook loop ``raw_product`` ran on F_p's int raw values before it
+packed them; all three stay as references. Every property builds one input
 and requires the shared loop and the oracle to give equal values, each of
 them canonical for its field, over F_p for every p in ``PRIMES``, over
 ``QQ`` and over the two-level bases ``QQ(i)`` and ``F_5[t]/(t^2 - 2)``.
@@ -44,6 +43,9 @@ coefficient of f equal to p - 1), on a zero operand, on a square (one
 operand twice) and on the sparse base X. A namespace with the modulus
 stands in for the extension there, since the multiply needs only the ring
 F_p[X]/(f) and a degree-128 field would spend seconds on its Rabin test.
+``substitution_matrix`` is checked the same way at p = 2, 7681 and the
+81-bit ``WIDE_P`` and d up to 64, and counted: d - 1 multiplies mod f, no
+dot product and no fold table of its own.
 """
 
 import functools
@@ -66,7 +68,7 @@ from kummerkit.linalg import (
     rref,
     substitution_matrix,
 )
-from kummerkit import polynomials
+from kummerkit import linalg, polynomials
 from kummerkit.polynomials import (
     Polynomial,
     is_irreducible_mod_p,
@@ -632,3 +634,57 @@ def test_no_fold_table_over_other_bases(fold_tables):
         assert a * a == oracle_ext_mul(a, a) and a**5 == oracle_ext_mul(oracle_ext_mul(a * a, a * a), a)
         assert ext.modulus.fold_table is None
     assert fold_tables == []
+
+
+# -- substitution_matrix over F_p: wide slots and large d ----------------------
+
+WIDE_P = 2417851639229258349405569  # prime, 81 bits: slots wider than one word
+
+
+@pytest.mark.parametrize("d", (1, 2, 16, 64))
+@pytest.mark.parametrize("p", (2, 7681, WIDE_P))
+def test_substitution_matrix_on_packed_slots(p, d):
+    # the largest slot load (image and every low coefficient of f equal to
+    # p - 1) and the Rabin test's image X^p mod f of a dense f; column j is
+    # image^j mod f, stepped column by column on the oracle loops, and the
+    # oracle power, squaring afresh, checks the last column
+    field = PrimeField(p)
+    rng = random.Random(f"substitution-{p}-{d}")
+    top = [p - 1] * d
+    heaviest = Polynomial(field, top + [1])
+    dense = Polynomial(field, [rng.randrange(p) for _ in range(d)] + [1])
+    for f, image in ((heaviest, field.box(top)), (dense, poly_pow_mod(Polynomial.x(field), p, dense).padded(d))):
+        m = substitution_matrix(field, f, image)
+        assert (m.nrows, m.ncols) == (d, d)
+        g = Polynomial(field, image)
+        want = oracle_poly_divmod(Polynomial.one(field), f)[1]
+        for j in range(d):
+            assert_canonical(m.column(j), field)
+            assert Polynomial(field, m.column(j)) == want, j
+            want = oracle_poly_divmod(oracle_poly_mul(want, g), f)[1]
+        assert Polynomial(field, m.column(d - 1)) == oracle_pow_mod(g, d - 1, f)
+
+
+@pytest.mark.parametrize("p,d", [(13, 1), (13, 4), (7681, 16), (BIG_P, 8)])
+def test_substitution_matrix_makes_d_minus_1_multiplies_mod_f(p, d, fold_tables, monkeypatch):
+    # counted in linalg's namespace, where substitution_matrix and the Rabin
+    # test's Frobenius steps find them; poly_pow_mod's multiplies are not
+    field = PrimeField(p)
+    f = Polynomial(field, irreducible(p, d, 0))  # its search tests other moduli
+    fold_tables.clear()
+    calls = {"raw_mul_mod": 0, "raw_mat_apply": 0}
+    for name in calls:
+
+        def counting(*args, name=name, fn=getattr(linalg, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    # X^p builds f's fold table; Q reuses it, then d Frobenius steps run
+    q_matrix, x_to_p = polynomials.rabin_frobenius(f)
+    assert fold_tables == [f.coeffs]
+    assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": d}
+    calls.update(raw_mul_mod=0, raw_mat_apply=0)
+    assert substitution_matrix(field, f, x_to_p) == q_matrix
+    assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": 0}
+    assert fold_tables == [f.coeffs]

@@ -156,6 +156,15 @@ class TestOperatorMatrix:
         f = Polynomial(F13, [-2, 0, 0, 0, 1])
         assert substitution_matrix(F13, f, Polynomial(F13, [0, 8]).padded(4)) == diag(F13, [1, 8, 12, 5])
 
+    @pytest.mark.parametrize("field", [F13, QQ], ids=str)
+    def test_image_of_the_wrong_length(self, field):
+        # an image needs exactly deg f coordinates: one too few or too many
+        # would give a matrix of the wrong shape
+        f = Polynomial(field, [2, 0, 0, 1])
+        for image in ([3], [3, 1], [3, 1, 0, 0]):
+            with pytest.raises(DimensionMismatch):
+                substitution_matrix(field, f, [field.coerce(c) for c in image])
+
 
 class TestMatApply:
     def test_identity(self):
