@@ -6,7 +6,9 @@ Usage, from the repository root:
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
-none, the checkout holding this script is timed, labelled "this tree".
+none, the checkout holding this script is timed, labelled "this tree". The
+first tree is loaded a second time, labelled "control", and timed like the
+others: its ratio to the first tree is what the host's noise alone gives.
 Kernels, for each (p, d) of the grid, with f = (X + 1)^d - c irreducible of
 degree d over F_p (c^((p-1)/d) has exact order d, so X^d - c is
 irreducible), whose coefficients are all nonzero:
@@ -27,8 +29,9 @@ irreducible), whose coefficients are all nonzero:
 Each kernel runs in rounds of enough calls to last ``ROUND_S``, the trees
 taking turns round by round, in an order that alternates, so that a host
 whose speed drifts slows every tree alike. The best and the median round
-give the time per call. ``speedups`` divides the first tree's best time
-by each other tree's. ``--quick`` runs the smallest grid.
+give the time per call, and ``median_ratio`` divides each tree's median by
+the first tree's. ``speedups`` divides the first tree's median by each
+other tree's, the control's included. ``--quick`` runs the smallest grid.
 """
 
 from __future__ import annotations
@@ -165,9 +168,11 @@ def results(trees: list, quick: bool) -> list:
     out = []
     for name, p, d, calls_by_tree in cases:
         timings = time_per_call(calls_by_tree)
+        for t in timings:
+            t["median_ratio"] = round(t["median_us"] / timings[0]["median_us"], 3)
         out.append({"kernel": name, "p": p, "d": d, **dict(zip(labels, timings))})
-        best = ", ".join(f"{label} {t['best_us']:.1f}" for label, t in zip(labels, timings))
-        print(f"{name:18} p={p} d={d}: {best} us", file=sys.stderr)
+        medians = ", ".join(f"{label} {t['median_us']:.1f} ({t['median_ratio']:.2f})" for label, t in zip(labels, timings))
+        print(f"{name:18} p={p} d={d}: median us (ratio) {medians}", file=sys.stderr)
     return out
 
 
@@ -178,20 +183,24 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR", help="a checkout to time")
     args = parser.parse_args(argv)
     specs = [tree.split("=", 1) for tree in args.tree] or [["this tree", Path(__file__).resolve().parents[1]]]
+    if "control" in (label for label, _ in specs):
+        parser.error("the label 'control' names the first tree's second copy")
+    specs.append(["control", specs[0][1]])
     trees = [(label, load(Path(root), f"kummerkit_tree{i}")) for i, (label, root) in enumerate(specs)]
     rows = results(trees, args.quick)
     first = trees[0][0]
     doc = {
         "about": "Time per call of the F_p kernels (bench/kernels.py) in microseconds: the best and the median "
-        f"of {ROUNDS} rounds per tree, the trees taking turns. 'speedups' divides the first tree's best time "
-        "by each other tree's.",
+        f"of {ROUNDS} rounds per tree, the trees taking turns. 'control' is the first tree loaded a second "
+        "time. 'median_ratio' divides each tree's median by the first tree's, and 'speedups' divides the "
+        "first tree's median by each other tree's, so the control's figures show the noise.",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "grid": "quick" if args.quick else "full",
         "trees": [label for label, _ in trees],
         "results": rows,
         "speedups": {
             label: [
-                {"kernel": r["kernel"], "p": r["p"], "d": r["d"], "speedup": round(r[first]["best_us"] / r[label]["best_us"], 2)}
+                {"kernel": r["kernel"], "p": r["p"], "d": r["d"], "speedup": round(r[first]["median_us"] / r[label]["median_us"], 2)}
                 for r in rows
             ]
             for label, _ in trees[1:]

@@ -181,17 +181,9 @@ class Polynomial:
 
 def raw_product(field, a, b) -> list:
     """The only polynomial product: two nonempty sequences of canonical raw
-    values, multiplied into raw values with each sum unreduced.
-
-    Where raw values are ints in [0, p) (``field.raw_int_bound`` is p), both
-    sequences are packed into one int each, multiplied once and unpacked
-    (Kronecker substitution, see ``raw_mul_mod``); every sum comes out as
-    the exact int the schoolbook loop would give. Elsewhere (QQ, towers) it
-    is that schoolbook loop, which skips the zero values of a."""
-    p = field.raw_int_bound
-    if p is not None:
-        width = _slot_width(p, min(len(a), len(b)))
-        return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
+    values, multiplied into raw values with each sum unreduced, by the
+    schoolbook loop, which skips the zero values of a. Over F_p the
+    pipeline multiplies mod f only, by the packed ``raw_mul_mod``."""
     out = [field.raw_zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -204,20 +196,21 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     """The only multiply mod a monic f of degree d: two sequences of d
     canonical raw values, multiplied into d canonical raw values.
 
-    Over F_p (``field.raw_int_bound`` is p) the product is packed, W bits
-    per slot (``_slot_width``): a and b become the ints A = sum a_i 2^(iW)
-    and B, C = A*B is one big-int multiply, and its d - 1 high slots are
-    each reduced mod p and folded back by adding h_k times the k-th entry
-    of f's fold table, X^(d+k) mod f packed the same way
+    Over F_p (``field.raw_int_bound`` is p) it is the only packed product
+    (Kronecker substitution), laid out by f's fold table
     (``_build_fold_table``, built on first use and kept as
-    ``f.fold_table``); the d low slots are then unpacked and reduced. No
+    ``f.fold_table``), which gives the slot width W, the mask of the d low
+    slots and the rows: a and b become the ints A = sum a_i 2^(iW) and B,
+    C = A*B is one big-int multiply, and its d - 1 high slots are each
+    reduced mod p and folded back by adding h_k times row k, X^(d+k) mod f
+    packed the same way; the d low slots are then unpacked and reduced. No
     slot overflows into the next, because every packed value is a
-    nonnegative int: a, b and the table entries are canonical, in [0, p).
-    So slot k of C is the exact sum of a_i b_j over i + j = k, at most d
-    terms each at most (p-1)^2, that is at most d(p-1)^2; a folded low
-    slot adds d - 1 terms h_k t_j below p^2 to it, so it stays below
-    2d p^2 <= 2^W. A negative value would borrow from the slot above, and
-    an unreduced one could overflow its own.
+    nonnegative int: a, b and the rows are canonical, in [0, p). So slot k
+    of C is the exact sum of a_i b_j over i + j = k, at most d terms each
+    at most (p-1)^2, that is at most d(p-1)^2; a folded low slot adds
+    d - 1 terms h_k t_j below p^2 to it, so it stays below 2d p^2 <= 2^W.
+    A negative value would borrow from the slot above, and an unreduced one
+    could overflow its own.
 
     Over other bases (QQ, towers) raw values are canonical elements: the
     schoolbook ``raw_product`` is folded back with f from the top, one
@@ -243,13 +236,6 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     return prod[:d]
 
 
-def _slot_width(p: int, d: int) -> int:
-    """Bits per slot of a packed product of d values in [0, p): enough for
-    every sum below 2d p^2 (``raw_mul_mod``), and one 64-bit word while
-    that fits, so the codec moves whole words (``_pack``)."""
-    return max(64, (2 * d * p * p).bit_length())
-
-
 def _pack(values, width: int) -> int:
     """The int sum(values[i] << i*width) of ints in [0, 2^width): through
     an array of 64-bit words when width is 64, else shift by shift."""
@@ -272,10 +258,12 @@ def _unpack(n: int, width: int, count: int) -> list:
 def _build_fold_table(field, f: Polynomial) -> tuple:
     """(W, 2^(dW) - 1, [X^(d+k) mod f packed, for k = 0..d-2]) for a monic
     f of degree d over a base with int raw values, kept as ``f.fold_table``.
+    W is one 64-bit word, which ``_pack`` moves whole, while every sum
+    below 2d p^2 (``raw_mul_mod``) fits, else that bound's bit length.
     Each row comes from the one before by one shift and one fold of
     X^d = -(f_0 + ... + f_(d-1) X^(d-1)), every value reduced."""
     d, p = f.degree, field.raw_int_bound
-    width = _slot_width(p, d)
+    width = max(64, (2 * d * p * p).bit_length())
     x_to_d = [-c % p for c in field.unbox(f.coeffs[:d])]
     row, rows = x_to_d, []
     for _ in range(d - 1):
@@ -460,11 +448,12 @@ def rabin_frobenius(f: Polynomial):
     The powers X^(p^k) come from iterating Frobenius as a linear map (Gao &
     Panario, 1997). Over F_p, g(X)^p = g(X^p) for every g, so g -> g^p mod f
     is the matrix Q whose column j is X^(j*p) mod f: the substitution matrix
-    of X^p mod f, which one ``poly_pow_mod`` finds. Then X^(p^k) = Q^k X
-    costs one d x d ``raw_mat_apply`` per k on raw values, and the gcd test
-    at k = d/q runs as the loop reaches k; k = 1 is the root test. In every
-    degree Q, the substitution matrix of X^p mod f, is the matrix of the
-    Frobenius of F_p[X]/(f) ([[1]] when d = 1).
+    of X^p mod f, which one ``poly_pow_mod`` finds. Then X^(p^k) =
+    Q^(k-1) X^p costs one d x d ``raw_mat_apply`` per k >= 2 on raw values,
+    d - 1 in all, and the gcd test at k = d/q runs as the loop reaches k;
+    k = 1 is the root test. In every degree Q, the substitution matrix of
+    X^p mod f, is the matrix of the Frobenius of F_p[X]/(f) ([[1]] when
+    d = 1).
     """
     from .linalg import raw_mat_apply, substitution_matrix  # linalg imports this module
 
@@ -484,17 +473,17 @@ def rabin_frobenius(f: Polynomial):
         return poly_gcd(Polynomial._of(field, field.box(h)), f).degree == 0
 
     x_to_p = poly_pow_mod(Polynomial.x(field), field.p, f).padded(d)
-    if d >= 2 and not coprime(field.unbox(x_to_p)):
+    power = field.unbox(x_to_p)  # X^(p^k) mod f, from k = 1
+    if d >= 2 and not coprime(power):
         return None
     q_matrix = substitution_matrix(field, f, x_to_p)
     rows = q_matrix.raw_rows
     tested = {d // q for q in prime_factors(d)} - {1}
-    x = field.unbox((Polynomial.x(field) % f).padded(d))
-    power = x  # X^(p^k) mod f
-    for k in range(1, d + 1):
+    for k in range(2, d + 1):
         power = raw_mat_apply(field, rows, power)
         if k in tested and not coprime(power):
             return None
+    x = field.unbox((Polynomial.x(field) % f).padded(d))
     return (q_matrix, x_to_p) if power == x else None
 
 

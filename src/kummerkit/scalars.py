@@ -31,8 +31,9 @@ pivot test, a multiplier) and once per sum, and boxes its results once; its
 inner updates call no hook. Only :class:`PrimeField` knows that F_p values
 are ints there: an element's raw value is its ``value``, reduction is
 ``% p``, a sum of products stays an unreduced int until it is reduced, and
-``raw_int_bound`` lets ``raw_product`` and ``raw_mul_mod`` pack a sequence
-of canonical values into one int (Kronecker substitution).
+``raw_int_bound`` lets ``raw_mul_mod`` pack a sequence of canonical values
+into one int (Kronecker substitution); ``raw_product`` is the schoolbook
+loop for every field.
 :class:`RationalField` and :class:`~kummerkit.tower.ExtensionField` share
 the identity hooks of :class:`IdentityHooks`, whose raw values are the
 elements themselves and whose products run the schoolbook loops.

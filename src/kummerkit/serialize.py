@@ -18,6 +18,7 @@ Conventions (normative for every file this package reads or writes):
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -54,6 +55,8 @@ def loads(text: str):
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # after JSONDecodeError, its subclass
+        raise ParseError(f"invalid JSON: an integer literal past {sys.get_int_max_str_digits()} digits") from exc
 
 
 # -- elements --------------------------------------------------------------

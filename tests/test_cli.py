@@ -195,6 +195,27 @@ class TestHostileDocuments:
         assert json.loads(out)["error"] == {"code": "ScalarTooLarge", "message": message}
 
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter reads ints of any size")
+    @pytest.mark.parametrize("command", ["tower", "verify"])
+    def test_integer_literal_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path, command):
+        # json.loads raises a bare ValueError for it, not a JSONDecodeError
+        if command == "tower":
+            doc = serialize.input_to_json(builtin_cubic_over_eisenstein())
+            doc["n"] = "LONG"
+        else:
+            code, out, _ = run(capsys, "finite", "--p", "13", "--n", "4", "--format", "json")
+            assert code == 0
+            doc = {**json.loads(out), "extra": "LONG"}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc).replace('"LONG"', "1" + "0" * 5000))
+        message = f"invalid JSON: an integer literal past {sys.get_int_max_str_digits()} digits"
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (3, f"error: ParseError: {message}\n", "")
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["error"] == {"code": "ParseError", "message": message}
+
+
 class TestVerify:
     @pytest.fixture()
     def cert_file(self, tmp_path, capsys):

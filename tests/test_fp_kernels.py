@@ -25,29 +25,35 @@ against ``oracle_ext_mul`` over the ground field.
 ``oracle_first_linear_dependency`` is the incremental echelon loop the
 dependency search ran before it read ``rref``, ``oracle_mat_mul`` the
 row-by-column loop of the former mat-mul, and ``oracle_raw_product`` the
-schoolbook loop ``raw_product`` ran on F_p's int raw values before it
-packed them; all three stay as references. Every property builds one input
-and requires the shared loop and the oracle to give equal values, each of
-them canonical for its field, over F_p for every p in ``PRIMES``, over
-``QQ`` and over the two-level bases ``QQ(i)`` and ``F_5[t]/(t^2 - 2)``.
+schoolbook loop on F_p's int raw values; all three stay as references.
+Every property builds one input and requires the shared loop and the
+oracle to give equal values, each of them canonical for its field, over
+F_p for every p in ``PRIMES``, over ``QQ`` and over the two-level bases
+``QQ(i)`` and ``F_5[t]/(t^2 - 2)``.
 
 The largest p is prime, 1 mod 4 and below ``MR_EXACT_BOUND``, so products of
 two values reach about 164 bits before they are reduced.
 
-Over F_p, ``raw_product`` and ``raw_mul_mod`` pack the values into one int
-each (Kronecker substitution) and fold the high slots back with the
-modulus's fold table. The packed tests run them at p in ``PACKED_PRIMES``,
-whose slots span one 64-bit word up to about 170 bits, and d up to 128:
-at the largest slot load (every operand coefficient and every low
-coefficient of f equal to p - 1), on a zero operand, on a square (one
-operand twice) and on the sparse base X. A namespace with the modulus
+Over F_p, ``raw_mul_mod`` is the only packed product: it packs the values
+into one int each (Kronecker substitution) and folds the high slots back
+with the modulus's fold table, which also fixes the slot width.
+``raw_product`` is the schoolbook loop over every field, checked against
+``oracle_raw_product`` on the same inputs. The packed tests run at p in
+``PACKED_PRIMES``, whose slots span one 64-bit word up to about 170 bits,
+and d up to 128: at the largest slot load (every operand coefficient and
+every low coefficient of f equal to p - 1), on a zero operand, on a square
+(one operand twice) and on the sparse base X. A namespace with the modulus
 stands in for the extension there, since the multiply needs only the ring
 F_p[X]/(f) and a degree-128 field would spend seconds on its Rabin test.
 ``substitution_matrix`` is checked the same way at p = 2, 7681 and the
 81-bit ``WIDE_P`` and d up to 64, and counted: d - 1 multiplies mod f, no
-dot product and no fold table of its own.
+dot product and no fold table of its own; the Rabin test after it makes
+d - 1 Frobenius steps. The last test counts ``raw_product`` calls across
+CLI requests like the benchmark's: none is over F_p, so every F_p product
+of the pipeline is packed.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -57,6 +63,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kummerkit.cli import main
 from kummerkit.errors import DimensionMismatch
 from kummerkit.linalg import (
     Matrix,
@@ -680,11 +687,39 @@ def test_substitution_matrix_makes_d_minus_1_multiplies_mod_f(p, d, fold_tables,
             return fn(*args)
 
         monkeypatch.setattr(linalg, name, counting)
-    # X^p builds f's fold table; Q reuses it, then d Frobenius steps run
+    # X^p builds f's fold table; Q reuses it, then d - 1 Frobenius steps run
     q_matrix, x_to_p = polynomials.rabin_frobenius(f)
     assert fold_tables == [f.coeffs]
-    assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": d}
+    assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": d - 1}
     calls.update(raw_mul_mod=0, raw_mat_apply=0)
     assert substitution_matrix(field, f, x_to_p) == q_matrix
     assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": 0}
     assert fold_tables == [f.coeffs]
+
+
+# -- the pipeline's products over F_p are all mod f ----------------------------
+
+
+def test_no_pipeline_request_multiplies_over_f_p_without_a_modulus(tmp_path, capsys, monkeypatch):
+    # raw_mul_mod packs; raw_product, the schoolbook loop, runs only over
+    # QQ and towers on these requests, which the benchmark's workloads make
+    calls = collections.Counter()
+    product = polynomials.raw_product
+
+    def counting(field, a, b):
+        calls[isinstance(field, PrimeField)] += 1
+        return product(field, a, b)
+
+    monkeypatch.setattr(polynomials, "raw_product", counting)
+    modulus = ",".join(map(str, irreducible(97, 16, 0)))
+    f16, cubic = tmp_path / "f16.json", tmp_path / "cubic.json"
+    for argv in (
+        ["finite", "--p", "97", "--n", "16", "--modulus", modulus, "--out", str(f16)],
+        ["verify", str(f16)],
+        ["finite", "--p", "13", "--n", "4"],
+        ["tower", "builtin-cubic", "--out", str(cubic)],
+        ["verify", str(cubic)],
+    ):
+        assert main(argv + ["--format", "json"]) == 0, argv
+    capsys.readouterr()
+    assert calls[False] > 0 and calls[True] == 0, calls

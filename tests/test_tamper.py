@@ -13,6 +13,10 @@ cubic:
   eigen entry, a flag or the version, ``kummerkit verify`` exits 2 or 3 and
   prints no traceback, unless the mutated document still means the same
   certificate.
+
+A second property replaces one leaf of a certificate or of its tower spec
+with an integer literal past the interpreter's 4300-digit limit: ``verify``
+and ``tower`` exit 3 with a ``ParseError``.
 """
 
 import contextlib
@@ -20,6 +24,7 @@ import copy
 import functools
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,6 +239,31 @@ def test_cli_rejects_tampering_without_traceback(tmp_path, case, fmt):
         assert code in (2, 3)
     if fmt == "json":
         assert json.loads(out.getvalue())["outcome"] in ("valid", "invalid", "error")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter reads ints of any size")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
+def test_cli_rejects_an_integer_literal_past_the_digit_limit(tmp_path, data, fmt):
+    # any leaf of a certificate (verify) or of a tower spec (tower) becomes a
+    # literal of 4301 to 6000 digits, which json.loads refuses to convert
+    name = data.draw(st.sampled_from(sorted(INSTANCES)))
+    spec = serialize.input_to_json(INSTANCES[name]())
+    command, doc = data.draw(st.sampled_from([("verify", document(name)), ("tower", spec)]))
+    leaf, _ = data.draw(st.sampled_from(list(leaves(doc))))
+    digits = data.draw(st.integers(4301, 6000))
+    literal = data.draw(st.sampled_from(["", "-"])) + str(data.draw(st.integers(1, 9))) + "0" * (digits - 1)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(replaced(doc, leaf, "LONG")).replace('"LONG"', literal))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), "--format", fmt])
+    assert (code, err.getvalue()) == (3, "")
+    message = f"invalid JSON: an integer literal past {sys.get_int_max_str_digits()} digits"
+    if fmt == "json":
+        assert json.loads(out.getvalue())["error"] == {"code": "ParseError", "message": message}
+    else:
+        assert out.getvalue() == f"error: ParseError: {message}\n"
 
 
 if __name__ == "__main__":
