@@ -4,6 +4,9 @@ Everything here is deterministic: pivots are the first nonzero entry scanning
 top-to-bottom in the leftmost unresolved column (magnitude heuristics are
 meaningless in exact arithmetic), and nullspace bases use the standard RREF
 free-column parametrization. Vectors are plain tuples of field elements.
+
+A ``Matrix`` carries its raw rows and one product, ``__mul__``: kernels and
+products with vectors are all that sigma's matrix is needed for.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .polynomials import Polynomial, poly_lcm, raw_mul_mod
+from .polynomials import Polynomial, raw_mul_mod
 from .tower import ExtensionElement
 
 
@@ -56,16 +59,6 @@ class Matrix:
         return len(self.raw_rows[0]) if self.raw_rows else 0
 
     @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero()
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, field, columns) -> "Matrix":
         columns = [tuple(col) for col in columns]
         if not columns:
@@ -78,45 +71,13 @@ class Matrix:
     def column(self, j: int) -> tuple:
         return tuple(self.field.box([row[j] for row in self.raw_rows]))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other, same_shape=True)
-        return Matrix(self.field, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other, same_shape=True)
-        return Matrix(self.field, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
+        if self.field != other.field:
+            raise FieldMismatch(f"matrices over {self.field} and {other.field}")
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         cols = [raw_mat_apply(self.field, self.raw_rows, col) for col in zip(*other.raw_rows)]
         return Matrix._of_raw(self.field, [tuple(col[i] for col in cols) for i in range(self.nrows)])
-
-    def scale(self, k) -> "Matrix":
-        k = self.field.coerce(k)
-        return Matrix(self.field, [[a * k for a in row] for row in self.rows])
-
-    def power(self, e: int) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("power of a non-square matrix")
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
-
-    def _check_compatible(self, other: "Matrix", same_shape: bool = False):
-        if self.field != other.field:
-            raise FieldMismatch(f"matrices over {self.field} and {other.field}")
-        if same_shape and (self.nrows != other.nrows or self.ncols != other.ncols):
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -248,50 +209,39 @@ def first_linear_dependency(field, vectors, limit: int) -> list:
 
 
 def poly_at_matrix(p: Polynomial, m: Matrix) -> Matrix:
-    """Substitute the matrix into the polynomial (Horner)."""
+    """Substitute the matrix into the polynomial: Horner on the raw columns
+    of the result, each step one ``raw_mat_apply`` per column and the next
+    coefficient added on the diagonal."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("polynomial of a non-square matrix")
-    n = m.nrows
-    result = Matrix.zeros(m.field, n, n)
-    ident = Matrix.identity(m.field, n)
-    for c in reversed(p.coeffs):
-        result = result * m + ident.scale(c)
-    return result
+    field, n = m.field, m.nrows
+    columns = [[field.raw_zero] * n for _ in range(n)]
+    for c in reversed(field.unbox(map(field.coerce, p.coeffs))):
+        columns = [raw_mat_apply(field, m.raw_rows, col) for col in columns]
+        for j, col in enumerate(columns):
+            col[j] += c
+    return Matrix._of_raw(field, zip(*columns))
 
 
 def operator_min_poly(m: Matrix) -> Polynomial:
     """Least-degree monic polynomial annihilating the matrix.
 
-    LCM of the minimal annihilating polynomials of the Krylov sequences from
-    each standard basis vector. Each of them divides the minimal polynomial,
-    so the running LCM ``acc`` does too. The loop stops as soon as ``acc``
-    has degree n: the minimal polynomial divides the degree-n characteristic
-    polynomial, so it then equals ``acc`` and no evaluation at M is needed.
-    That is the usual case, a cyclic operator. Below degree n (degenerate
-    operators only) it stops when ``acc(M) = 0`` by a direct Horner
-    evaluation.
+    The first linear dependency among the powers I, M, M^2, ..., each
+    flattened to its n^2 entries: a dependency ending at M^k is a monic
+    polynomial of degree k that annihilates M, and none of lower degree
+    does. By Cayley-Hamilton one ends within the first n + 1 powers.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    n = m.nrows
-    field = m.field
-    if n == 0:
-        return Polynomial.one(field)
-    zero, one = field.zero(), field.one()
-    acc = Polynomial.one(field)
-    for i in range(n):
-        start = tuple(one if j == i else zero for j in range(n))
+    field, n = m.field, m.nrows
 
-        def krylov(v=start):
-            while True:
-                yield v
-                v = mat_apply(m, v)
+    def powers():
+        power = Matrix(field, [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)])
+        while True:
+            yield itertools.chain.from_iterable(power.rows)
+            power = power * m
 
-        coeffs = first_linear_dependency(field, krylov(), n + 1)
-        acc = poly_lcm(acc, Polynomial(field, coeffs))
-        if acc.degree == n or poly_at_matrix(acc, m).is_zero():
-            return acc
-    raise AssertionError("Krylov LCM over a full basis must annihilate the matrix")
+    return Polynomial(field, first_linear_dependency(field, powers(), n + 1))
 
 
 def element_min_poly(x: ExtensionElement) -> Polynomial:

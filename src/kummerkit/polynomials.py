@@ -349,12 +349,6 @@ def poly_gcd_extended(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynom
     return r0, u0, v0
 
 
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if not a or not b:
-        return Polynomial.zero(a.field)
-    return ((a * b) // poly_gcd(a, b)).monic()
-
-
 def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     """base^e reduced mod a monic modulus; the only residue power.
 

@@ -86,10 +86,19 @@ def _int_from_json(obj, what: str) -> int:
         return obj
     if isinstance(obj, str):
         try:
-            return int(obj, 10)
+            return _decimal(obj)
         except ValueError as exc:
             raise SchemaViolation(f"{what} is not a decimal integer: {obj!r}") from exc
     raise SchemaViolation(f"{what} must be a decimal string, got {obj!r}")
+
+
+def _decimal(text: str) -> int:
+    """The int that text spells as ``str`` writes it: ASCII digits, a '-'
+    only before a nonzero value, no '+', space, '_' or leading zero."""
+    value = int(text, 10)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a canonical decimal integer")
+    return value
 
 
 def _rational_from_json(obj) -> Fraction:
@@ -100,8 +109,8 @@ def _rational_from_json(obj) -> Fraction:
     num, _, den = obj.partition("/")
     try:
         if den:
-            return rational(int(num, 10), int(den, 10))
-        return Fraction(int(num, 10))
+            return rational(_decimal(num), _decimal(den))
+        return Fraction(_decimal(num))
     except (ValueError, ZeroDenominator) as exc:
         raise SchemaViolation(f"invalid rational {obj!r}") from exc
 
@@ -135,22 +144,29 @@ def field_to_json(field) -> dict:
 
 
 def field_from_json(obj):
+    """The field a spec describes, built from its ground field up by a loop
+    over the ``base`` chain: a spec nested as deep as the JSON parser allows
+    fails as too tall, not on the interpreter's recursion limit."""
+    moduli = []
+    while isinstance(obj, dict) and obj.get("kind") == "extension":
+        if "base" not in obj or "modulus" not in obj:
+            raise SchemaViolation("extension field spec needs 'base' and 'modulus'")
+        moduli.append(obj["modulus"])
+        obj = obj["base"]
     if not isinstance(obj, dict):
         raise SchemaViolation(f"field spec must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "prime":
         if "p" not in obj:
             raise SchemaViolation("prime field spec needs 'p'")
-        return PrimeField(_int_from_json(obj["p"], "field characteristic"))
-    if kind == "rationals":
-        return RationalField()
-    if kind == "extension":
-        if "base" not in obj or "modulus" not in obj:
-            raise SchemaViolation("extension field spec needs 'base' and 'modulus'")
-        base = field_from_json(obj["base"])
-        modulus = poly_from_json(base, obj["modulus"])
-        return _build_extension(base, modulus)
-    raise SchemaViolation(f"unknown field kind {kind!r}")
+        field = PrimeField(_int_from_json(obj["p"], "field characteristic"))
+    elif kind == "rationals":
+        field = RationalField()
+    else:
+        raise SchemaViolation(f"unknown field kind {kind!r}")
+    for modulus in reversed(moduli):
+        field = _build_extension(field, poly_from_json(field, modulus))
+    return field
 
 
 def _build_extension(base, modulus, witness=None) -> ExtensionField:

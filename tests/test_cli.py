@@ -6,6 +6,7 @@ asserted directly; one test drives the installed console path end to end.
 
 import concurrent.futures
 import importlib
+import itertools
 import json
 import os
 import resource
@@ -17,6 +18,7 @@ import pytest
 
 from kummerkit import cli, scalars, serialize
 from kummerkit.cli import main
+from kummerkit.errors import ParseError
 from kummerkit.scalars import MR_EXACT_BOUND
 from kummerkit.families import builtin_cubic_over_eisenstein
 
@@ -180,6 +182,50 @@ class TestHostileDocuments:
         code, out, _ = run(capsys, command, str(doc), "--format", "json")
         assert code == 3
         assert json.loads(out)["error"] == {"code": "ParseError", "message": "invalid JSON: nested too deeply"}
+
+    @pytest.mark.parametrize("command", ["tower", "verify"])
+    def test_every_tower_nesting_depth_exits_3(self, capsys, tmp_path, command):
+        # a field spec of d nested extension levels over F_13, the lowest four
+        # valid (each X over the one below), is too tall at every d >= 4 and a
+        # parse error once json.loads refuses it. Where that happens, and where
+        # a recursive walk of the levels would meet the recursion limit, depends
+        # on the stack: the sweep runs until loads refuses here, in the test.
+        four, one = {"kind": "prime", "p": "13"}, "1"
+        for _ in range(4):
+            four = {"kind": "extension", "base": four, "modulus": [[] if isinstance(one, list) else "0", one]}
+            one = [one]
+        if command == "tower":
+            doc = serialize.input_to_json(builtin_cubic_over_eisenstein())
+            too_tall = ("SchemaViolation", "tower would have height 4, cap is 3")
+        else:
+            code, out, _ = run(capsys, "finite", "--p", "13", "--n", "4", "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            too_tall = ("MalformedCertificate", "certificate does not match the schema: tower would have height 4, cap is 3")
+        too_deep = ("ParseError", "invalid JSON: nested too deeply")
+        path = tmp_path / "deep.json"
+        for depth in itertools.count(4):
+            spec = '{"kind": "extension", "modulus": [], "base": ' * (depth - 4) + json.dumps(four) + "}" * (depth - 4)
+            if command == "tower":
+                text = json.dumps({**doc, "base": "SPEC"})
+            else:
+                text = json.dumps({**doc, "input": {**doc["input"], "base": "SPEC"}})
+            text = text.replace('"SPEC"', spec)
+            try:
+                serialize.loads(text)
+                allowed = (too_tall, too_deep)
+            except ParseError:
+                allowed = (too_deep,)
+            path.write_text(text)
+            code, out, err = run(capsys, command, str(path))
+            assert (code, err) == (3, ""), depth
+            assert out in ["error: %s: %s\n" % e for e in allowed], depth
+            code, out, err = run(capsys, command, str(path), "--format", "json")
+            assert (code, err) == (3, ""), depth
+            error = json.loads(out)["error"]
+            assert (error["code"], error["message"]) in allowed, depth
+            if allowed == (too_deep,):
+                break
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter writes ints of any size")
     def test_scalar_past_the_digit_limit_is_rejected(self, capsys, tmp_path):

@@ -54,6 +54,7 @@ from kummerkit.polynomials import Polynomial
 from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField, is_prime, prime_factors
 from kummerkit.tower import ExtensionElement, ExtensionField
 
+from matrix_oracles import identity, power, scale, shift
 from test_verify_witness import NOT_FIELDS
 
 F5 = PrimeField(5)
@@ -144,7 +145,7 @@ class TestSigmaMatrix:
     def test_trivial_extension(self):
         inp = frobenius_family(5, 1)
         ctx = validate_setup(inp)
-        assert ctx.matrix == Matrix.identity(F5, 1)
+        assert ctx.matrix == identity(F5, 1)
 
 
 class TestDiagonalizability:
@@ -222,7 +223,7 @@ class TestFixedField:
     def test_identity_matrix_fails_for_n_at_least_2(self, frob52):
         # the fixed space of the identity is everything, so sigma was no generator
         ctx = validate_setup(frob52)
-        assert not check_fixed_field(ctx, eigen_spectrum(ctx, Matrix.identity(F5, 2)))
+        assert not check_fixed_field(ctx, eigen_spectrum(ctx, identity(F5, 2)))
 
 
 class TestExtraction:
@@ -244,7 +245,7 @@ class TestExtraction:
     def test_empty_eigenspace(self, frob52):
         ctx = validate_setup(frob52)
         with pytest.raises(EmptyEigenspace):
-            extract_radical_generator(ctx, eigen_spectrum(ctx, Matrix.identity(F5, 2)))
+            extract_radical_generator(ctx, eigen_spectrum(ctx, identity(F5, 2)))
 
 
 class TestLagrangeResolvent:
@@ -425,7 +426,7 @@ class TestStepwiseProperties:
         quotient, remainder = divmod(xn1, min_poly)
         assert not remainder
         assert quotient * min_poly == xn1
-        assert m.power(n) == Matrix.identity(ctx.base_field, n)
+        assert power(m, n) == identity(ctx.base_field, n)
 
     @pytest.mark.parametrize("p,n", [(5, 2), (7, 6), (13, 4)])
     def test_eigenvector_pair_closure_by_matrix(self, p, n):
@@ -553,7 +554,7 @@ class TestEachKernelOnce:
 def _reference_kernel(ctx, m, lam):
     """The seed formulation of the eigenspace of lam: nullspace of M - lam*I
     with the identity built and scaled in full."""
-    return nullspace(m - Matrix.identity(ctx.base_field, ctx.n).scale(lam))
+    return nullspace(shift(m, lam))
 
 
 def _quadratic_over_rationals():
@@ -588,7 +589,7 @@ def _square_matrices(draw, ctx):
     if kind == "sigma":
         return ctx.matrix
     if kind == "scalar":
-        return Matrix.identity(field, n).scale(ctx.zeta_pow(draw(st.integers(0, n - 1))))
+        return scale(identity(field, n), ctx.zeta_pow(draw(st.integers(0, n - 1))))
     rows = [[draw(_scalars(field)) for _ in range(n)] for _ in range(n)]
     if kind == "triangular":
         for i in range(n):

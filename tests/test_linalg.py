@@ -8,12 +8,15 @@ distinct diagonal entries, expanded with plain polynomial multiplication.
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from kummerkit import linalg
 from kummerkit.errors import DimensionMismatch
+from kummerkit.kummer import check_diagonalizability
 from kummerkit.linalg import (
     Matrix,
     element_min_poly,
@@ -25,9 +28,12 @@ from kummerkit.linalg import (
     rref,
     substitution_matrix,
 )
-from kummerkit.polynomials import Polynomial
+from kummerkit.polynomials import Polynomial, poly_divmod
 from kummerkit.scalars import PrimeField, RationalField
 from kummerkit.tower import ExtensionField
+
+from matrix_oracles import horner_at_matrix, identity, is_zero, krylov_lcm_min_poly, power, shift, zeros
+from test_fp_kernels import elements, polys
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
@@ -53,14 +59,14 @@ def random_matrix(field, rng, nrows, ncols, span=13):
 
 class TestRref:
     def test_identity_is_fixed(self):
-        m = Matrix.identity(QQ, 2)
+        m = identity(QQ, 2)
         result = rref(m)
         assert result.matrix == m
         assert result.pivots == [0, 1]
         assert result.rank == 2
 
     def test_zero_matrix(self):
-        m = Matrix.zeros(QQ, 2, 2)
+        m = zeros(QQ, 2, 2)
         result = rref(m)
         assert result.matrix == m
         assert result.pivots == []
@@ -116,14 +122,14 @@ class TestRawRows:
 
 class TestNullspace:
     def test_identity_has_trivial_kernel(self):
-        assert nullspace(Matrix.identity(F5, 3)) == []
+        assert nullspace(identity(F5, 3)) == []
 
     def test_zero_one_by_one(self):
-        assert nullspace(Matrix.zeros(QQ, 1, 1)) == [(Fraction(1),)]
+        assert nullspace(zeros(QQ, 1, 1)) == [(Fraction(1),)]
 
     def test_shifted_diagonal(self):
         # diag(1,8,12,5) - 5*I has its only zero diagonal entry at position 3
-        m = diag(F13, [1, 8, 12, 5]) - Matrix.identity(F13, 4).scale(5)
+        m = shift(diag(F13, [1, 8, 12, 5]), 5)
         basis = nullspace(m)
         assert basis == [tuple(F13.from_int(v) for v in (0, 0, 0, 1))]
 
@@ -144,7 +150,7 @@ class TestOperatorMatrix:
 
     def test_identity_images(self):
         f = Polynomial(F5, [-2, 0, 1])
-        assert substitution_matrix(F5, f, Polynomial.x(F5).padded(2)) == Matrix.identity(F5, 2)
+        assert substitution_matrix(F5, f, Polynomial.x(F5).padded(2)) == identity(F5, 2)
 
     def test_frobenius_on_f25(self):
         # alpha^5 = 4*alpha by hand: alpha^5 = alpha*(alpha^2)^2 = alpha*4
@@ -169,10 +175,10 @@ class TestOperatorMatrix:
 class TestMatApply:
     def test_identity(self):
         v = (Fraction(3), Fraction(-1))
-        assert mat_apply(Matrix.identity(QQ, 2), v) == v
+        assert mat_apply(identity(QQ, 2), v) == v
 
     def test_zero(self):
-        assert mat_apply(Matrix.zeros(F5, 2, 2), (1, 2)) == (F5.zero(), F5.zero())
+        assert mat_apply(zeros(F5, 2, 2), (1, 2)) == (F5.zero(), F5.zero())
 
     def test_diagonal_action(self):
         m = diag(F13, [1, 8, 12, 5])
@@ -180,12 +186,12 @@ class TestMatApply:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_apply(Matrix.identity(QQ, 2), (1, 2, 3))
+            mat_apply(identity(QQ, 2), (1, 2, 3))
 
 
 class TestOperatorMinPoly:
     def test_identity(self):
-        got = operator_min_poly(Matrix.identity(QQ, 3))
+        got = operator_min_poly(identity(QQ, 3))
         assert got == Polynomial(QQ, [-1, 1])
 
     def test_two_distinct_eigenvalues(self):
@@ -213,7 +219,7 @@ class TestOperatorMinPoly:
             m = random_matrix(field, rng, n, n)
             p = operator_min_poly(m)
             assert p.is_monic()
-            assert poly_at_matrix(p, m).is_zero()
+            assert is_zero(poly_at_matrix(p, m))
 
 
 class TestElementMinPoly:
@@ -340,6 +346,74 @@ class TestOperatorMinPolyOracles:
         # X^4 - 1 splits over F_5 into four distinct linear factors
         rows = companion([-1, 0, 0, 0])
         assert operator_min_poly(Matrix(F5, rows)) == Polynomial(F5, brute_force_min_poly_mod_p(rows, 5))
+
+
+QQ_I = ExtensionField(QQ, Polynomial(QQ, [1, 0, 1]))
+# candidates for the roots of unity of each field: all of F_p, and the roots
+# of unity QQ and QQ(i) have
+UNIT_CANDIDATES = {
+    PrimeField(2): [0, 1],
+    F13: range(13),
+    QQ: [1, -1],
+    QQ_I: [QQ_I.one(), -QQ_I.one(), QQ_I.gen(), -QQ_I.gen()],
+}
+
+
+@st.composite
+def operators(draw):
+    """A square matrix over F_2, F_13, QQ or QQ(i) of size 0 to 6: dense,
+    nilpotent (strictly upper triangular), scalar, or similar to a diagonal
+    or Jordan form whose diagonal holds distinct or repeated eigenvalues or
+    n-th roots of unity, conjugated by a few elementary matrices."""
+    field = draw(st.sampled_from(list(UNIT_CANDIDATES)))
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["dense", "nilpotent", "scalar", "diagonalizable", "repeated", "roots-of-unity"]))
+    entry = elements(field)
+    zero = field.zero()
+    if kind == "dense":
+        return field, n, Matrix(field, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    rows = [[zero] * n for _ in range(n)]
+    if kind == "nilpotent":
+        for i in range(n):
+            rows[i][i + 1 :] = [draw(entry) for _ in range(n - i - 1)]
+        return field, n, Matrix(field, rows)
+    if kind == "scalar":
+        eigenvalues = [draw(entry)] * n
+    elif kind == "diagonalizable":
+        eigenvalues = [draw(entry) for _ in range(n)]
+    elif kind == "repeated":
+        eigenvalues = sorted(draw(st.lists(st.sampled_from([zero, draw(entry)]), min_size=n, max_size=n)), key=str)
+    else:
+        units = [u for u in map(field.coerce, UNIT_CANDIDATES[field]) if u**n == field.one()]
+        eigenvalues = [draw(st.sampled_from(units)) for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = eigenvalues[i]
+        if kind == "repeated" and i and eigenvalues[i] == eigenvalues[i - 1] and draw(st.booleans()):
+            rows[i - 1][i] = field.one()  # a Jordan block
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        # A -> E A E^-1 with E = I + t e_ij: add t * row j to row i, then
+        # subtract t * column i from column j
+        i, j = draw(st.permutations(range(n)))[:2]
+        t = draw(entry)
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] = row[j] - t * row[i]
+    return field, n, Matrix(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=operators(), data=st.data())
+def test_min_poly_evaluation_and_diagonalizability_against_the_oracles(case, data):
+    field, n, m = case
+    min_poly = operator_min_poly(m)
+    assert min_poly == krylov_lcm_min_poly(m)
+    assert is_zero(poly_at_matrix(min_poly, m))
+    p = data.draw(polys(field))
+    assert poly_at_matrix(p, m) == horner_at_matrix(p, m)
+    _, rem = poly_divmod(Polynomial.x_pow_minus_const(field, n, field.one()), min_poly)
+    expected = (not rem) and power(m, n) == identity(field, n)
+    ctx = SimpleNamespace(base_field=field, n=n)  # all check_diagonalizability reads
+    assert check_diagonalizability(ctx, m) == (expected, min_poly)
 
 
 def nullspace_first_linear_dependency(field, vectors, limit):

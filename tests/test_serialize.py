@@ -25,6 +25,13 @@ class TestScalars:
         assert serialize.element_to_json(F13, PrimeFieldElement(11, 13)) == "11"
         assert serialize.element_from_json(F13, "-2") == PrimeFieldElement(11, 13)
 
+    @pytest.mark.parametrize("text", [" +4 ", "+4", "4\n", "04", "0_1", "1_0", "\u0663", "-0", "-04"])
+    def test_non_canonical_decimal_strings_are_rejected(self, text):
+        # int() reads each of them; str() writes none
+        for field, scalar in ((F13, text), (QQ, text), (QQ, f"1/{text}")):
+            with pytest.raises(SchemaViolation):
+                serialize.element_from_json(field, scalar)
+
     def test_rationals_canonical(self):
         assert serialize.element_to_json(QQ, Fraction(-6, 8)) == "-3/4"
         assert serialize.element_to_json(QQ, Fraction(5)) == "5"

@@ -16,7 +16,9 @@ cubic:
 
 A second property replaces one leaf of a certificate or of its tower spec
 with an integer literal past the interpreter's 4300-digit limit: ``verify``
-and ``tower`` exit 3 with a ``ParseError``.
+and ``tower`` exit 3 with a ``ParseError``. A third spells one integer of a
+scalar string as ``int()`` reads it but ``str()`` never writes it (with
+whitespace, a '+', a '_', a leading zero or a non-ASCII digit): both exit 3.
 """
 
 import contextlib
@@ -233,7 +235,7 @@ def test_cli_rejects_tampering_without_traceback(tmp_path, case, fmt):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 0:
         # accepted only when the document still means the same certificate
-        # (a prime-field scalar shifted by p, "+5" for "5", ...)
+        # (a prime-field scalar shifted by p, ...)
         assert canonical(path.read_text()) == certificate_text(name)
     else:
         assert code in (2, 3)
@@ -264,6 +266,59 @@ def test_cli_rejects_an_integer_literal_past_the_digit_limit(tmp_path, data, fmt
         assert json.loads(out.getvalue())["error"] == {"code": "ParseError", "message": message}
     else:
         assert out.getvalue() == f"error: ParseError: {message}\n"
+
+
+# the zeros of digit runs that int() reads and str() never writes:
+# Arabic-Indic, Devanagari and fullwidth
+FOREIGN_ZEROS = (0x0660, 0x0966, 0xFF10)
+
+
+@st.composite
+def respelt(draw, text):
+    """The scalar string text ("12", "-3", "1/2") with one of its integers
+    spelt another way that int() still reads as the same value."""
+    parts = text.split("/")
+    k = draw(st.integers(0, len(parts) - 1))
+    part = parts[k]
+    sign, digits = ("-", part[1:]) if part.startswith("-") else ("", part)
+    how = draw(st.sampled_from(["space", "underscore", "zero", "foreign"] + ([] if sign else ["plus"])))
+    if how == "space":
+        before, after = draw(st.sampled_from([(" ", ""), ("", " "), ("\t", "\n"), (" ", " ")]))
+        new = before + part + after
+    elif how == "plus":
+        new = "+" + part
+    elif how == "underscore":
+        new = sign + (digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits)
+    elif how == "zero":
+        new = sign + "0" + digits
+    else:
+        i = draw(st.integers(0, len(digits) - 1))
+        zero = draw(st.sampled_from(FOREIGN_ZEROS))
+        new = sign + digits[:i] + chr(zero + int(digits[i])) + digits[i + 1 :]
+    assert new != part and int(new) == int(part)
+    parts[k] = new
+    return "/".join(parts)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
+def test_cli_rejects_a_non_canonical_scalar_string(tmp_path, data, fmt):
+    # any scalar leaf of a certificate (verify) or of a tower spec (tower)
+    name = data.draw(st.sampled_from(sorted(INSTANCES)))
+    spec = serialize.input_to_json(INSTANCES[name]())
+    command, doc = data.draw(st.sampled_from([("verify", document(name)), ("tower", spec)]))
+    scalars = [(p, v) for p, v in leaves(doc) if p != ("version",) and isinstance(v, str) and _scalar(v) is not None]
+    leaf, value = data.draw(st.sampled_from(scalars))
+    path = tmp_path / "respelt.json"
+    path.write_text(json.dumps(replaced(doc, leaf, data.draw(respelt(value)))))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), "--format", fmt])
+    assert (code, err.getvalue()) == (3, "")
+    if fmt == "json":
+        assert json.loads(out.getvalue())["error"]["code"] in ("SchemaViolation", "MalformedCertificate")
+    else:
+        assert out.getvalue().startswith(("error: SchemaViolation: ", "error: MalformedCertificate: "))
 
 
 if __name__ == "__main__":
