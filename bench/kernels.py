@@ -24,6 +24,10 @@ irreducible), whose coefficients are all nonzero:
   (its construction timed too);
 * ``substitution_matrix``: the matrix whose column j is (X^p)^j mod f, as
   the Rabin test builds Q after X^p, on a modulus already multiplied by;
+* ``certificate_from_json``: the parse of a certificate document over F_p
+  with modulus f, x = X + 1, c and x_min_poly X^d - c, as verify reads it:
+  every leaf once, and E proven a field by the Kummer witness (X^p and
+  x^n) on a fresh copy of f;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
 Each kernel runs in rounds of enough calls to last ``ROUND_S``, the trees
@@ -52,7 +56,15 @@ GRID = [(1201, d) for d in (2, 4, 8, 16)] + [(p, d) for p in (7681, WIDE_P) for 
 QUICK_GRID = [(7681, 2), (7681, 4), (WIDE_P, 4)]
 MODULUS_CASES = [(12289, 64)]
 QUICK_MODULUS_CASES = [(97, 8)]
-KERNELS = ("E multiply", "poly_pow_mod X^p", "poly_pow_mod x^n", "kummer_frobenius", "substitution_matrix", "default_modulus")
+KERNELS = (
+    "E multiply",
+    "poly_pow_mod X^p",
+    "poly_pow_mod x^n",
+    "kummer_frobenius",
+    "substitution_matrix",
+    "certificate_from_json",
+    "default_modulus",
+)
 ROUNDS = 21
 ROUND_S = 0.02
 
@@ -97,9 +109,9 @@ def time_per_call(calls_by_tree: list) -> list:
     ]
 
 
-def instance(p: int, d: int) -> tuple[list, int]:
-    """(coefficients of f = (X + 1)^d - c, zeta = c^((p-1)/d)) for the least
-    c >= 2 whose zeta has exact order d."""
+def instance(p: int, d: int) -> tuple[list, int, int]:
+    """(coefficients of f = (X + 1)^d - c, c, zeta = c^((p-1)/d)) for the
+    least c >= 2 whose zeta has exact order d."""
     primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
     for c in range(2, p):
         zeta = pow(c, (p - 1) // d, p)
@@ -110,20 +122,41 @@ def instance(p: int, d: int) -> tuple[list, int]:
         coeffs.append(binomial % p)
         binomial = binomial * (d - k) // (k + 1)
     coeffs[0] = (coeffs[0] - c) % p
-    return coeffs, zeta
+    return coeffs, c, zeta
+
+
+def certificate(kk, p: int, d: int, coeffs: list, c: int, zeta: int, image: list) -> dict:
+    """The certificate document of x = X + 1 over F_p[X]/(f), all from ints."""
+    return {
+        "input": {
+            "base": {"kind": "prime", "p": str(p)},
+            "n": d,
+            "zeta": str(zeta),
+            "modulus": [str(v) for v in coeffs],
+            "sigma_image": [str(v) for v in image],
+        },
+        "eigen": [{"i": i, "eigenvalue": str(pow(zeta, i, p)), "dimension": 1} for i in range(d)],
+        "x": ["1", "1"],
+        "c": str(c),
+        "x_min_poly": [str(-c % p)] + ["0"] * (d - 1) + ["1"],
+        "checks": dict.fromkeys(kk.kummer.CHECK_NAMES, True),
+        "version": kk.kummer.CERTIFICATE_VERSION,
+    }
 
 
 def kernels(kk, p: int, d: int) -> list:
     """The KERNELS of one tree at (p, d) but the last, as functions of k."""
     Polynomial, poly_pow_mod = kk.polynomials.Polynomial, kk.polynomials.poly_pow_mod
     field = kk.scalars.PrimeField(p)
-    coeffs, zeta = instance(p, d)
+    coeffs, c, zeta = instance(p, d)
     rng = random.Random(f"{p}-{d}")
     f = Polynomial(field, coeffs)
     image = poly_pow_mod(Polynomial.x(field), p, f).padded(d)
     witness = (d, zeta, [c.value for c in image], [1, 1])
     ext = kk.tower.ExtensionField(field, f, witness)
     assert ext.kummer_witness is not None, (p, d)
+    document = certificate(kk, p, d, coeffs, c, zeta, witness[2])
+    assert kk.serialize.certificate_from_json(document).input.ext_field.kummer_witness is not None, (p, d)
     a, b = (ext.element([rng.randrange(p) for _ in range(d)]) for _ in range(2))
     y = Polynomial(field, [rng.randrange(p) for _ in range(d)])
     a * b  # the field's modulus has been multiplied by
@@ -148,7 +181,11 @@ def kernels(kk, p: int, d: int) -> list:
         for _ in range(k):
             kk.linalg.substitution_matrix(field, f, image)
 
-    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix]
+    def parse_certificate(k):
+        for _ in range(k):
+            kk.serialize.certificate_from_json(document)
+
+    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix, parse_certificate]
 
 
 def default_modulus_calls(kk, p: int, n: int):

@@ -94,4 +94,4 @@ def builtin_cubic_over_eisenstein() -> CyclicExtensionInput:
 
 def parse_tower_spec(document: str) -> CyclicExtensionInput:
     """Build an input from a tower-spec JSON document (see serialize)."""
-    return serialize.input_from_json(serialize.loads(document))
+    return serialize.input_from_json(serialize.loads(document))[0]

@@ -63,8 +63,9 @@ class Polynomial:
 
     @classmethod
     def x_pow_minus_const(cls, field, n: int, c) -> "Polynomial":
-        """X^n - c."""
-        coeffs = [-field.coerce(c)] + [field.zero()] * (n - 1) + [field.one()]
+        """X^n - c (the constant 1 - c when n = 0)."""
+        coeffs = [field.zero()] * n + [field.one()]
+        coeffs[0] -= field.coerce(c)
         return cls(field, coeffs)
 
     @property
@@ -481,11 +482,12 @@ def rabin_frobenius(f: Polynomial):
     return (q_matrix, x_to_p) if power == x else None
 
 
-def kummer_frobenius(f: Polynomial, n: int, zeta: int, image, x):
+def kummer_frobenius(f: Polynomial, n: int, zeta, image, x):
     """(the d coordinates of X^p mod f as a tuple, (x's d coordinates, x^n))
     when a Kummer witness proves f irreducible over a prime field, else
-    None; it raises nothing for ints zeta and n and int sequences image and
-    x (the coordinates of s and of x, at most d each).
+    None. zeta and the coordinates of s (image) and of x, at most d each,
+    are anything the field's ``coerce`` takes, its elements or ints; for
+    those and an int n it raises nothing.
 
     The premises: deg f = n, zeta has exact order n in F_p, s = X^p mod f,
     and x^n, computed, is a nonzero constant c with c^((p-1)/n) = zeta (so
@@ -502,7 +504,7 @@ def kummer_frobenius(f: Polynomial, n: int, zeta: int, image, x):
     """
     field = f.field
     p, d = field.p, f.degree
-    zeta %= p
+    zeta = field.coerce(zeta).value
     if d != n or pow(zeta, n, p) != 1 or any(pow(zeta, n // q, p) == 1 for q in prime_factors(n)):
         return None
     x_to_p = poly_pow_mod(Polynomial.x(field), p, f).padded(d)

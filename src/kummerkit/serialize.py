@@ -4,15 +4,19 @@ Conventions (normative for every file this package reads or writes):
 
 * scalars are decimal strings, never JSON numbers: rationals as "num/den"
   with the denominator omitted when it is 1, prime-field values as their
-  canonical representative in [0, p);
+  canonical representative in [0, p); each integer in a scalar string is
+  spelt as ``str(int)`` writes it;
 * an element of a ground field (prime or rationals) is a scalar string; an
   element of an extension is the array of its coordinates over the base,
   degree-ascending, recursively;
 * polynomials are arrays of element encodings, degree-ascending;
 * structural integers (n, eigenvalue exponents, dimensions) are JSON
-  integers -- they are small counts, not field scalars;
+  integers, not strings or booleans -- small counts, not field scalars;
 * emitted documents have a fixed key order, so identical values serialize
   to identical bytes.
+
+Each leaf kind has one reader, any other spelling is a SchemaViolation, and
+each leaf is read once, E's Kummer witness included (``input_from_json``).
 """
 
 from __future__ import annotations
@@ -72,24 +76,32 @@ def element_from_json(field, obj):
         return PrimeFieldElement(_int_from_json(obj, "prime-field element"), field.p)
     if isinstance(field, RationalField):
         return _rational_from_json(obj)
+    return field.element(_coords_from_json(field.base, field.modulus, obj))
+
+
+def _coords_from_json(base, modulus, obj) -> list:
+    """The coordinates over base of an element of base[X]/(modulus), read
+    before that field need exist (E, while its witness is read)."""
     if not isinstance(obj, list):
-        raise SchemaViolation(f"element of {field} must be a coordinate array, got {obj!r}")
-    if len(obj) > field.degree:
-        raise SchemaViolation(f"{len(obj)} coordinates for a degree-{field.degree} extension")
-    return field.element([element_from_json(field.base, c) for c in obj])
+        raise SchemaViolation(f"element of {base}[X]/({modulus}) must be a coordinate array, got {obj!r}")
+    if len(obj) > modulus.degree >= 1:  # a modulus of degree < 1 is the build's to name
+        raise SchemaViolation(f"{len(obj)} coordinates for a degree-{modulus.degree} extension")
+    return [element_from_json(base, c) for c in obj]
 
 
 def _int_from_json(obj, what: str) -> int:
-    if isinstance(obj, bool):
-        raise SchemaViolation(f"{what} must be an integer string, got {obj!r}")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, str):
-        try:
-            return _decimal(obj)
-        except ValueError as exc:
-            raise SchemaViolation(f"{what} is not a decimal integer: {obj!r}") from exc
-    raise SchemaViolation(f"{what} must be a decimal string, got {obj!r}")
+    if not isinstance(obj, str):
+        raise SchemaViolation(f"{what} must be a decimal string, got {obj!r}")
+    try:
+        return _decimal(obj)
+    except ValueError as exc:
+        raise SchemaViolation(f"{what} is not a decimal integer: {obj!r}") from exc
+
+
+def _count_from_json(obj, what: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise SchemaViolation(f"{what} must be a JSON integer, got {obj!r}")
+    return obj
 
 
 def _decimal(text: str) -> int:
@@ -102,8 +114,6 @@ def _decimal(text: str) -> int:
 
 
 def _rational_from_json(obj) -> Fraction:
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return Fraction(obj)
     if not isinstance(obj, str):
         raise SchemaViolation(f"rational must be a string like 'num/den', got {obj!r}")
     num, _, den = obj.partition("/")
@@ -194,10 +204,12 @@ def input_to_json(inp: CyclicExtensionInput) -> dict:
     }
 
 
-def input_from_json(obj, x=None) -> CyclicExtensionInput:
-    """The input a tower spec describes. A certificate passes its encoded x
-    too: over F_p its Kummer witness may then prove E a field instead of the
-    Rabin test (``ExtensionField``), with the same result."""
+def input_from_json(obj, x=None) -> tuple:
+    """(the input a tower spec describes, x or None). A certificate passes
+    its encoded x too, which is returned as an element of E. Every leaf is
+    read once, before E is built: over F_p the parsed n, zeta, s and x are
+    E's Kummer witness, which may prove E a field instead of the Rabin test
+    (``ExtensionField``), with the same result."""
     if not isinstance(obj, dict):
         raise SchemaViolation(f"tower spec must be an object, got {obj!r}")
     missing = [k for k in INPUT_KEYS if k not in obj]
@@ -205,32 +217,13 @@ def input_from_json(obj, x=None) -> CyclicExtensionInput:
         raise SchemaViolation(f"tower spec is missing keys: {', '.join(missing)}")
     base = field_from_json(obj["base"])
     modulus = poly_from_json(base, obj["modulus"])
-    ext = _build_extension(base, modulus, _kummer_witness(obj, base, modulus, x))
-    n = _int_from_json(obj["n"], "n")
+    n = _count_from_json(obj["n"], "n")
     zeta = element_from_json(base, obj["zeta"])
-    sigma_image = element_from_json(ext, obj["sigma_image"])
-    return CyclicExtensionInput(ext, n, zeta, sigma_image)
-
-
-def _kummer_witness(obj, base, modulus, x):
-    """(n, zeta, s, x) as ints, for ``ExtensionField`` over F_p, or None
-    when x is None, the base is not F_p, or a piece does not fit the
-    schema; every piece is parsed again after the build, with its usual
-    error."""
-    if x is None or not isinstance(base, PrimeField):
-        return None
-    image = obj["sigma_image"]
-    if not (isinstance(image, list) and isinstance(x, list) and max(len(image), len(x)) <= modulus.degree):
-        return None
-    try:
-        return (
-            _int_from_json(obj["n"], "n"),
-            _int_from_json(obj["zeta"], "zeta"),
-            [_int_from_json(c, "coordinate") for c in image],
-            [_int_from_json(c, "coordinate") for c in x],
-        )
-    except SchemaViolation:
-        return None
+    image = _coords_from_json(base, modulus, obj["sigma_image"])
+    if x is not None:
+        x = _coords_from_json(base, modulus, x)
+    ext = _build_extension(base, modulus, None if x is None else (n, zeta, image, x))
+    return CyclicExtensionInput(ext, n, zeta, ext.element(image)), None if x is None else ext.element(x)
 
 
 # -- certificates -------------------------------------------------------------
@@ -261,17 +254,17 @@ def certificate_from_json(obj) -> KummerCertificate:
                 raise MalformedCertificate(f"certificate is missing '{key}'")
         if obj["version"] != CERTIFICATE_VERSION:
             raise MalformedCertificate(f"unsupported certificate version {obj['version']!r}")
-        inp = input_from_json(obj["input"], obj["x"])
-        base, ext = inp.base_field, inp.ext_field
+        inp, x = input_from_json(obj["input"], obj["x"])
+        base = inp.base_field
         entries = []
         if not isinstance(obj["eigen"], list):
             raise MalformedCertificate("'eigen' must be an array")
         for entry in obj["eigen"]:
             entries.append(
                 EigenEntry(
-                    i=_int_from_json(entry["i"], "eigenvalue exponent"),
+                    i=_count_from_json(entry["i"], "eigenvalue exponent"),
                     eigenvalue=element_from_json(base, entry["eigenvalue"]),
-                    dimension=_int_from_json(entry["dimension"], "eigenspace dimension"),
+                    dimension=_count_from_json(entry["dimension"], "eigenspace dimension"),
                 )
             )
         checks = obj["checks"]
@@ -282,7 +275,7 @@ def certificate_from_json(obj) -> KummerCertificate:
         return KummerCertificate(
             input=inp,
             eigen=EigenReport(tuple(entries)),
-            x=element_from_json(ext, obj["x"]),
+            x=x,
             c=element_from_json(base, obj["c"]),
             x_min_poly=poly_from_json(base, obj["x_min_poly"]),
             checks={name: checks[name] for name in CHECK_NAMES},

@@ -37,11 +37,13 @@ class ExtensionField(IdentityHooks):
     (column j is X^(j*p) mod f); over other bases both are None.
 
     Over F_p, ``witness`` may offer a certificate's Kummer witness
-    (n, zeta, s, x) as ints, with at most d coordinates each for s and x.
-    When ``kummer_frobenius`` finds that it proves the modulus irreducible
-    (one X^p and one x^n), no Rabin test runs: the field records the
-    witness as ``kummer_witness``, (x's coordinates, x^n), and builds Q
-    from ``frobenius_image`` when ``frobenius`` is first read. Otherwise
+    (n, zeta, s, x): an int n, and zeta and the at most d coordinates each
+    of s and x as anything ``kummer_frobenius`` takes, such as the elements
+    a certificate's reader parsed. When ``kummer_frobenius`` finds that it
+    proves the modulus irreducible (one X^p and one x^n), no Rabin test
+    runs: the field records the witness as ``kummer_witness``, (x's
+    coordinates, x^n), and builds Q from ``frobenius_image`` when
+    ``frobenius`` is first read. Otherwise
     ``kummer_witness`` is None and the Rabin test runs, which raises
     ReducibleModulus on a reducible modulus and keeps its Q. Both ways give
     the same field, with the same ``frobenius_image`` and Q.

@@ -23,6 +23,7 @@ from kummerkit.scalars import MR_EXACT_BOUND
 from kummerkit.families import builtin_cubic_over_eisenstein
 
 from test_determinism import simplest_quartic
+from test_tamper import replaced
 
 
 def child_env():
@@ -240,6 +241,67 @@ class TestHostileDocuments:
         assert (code, err) == (1, "")
         assert json.loads(out)["error"] == {"code": "ScalarTooLarge", "message": message}
 
+
+    # a leaf respelt as another kind (a scalar as a JSON number, a count as a
+    # string or a bool), with the message of the reader that refuses it
+    README_SPEC = {
+        "base": {"kind": "prime", "p": "13"},
+        "n": 4,
+        "zeta": "5",
+        "modulus": ["11", "0", "0", "0", "1"],
+        "sigma_image": ["0", "8", "0", "0"],
+    }
+    SPEC_LEAVES = [
+        (("base", "p"), 13, "field characteristic must be a decimal string, got 13"),
+        (("n",), "4", "n must be a JSON integer, got '4'"),
+        (("n",), True, "n must be a JSON integer, got True"),
+        (("zeta",), 5, "prime-field element must be a decimal string, got 5"),
+        (("modulus", 0), 11, "prime-field element must be a decimal string, got 11"),
+        (("sigma_image", 1), 8, "prime-field element must be a decimal string, got 8"),
+    ]
+    CERTIFICATE_LEAVES = [(("input",) + path, value, message) for path, value, message in SPEC_LEAVES] + [
+        (("eigen", 1, "i"), "1", "eigenvalue exponent must be a JSON integer, got '1'"),
+        (("eigen", 1, "dimension"), True, "eigenspace dimension must be a JSON integer, got True"),
+        (("eigen", 1, "eigenvalue"), 5, "prime-field element must be a decimal string, got 5"),
+        (("x", 3), 1, "prime-field element must be a decimal string, got 1"),
+        (("c",), 8, "prime-field element must be a decimal string, got 8"),
+        (("x_min_poly", 4), 1, "prime-field element must be a decimal string, got 1"),
+    ]
+
+    def _assert_rejected(self, capsys, path, command, code_name, message):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (3, f"error: {code_name}: {message}\n", "")
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["error"] == {"code": code_name, "message": message}
+
+    @pytest.mark.parametrize("leaf,value,message", SPEC_LEAVES)
+    def test_a_spec_leaf_of_the_wrong_kind_exits_3(self, capsys, tmp_path, leaf, value, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(replaced(self.README_SPEC, leaf, value)))
+        self._assert_rejected(capsys, path, "tower", "SchemaViolation", message)
+
+    def test_the_readme_spec_written_in_json_numbers_exits_3(self, capsys, tmp_path):
+        doc = {"base": {"kind": "prime", "p": 13}, "n": 4, "zeta": 5, "modulus": [11, 0, 0, 0, 1], "sigma_image": [0, 8, 0, 0]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        self._assert_rejected(capsys, path, "tower", "SchemaViolation", self.SPEC_LEAVES[0][2])
+
+    def test_a_rational_written_as_a_json_number_exits_3(self, capsys, tmp_path):
+        doc = serialize.input_to_json(builtin_cubic_over_eisenstein())
+        doc["zeta"][1] = 1
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        self._assert_rejected(capsys, path, "tower", "SchemaViolation", "rational must be a string like 'num/den', got 1")
+
+    @pytest.mark.parametrize("leaf,value,message", CERTIFICATE_LEAVES)
+    def test_a_certificate_leaf_of_the_wrong_kind_exits_3(self, capsys, tmp_path, leaf, value, message):
+        code, out, _ = run(capsys, "finite", "--p", "13", "--n", "4", "--format", "json")
+        assert code == 0
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(replaced(json.loads(out), leaf, value)))
+        message = f"certificate does not match the schema: {message}"
+        self._assert_rejected(capsys, path, "verify", "MalformedCertificate", message)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter reads ints of any size")
     @pytest.mark.parametrize("command", ["tower", "verify"])

@@ -405,3 +405,11 @@ class TestRepresentation:
 
     def test_str(self):
         assert str(Polynomial(F13, [5, 0, 0, 0, 1])) == "X^4 + 5"
+
+    @pytest.mark.parametrize("field,c", [(F13, 1), (F13, 5), (QQ, Fraction(1)), (QQ, Fraction(-3, 4))])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_x_pow_minus_const_against_repeated_multiplication(self, field, c, n):
+        power = Polynomial.one(field)
+        for _ in range(n):
+            power = power * Polynomial.x(field)
+        assert Polynomial.x_pow_minus_const(field, n, c) == power - Polynomial(field, [c])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummerkit import serialize
+from kummerkit.cli import main
 from kummerkit.errors import MalformedCertificate, NotPrime, ParseError, ReducibleModulus, SchemaViolation
 from kummerkit.families import builtin_cubic_over_eisenstein, default_modulus, frobenius_family
 from kummerkit.kummer import CHECK_NAMES, CyclicExtensionInput, certify
@@ -15,6 +16,7 @@ from kummerkit.polynomials import Polynomial
 from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField, is_prime
 from kummerkit.tower import ExtensionField
 from test_determinism import shanks_cubic, simplest_quartic
+from test_tamper import leaves
 
 F13 = PrimeField(13)
 QQ = RationalField()
@@ -121,6 +123,38 @@ class TestCertificates:
         two = serialize.canonical_dumps(serialize.certificate_to_json(certify(frobenius_family(13, 4))))
         assert one.encode() == two.encode()
 
+    # 85 scalar leaves; the cubic's 41 spell 48 integers, 7 being "num/den"
+    @pytest.mark.parametrize("name,integers", [("finite-97-16", 85), ("builtin-cubic", 48)])
+    def test_verify_reads_each_scalar_leaf_once(self, name, integers, monkeypatch, tmp_path, capsys):
+        # each integer a scalar leaf spells goes through _decimal once, E's
+        # Kummer witness included
+        inp = frobenius_family(97, 16) if name == "finite-97-16" else builtin_cubic_over_eisenstein()
+        text = serialize.canonical_dumps(serialize.certificate_to_json(certify(inp)))
+        spelt = [
+            part
+            for path, leaf in leaves(json.loads(text))
+            if isinstance(leaf, str) and path[-1] not in ("kind", "version")
+            for part in leaf.split("/")
+        ]
+        read, decimal = [], serialize._decimal
+        monkeypatch.setattr(serialize, "_decimal", lambda text: read.append(text) or decimal(text))
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        assert main(["verify", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "valid"
+        assert sorted(read) == sorted(spelt)
+        assert len(read) == integers
+
+    @pytest.mark.parametrize("modulus", [[], ["1"]])
+    def test_a_modulus_of_degree_below_1_is_named(self, modulus):
+        # sigma_image's and x's coordinates are read before E is built
+        obj = serialize.certificate_to_json(certify(frobenius_family(13, 4)))
+        obj["input"]["modulus"] = modulus
+        with pytest.raises(SchemaViolation, match="extension modulus must have degree >= 1"):
+            serialize.input_from_json(obj["input"])
+        with pytest.raises(MalformedCertificate, match="extension modulus must have degree >= 1"):
+            serialize.certificate_from_json(obj)
+
     def test_missing_field(self):
         obj = serialize.certificate_to_json(certify(frobenius_family(5, 2)))
         del obj["checks"]
@@ -204,6 +238,6 @@ def tower_inputs():
 @given(tower_inputs())
 def test_input_document_round_trip(inp):
     text = serialize.canonical_dumps(serialize.input_to_json(inp))
-    back = serialize.input_from_json(serialize.loads(text))
+    back, _ = serialize.input_from_json(serialize.loads(text))
     assert back == inp
     assert serialize.canonical_dumps(serialize.input_to_json(back)) == text
