@@ -1,8 +1,8 @@
-"""Timings of the F_p field kernels, standard library only.
+"""Timings of the field kernels, over F_p and over QQ towers, standard library only.
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_19.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_23.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -30,6 +30,14 @@ irreducible), whose coefficients are all nonzero:
   x^n) on a fresh copy of f;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
+Two more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest cubic
+over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a of
+1, 20 and 40 digits (20 only with ``--quick``), where x is the radical
+generator that certify finds, dense but for its first coordinate 1:
+
+* ``tower multiply``: ``ExtensionElement.__mul__`` of x and x + alpha;
+* ``tower x^n``: x^n, n = 3 or 4, as verify computes c.
+
 Each kernel runs in rounds of enough calls to last ``ROUND_S``, the trees
 taking turns round by round, in an order that alternates, so that a host
 whose speed drifts slows every tree alike. The best and the median round
@@ -56,6 +64,9 @@ GRID = [(1201, d) for d in (2, 4, 8, 16)] + [(p, d) for p in (7681, WIDE_P) for 
 QUICK_GRID = [(7681, 2), (7681, 4), (WIDE_P, 4)]
 MODULUS_CASES = [(12289, 64)]
 QUICK_MODULUS_CASES = [(97, 8)]
+TOWER_A = {1: 7, 20: 10**19 + 9, 40: 10**39 + 3}  # digits: a
+TOWER_CASES = [(family, digits) for family in ("cubic", "quartic") for digits in TOWER_A]
+QUICK_TOWER_CASES = [("cubic", 20), ("quartic", 20)]
 KERNELS = (
     "E multiply",
     "poly_pow_mod X^p",
@@ -64,6 +75,8 @@ KERNELS = (
     "substitution_matrix",
     "certificate_from_json",
     "default_modulus",
+    "tower multiply",
+    "tower x^n",
 )
 ROUNDS = 21
 ROUND_S = 0.02
@@ -145,7 +158,7 @@ def certificate(kk, p: int, d: int, coeffs: list, c: int, zeta: int, image: list
 
 
 def kernels(kk, p: int, d: int) -> list:
-    """The KERNELS of one tree at (p, d) but the last, as functions of k."""
+    """The first six KERNELS of one tree at (p, d), as functions of k."""
     Polynomial, poly_pow_mod = kk.polynomials.Polynomial, kk.polynomials.poly_pow_mod
     field = kk.scalars.PrimeField(p)
     coeffs, c, zeta = instance(p, d)
@@ -193,23 +206,56 @@ def default_modulus_calls(kk, p: int, n: int):
     return lambda k: [kk.families.default_modulus(field, n) for _ in range(k)]
 
 
+def tower_kernels(kk, family: str, a: int) -> list:
+    """The two tower KERNELS of one tree, as functions of k, for Shanks'
+    cubic over QQ(zeta_3) or the simplest quartic over QQ(i) at a."""
+    QQ, Polynomial = kk.scalars.RationalField(), kk.polynomials.Polynomial
+    if family == "cubic":  # sigma(alpha) = -1/(1 + alpha)
+        k_field = kk.tower.ExtensionField(QQ, Polynomial(QQ, [1, 1, 1]))
+        ext = kk.tower.ExtensionField(k_field, Polynomial(k_field, [-1, -(a + 3), -a, 1]))
+        image = -1 / (1 + ext.gen())
+    else:  # sigma(alpha) = (alpha - 1)/(alpha + 1)
+        k_field = kk.tower.ExtensionField(QQ, Polynomial(QQ, [1, 0, 1]))
+        ext = kk.tower.ExtensionField(k_field, Polynomial(k_field, [1, a, -6, -a, 1]))
+        image = (ext.gen() - 1) / (ext.gen() + 1)
+    n = ext.degree
+    x = kk.kummer.certify(kk.kummer.CyclicExtensionInput(ext, n, k_field.gen(), image)).x
+    y = x + ext.gen()
+    assert all(x.coords[1:]) and all(y.coords), (family, a)
+
+    def multiply(k):
+        for _ in range(k):
+            x * y
+
+    def x_to_n(k):
+        for _ in range(k):
+            x**n
+
+    return [multiply, x_to_n]
+
+
 def results(trees: list, quick: bool) -> list:
     """One row per kernel and case, with each tree's timing under its label."""
     labels = [label for label, _ in trees]
     cases = []
     for p, d in QUICK_GRID if quick else GRID:
         per_tree = [kernels(kk, p, d) for _, kk in trees]
-        cases += [(name, p, d, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[:-1])]
+        cases += [(name, {"p": p, "d": d}, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[:6])]
     for p, n in QUICK_MODULUS_CASES if quick else MODULUS_CASES:
-        cases.append(("default_modulus", p, n, [default_modulus_calls(kk, p, n) for _, kk in trees]))
+        cases.append(("default_modulus", {"p": p, "d": n}, [default_modulus_calls(kk, p, n) for _, kk in trees]))
+    for family, digits in QUICK_TOWER_CASES if quick else TOWER_CASES:
+        per_tree = [tower_kernels(kk, family, TOWER_A[digits]) for _, kk in trees]
+        case = {"family": family, "a_digits": digits}
+        cases += [(name, case, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[7:])]
     out = []
-    for name, p, d, calls_by_tree in cases:
+    for name, case, calls_by_tree in cases:
         timings = time_per_call(calls_by_tree)
         for t in timings:
             t["median_ratio"] = round(t["median_us"] / timings[0]["median_us"], 3)
-        out.append({"kernel": name, "p": p, "d": d, **dict(zip(labels, timings))})
+        out.append({"kernel": name, **case, **dict(zip(labels, timings))})
         medians = ", ".join(f"{label} {t['median_us']:.1f} ({t['median_ratio']:.2f})" for label, t in zip(labels, timings))
-        print(f"{name:18} p={p} d={d}: median us (ratio) {medians}", file=sys.stderr)
+        where = " ".join(f"{key}={value}" for key, value in case.items())
+        print(f"{name:18} {where}: median us (ratio) {medians}", file=sys.stderr)
     return out
 
 
@@ -227,7 +273,7 @@ def main(argv=None) -> int:
     rows = results(trees, args.quick)
     first = trees[0][0]
     doc = {
-        "about": "Time per call of the F_p kernels (bench/kernels.py) in microseconds: the best and the median "
+        "about": "Time per call of the field kernels (bench/kernels.py) in microseconds: the best and the median "
         f"of {ROUNDS} rounds per tree, the trees taking turns. 'control' is the first tree loaded a second "
         "time. 'median_ratio' divides each tree's median by the first tree's, and 'speedups' divides the "
         "first tree's median by each other tree's, so the control's figures show the noise.",
@@ -237,7 +283,7 @@ def main(argv=None) -> int:
         "results": rows,
         "speedups": {
             label: [
-                {"kernel": r["kernel"], "p": r["p"], "d": r["d"], "speedup": round(r[first]["median_us"] / r[label]["median_us"], 2)}
+                {**{key: r[key] for key in r if key not in dict(trees)}, "speedup": round(r[first]["median_us"] / r[label]["median_us"], 2)}
                 for r in rows
             ]
             for label, _ in trees[1:]

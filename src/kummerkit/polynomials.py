@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
+from fractions import Fraction
+from math import lcm
 
 from .errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
 from .scalars import PrimeField, RationalField, prime_factors
@@ -22,9 +24,12 @@ class Polynomial:
 
     ``fold_table`` is None until ``raw_mul_mod`` first reduces by this
     polynomial over F_p; it then holds the packed X^(d+k) mod f that every
-    later multiply mod this polynomial reuses (``_build_fold_table``)."""
+    later multiply mod this polynomial reuses (``_build_fold_table``).
+    ``int_fold`` is None until ``_mul_mod_on_ground_ints`` first folds by
+    this polynomial, as f over an extension base K or as K's modulus g; it
+    then holds the ground ints of its low coefficients (``_keep_int_fold``)."""
 
-    __slots__ = ("field", "coeffs", "fold_table")
+    __slots__ = ("field", "coeffs", "fold_table", "int_fold")
 
     def __init__(self, field, coeffs=()):
         coeffs = [field.coerce(c) for c in coeffs]
@@ -33,6 +38,7 @@ class Polynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "fold_table", None)
+        object.__setattr__(self, "int_fold", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -47,6 +53,7 @@ class Polynomial:
         object.__setattr__(poly, "field", field)
         object.__setattr__(poly, "coeffs", tuple(coeffs))
         object.__setattr__(poly, "fold_table", None)
+        object.__setattr__(poly, "int_fold", None)
         return poly
 
     @classmethod
@@ -213,9 +220,12 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     A negative value would borrow from the slot above, and an unreduced one
     could overflow its own.
 
-    Over other bases (QQ, towers) raw values are canonical elements: the
+    Over an extension base K = ground[t]/(g) of degree e, ground F_p or QQ,
+    ``_mul_mod_on_ground_ints`` runs on the ground coordinates as ints,
+    with no multiply in K. Over QQ (and a base higher in a tower, which no
+    pipeline multiplies over) raw values are canonical elements: the
     schoolbook ``raw_product`` is folded back with f from the top, one
-    degree at a time."""
+    degree at a time. So there is one path per kind of base."""
     d = f.degree
     p = field.raw_int_bound
     if p is not None:
@@ -226,6 +236,8 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
         for h, row in zip(_unpack(prod >> width * d, width, d - 1), rows):
             low += h % p * row
         return [c % p for c in _unpack(low, width, d)]
+    if not isinstance(field, RationalField) and isinstance(field.base, (PrimeField, RationalField)):
+        return _mul_mod_on_ground_ints(field, a, b, f)
     reduce = field.reduce
     prod = raw_product(field, a, b)
     low = field.unbox(f.coeffs[:d])
@@ -235,6 +247,70 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
             for j, y in enumerate(low, k - d):
                 prod[j] -= c * y
     return prod[:d]
+
+
+def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
+    """``raw_mul_mod`` over K = ground[t]/(g), g monic of degree e, on ints.
+
+    Flatten: the d e ground coordinates of a, of b and of f's d low
+    coefficients become (index, int) terms over a common denominator each
+    (``_int_terms``), coordinate u of coefficient k at index k s + u, where
+    the stride s = 2e - 1 holds a row's t-coefficients before their
+    reduction mod g. Multiply: the bivariate product of a and b, once, over
+    ZZ. Fold, from the top index down: t^u, u >= e, is folded by g within
+    its row, and then, in a row k >= d, X^k t^u is folded by f into rows
+    k - d .. k - 1. Each fold by X^m = -(low terms)/D, D the denominator of
+    the modulus's low terms, multiplies every int by D first, and so D
+    multiplies the result's denominator; D is 1 over F_p and for an
+    integral modulus. Box: rows 0 .. d-1, coordinates 0 .. e-1, become one
+    Fraction each over the denominator, or ground elements reduced mod p.
+    """
+    element = type(a[0])  # ExtensionElement, from tower, which imports this module
+    ground, g, d = field.base, field.modulus, f.degree
+    e = g.degree
+    s = 2 * e - 1
+    terms_a, den = _int_terms(ground, [x.coords for x in a], s)
+    terms_b, den_b = (terms_a, den) if a is b else _int_terms(ground, [x.coords for x in b], s)
+    out = [0] * ((2 * d - 1) * s)
+    for i, x in terms_a:
+        for j, y in terms_b:
+            out[i + j] += x * y
+    den *= den_b
+    by_g = g.int_fold or _keep_int_fold(g, e, _int_terms(ground, [g.coeffs[:e]], s))
+    by_f = f.int_fold or _keep_int_fold(f, d * s, _int_terms(ground, [c.coords for c in f.coeffs[:d]], s))
+    for m in range(len(out) - 1, -1, -1):
+        x = out[m]
+        k, u = divmod(m, s)
+        if x and (u >= e or k >= d):
+            shift, low, low_den = by_g if u >= e else by_f
+            if low_den != 1:
+                out = [c * low_den for c in out]
+                den *= low_den
+            for j, y in low:
+                out[m - shift + j] -= x * y
+    rows = [out[k * s : k * s + e] for k in range(d)]
+    if ground.raw_int_bound is not None:
+        return [element(field, tuple(ground.box(row))) for row in rows]
+    return [element(field, tuple([Fraction(c, den) for c in row])) for row in rows]
+
+
+def _int_terms(ground, rows, s: int) -> tuple[list, int]:
+    """([(i s + u, c)], D): the nonzero ground values of rows, value u of
+    row i at index i s + u, as ints c over one denominator D, the lcm of
+    theirs over QQ and 1 over F_p."""
+    if ground.raw_int_bound is not None:
+        return [(i * s + u, c.value) for i, row in enumerate(rows) for u, c in enumerate(row) if c.value], 1
+    values = [(i * s + u, c.numerator, c.denominator) for i, row in enumerate(rows) for u, c in enumerate(row)]
+    den = lcm(*[q for _, _, q in values])
+    return [(m, n * (den // q)) for m, n, q in values if n], den
+
+
+def _keep_int_fold(f: Polynomial, shift: int, terms: tuple) -> tuple:
+    """(shift, terms, D), kept as ``f.int_fold``: X^shift in the flat index
+    of ``_mul_mod_on_ground_ints`` is -(the terms)/D mod f."""
+    fold = (shift,) + terms
+    object.__setattr__(f, "int_fold", fold)
+    return fold
 
 
 def _pack(values, width: int) -> int:
@@ -358,7 +434,8 @@ def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     square, and on a set bit multiply by base. The result is boxed once, at
     the end. Over F_p every step is one packed multiply and one fold by the
     modulus's fold table, which the first step builds and every later power
-    or E multiply mod the same modulus reuses.
+    or E multiply mod the same modulus reuses; over an extension of F_p or
+    QQ it is one product and one fold on the ground coordinates as ints.
     """
     if modulus.degree < 1 or not modulus.is_monic():
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")

@@ -37,6 +37,10 @@ loop for every field.
 :class:`RationalField` and :class:`~kummerkit.tower.ExtensionField` share
 the identity hooks of :class:`IdentityHooks`, whose raw values are the
 elements themselves and whose products run the schoolbook loops.
+``raw_mul_mod`` has one path per kind of base: packed over F_p, the
+schoolbook loop on ``Fraction`` values over QQ, and over an extension of
+F_p or QQ one bivariate product and one fold on the ground coordinates
+as ints, with no multiply in the extension.
 
 No floating point appears anywhere in this module or its callers.
 """

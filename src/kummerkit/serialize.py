@@ -114,15 +114,19 @@ def _decimal(text: str) -> int:
 
 
 def _rational_from_json(obj) -> Fraction:
+    """The rational that obj spells as ``str`` writes it: "num/den" in
+    lowest terms with den > 1, or the integer alone; so not "2/4", "3/1",
+    "1/-2" or "0/5"."""
     if not isinstance(obj, str):
         raise SchemaViolation(f"rational must be a string like 'num/den', got {obj!r}")
     num, _, den = obj.partition("/")
     try:
-        if den:
-            return rational(_decimal(num), _decimal(den))
-        return Fraction(_decimal(num))
+        value = rational(_decimal(num), _decimal(den)) if den else Fraction(_decimal(num))
+        if str(value) != obj:
+            raise ValueError(f"{obj!r} is not a canonical rational")
     except (ValueError, ZeroDenominator) as exc:
         raise SchemaViolation(f"invalid rational {obj!r}") from exc
+    return value
 
 
 # -- polynomials -----------------------------------------------------------

@@ -5,6 +5,9 @@ An extension element is a coordinate vector over the level below, always
 stored at full length (zero-padded). Coordinates stay recursive: an element
 of E = K[X]/(f) over K = QQ[t]/(g) holds K-elements, never a flattened
 rational vector, so the linear algebra downstream is genuinely over K.
+Only the multiply flattens: ``raw_mul_mod`` has one path per kind of base,
+and over such a K it multiplies and folds E's ground coordinates as ints
+over a common denominator, with no multiply in K.
 """
 
 from __future__ import annotations
@@ -218,7 +221,9 @@ class ExtensionElement:
         base field's raw values, unboxed once (once for a square), and
         boxed once; ``poly_pow_mod``, the only residue power, runs on it
         too. Over F_p that is one packed multiply and one fold by the
-        modulus's fold table, which the field's multiplies and powers share.
+        modulus's fold table, which the field's multiplies and powers share;
+        over an extension of F_p or QQ, one product and one fold on the
+        ground ints.
         """
         field = self.field
         if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):

@@ -48,14 +48,26 @@ F_p[X]/(f) and a degree-128 field would spend seconds on its Rabin test.
 ``substitution_matrix`` is checked the same way at p = 2, 7681 and the
 81-bit ``WIDE_P`` and d up to 64, and counted: d - 1 multiplies mod f, no
 dot product and no fold table of its own; the Rabin test after it makes
-d - 1 Frobenius steps. The last test counts ``raw_product`` calls across
-CLI requests like the benchmark's: none is over F_p, so every F_p product
-of the pipeline is packed.
+d - 1 Frobenius steps.
+
+Over an extension base K = ground[t]/(g), ``raw_mul_mod`` multiplies and
+folds the ground coordinates as ints. Its property draws K among
+``EXTENSION_BASES`` (QQ(i), QQ(zeta_3), a g with rational coefficients,
+t^3 + 2, a K of degree 1 over QQ and over F_5, and F_25), f integral or
+with any rational coordinates, and operands with zero coordinates and
+negative and 40-digit numerators and denominators, and checks a * b,
+a * a and a^e against ``oracle_ext_mul``, whose K multiplies run on the
+Fraction loop or the packed one. A counting test finds no ``raw_product``
+call inside such an E multiply, power or substitution matrix. The last
+test counts ``raw_product`` calls across CLI requests like the
+benchmark's: none is over F_p, so every F_p product of the pipeline is
+packed.
 """
 
 import collections
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -697,6 +709,81 @@ def test_substitution_matrix_makes_d_minus_1_multiplies_mod_f(p, d, fold_tables,
     assert substitution_matrix(field, f, x_to_p) == q_matrix
     assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": 0}
     assert fold_tables == [f.coeffs]
+
+
+# -- the multiply over an extension base, on ground ints ------------------------
+
+F_5 = PrimeField(5)
+EXTENSION_BASES = (
+    QQ_I,
+    ExtensionField(QQ, Polynomial(QQ, [1, 1, 1])),  # QQ(zeta_3)
+    ExtensionField(QQ, Polynomial(QQ, [Fraction(1, 2), Fraction(-1, 3), 1])),  # t^2 - t/3 + 1/2
+    ExtensionField(QQ, Polynomial(QQ, [2, 0, 0, 1])),  # t^3 + 2
+    ExtensionField(QQ, Polynomial(QQ, [Fraction(-3, 7), 1])),  # e = 1: t = 3/7
+    F_25,
+    ExtensionField(F_5, Polynomial(F_5, [3, 1])),  # e = 1: t = 2
+)
+DIGITS_40 = 10**40
+
+
+def ground_values(ground):
+    """Ground values with 0 drawn often, and over QQ negative and 40-digit
+    numerators and denominators."""
+    if isinstance(ground, PrimeField):
+        return st.one_of(st.just(ground.zero()), st.integers(0, ground.p - 1).map(ground.coerce))
+    big = st.integers(DIGITS_40 // 10, DIGITS_40 - 1)
+    numerators = st.one_of(st.integers(-9, 9), big, big.map(operator.neg))
+    return st.one_of(
+        st.just(Fraction(0)),
+        numerators.map(Fraction),
+        st.builds(Fraction, numerators, st.one_of(st.integers(1, 9), big)),
+    )
+
+
+def base_elements(base, integral: bool = False):
+    values = st.integers(-9, 9).map(base.base.coerce) if integral else ground_values(base.base)
+    return st.lists(values, min_size=base.degree, max_size=base.degree).map(base.element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multiply_over_an_extension_base_against_the_oracle(data):
+    base = data.draw(st.sampled_from(EXTENSION_BASES), label="base")
+    d = data.draw(st.integers(1, 4), label="d")
+    integral = data.draw(st.booleans(), label="integral f")  # else f's coordinates are any ground values
+    f = Polynomial(base, data.draw(st.lists(base_elements(base, integral), min_size=d, max_size=d)) + [base.one()])
+    ext = ExtensionField(base, f)
+    coords = st.one_of(st.just([base.zero()] * d), st.lists(base_elements(base), min_size=d, max_size=d))
+    a, b = ext.element(data.draw(coords)), ext.element(data.draw(coords))
+    for got, want in ((a * b, oracle_ext_mul(a, b)), (a * a, oracle_ext_mul(a, a))):
+        assert got == want
+        assert_canonical([got], ext)
+    e = data.draw(st.integers(0, 6), label="e")
+    got, want = a**e, ext.one()
+    for _ in range(e):
+        want = oracle_ext_mul(want, a)
+    assert got == want
+    assert_canonical([got], ext)
+
+
+def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch):
+    # the ground coordinates are multiplied and folded as ints: no K
+    # multiply, so no raw_product, runs inside the E multiply, the power or
+    # the substitution matrix
+    calls = collections.Counter()
+    product = polynomials.raw_product
+
+    def counting(field, a, b):
+        calls[str(field)] += 1
+        return product(field, a, b)
+
+    monkeypatch.setattr(polynomials, "raw_product", counting)
+    for base in EXTENSION_BASES:
+        ext = ExtensionField(base, Polynomial(base, [base.from_int(2), base.gen(), base.zero(), base.one()]))
+        a = ext.element([base.gen(), base.from_int(3), base.one() + base.gen()])
+        b = ext.element([base.one(), base.zero(), base.from_int(-2)])
+        a * b, a * a, a**7, substitution_matrix(base, ext.modulus, a.coords)
+    assert calls == {}
 
 
 # -- the pipeline's products over F_p are all mod f ----------------------------

@@ -27,9 +27,11 @@ class TestScalars:
         assert serialize.element_to_json(F13, PrimeFieldElement(11, 13)) == "11"
         assert serialize.element_from_json(F13, "-2") == PrimeFieldElement(11, 13)
 
-    @pytest.mark.parametrize("text", [" +4 ", "+4", "4\n", "04", "0_1", "1_0", "\u0663", "-0", "-04"])
+    @pytest.mark.parametrize(
+        "text", [" +4 ", "+4", "4\n", "04", "0_1", "1_0", "\u0663", "-0", "-04", "2/4", "3/1", "1/-2", "0/5", "1/"]
+    )
     def test_non_canonical_decimal_strings_are_rejected(self, text):
-        # int() reads each of them; str() writes none
+        # int() reads each of them, or each side of the '/'; str() writes none
         for field, scalar in ((F13, text), (QQ, text), (QQ, f"1/{text}")):
             with pytest.raises(SchemaViolation):
                 serialize.element_from_json(field, scalar)

@@ -300,17 +300,34 @@ def respelt(draw, text):
     return "/".join(parts)
 
 
+@st.composite
+def respelt_rational(draw, text):
+    """The rational string text ("12", "-3", "1/2") written as another
+    fraction of the same value: num/den times k ("2/4", "0/5"), over a
+    denominator of 1 ("3/1"), or with the sign on the denominator ("1/-2")."""
+    value = Fraction(text)
+    k = draw(st.integers(1 if value.denominator == 1 else 2, 9))
+    sign = draw(st.sampled_from([1, -1]))
+    num, den = sign * k * value.numerator, sign * k * value.denominator
+    new = f"{num}/{den}"
+    assert new != text and Fraction(num, den) == value
+    return new
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
 def test_cli_rejects_a_non_canonical_scalar_string(tmp_path, data, fmt):
-    # any scalar leaf of a certificate (verify) or of a tower spec (tower)
+    # any scalar leaf of a certificate (verify) or of a tower spec (tower);
+    # every scalar of the builtin cubic is a rational, which may also be
+    # respelt as another fraction of the same value
     name = data.draw(st.sampled_from(sorted(INSTANCES)))
     spec = serialize.input_to_json(INSTANCES[name]())
     command, doc = data.draw(st.sampled_from([("verify", document(name)), ("tower", spec)]))
     scalars = [(p, v) for p, v in leaves(doc) if p != ("version",) and isinstance(v, str) and _scalar(v) is not None]
     leaf, value = data.draw(st.sampled_from(scalars))
+    spellings = [respelt, respelt_rational] if name == "builtin-cubic" else [respelt]
     path = tmp_path / "respelt.json"
-    path.write_text(json.dumps(replaced(doc, leaf, data.draw(respelt(value)))))
+    path.write_text(json.dumps(replaced(doc, leaf, data.draw(data.draw(st.sampled_from(spellings))(value)))))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(path), "--format", fmt])
