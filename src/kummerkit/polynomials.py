@@ -257,13 +257,14 @@ def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
     (``_int_terms``), coordinate u of coefficient k at index k s + u, where
     the stride s = 2e - 1 holds a row's t-coefficients before their
     reduction mod g. Multiply: the bivariate product of a and b, once, over
-    ZZ. Fold, from the top index down: t^u, u >= e, is folded by g within
-    its row, and then, in a row k >= d, X^k t^u is folded by f into rows
-    k - d .. k - 1. Each fold by X^m = -(low terms)/D, D the denominator of
-    the modulus's low terms, multiplies every int by D first, and so D
-    multiplies the result's denominator; D is 1 over F_p and for an
-    integral modulus. Box: rows 0 .. d-1, coordinates 0 .. e-1, become one
-    Fraction each over the denominator, or ground elements reduced mod p.
+    ZZ. Fold, row by row from the top: each t^u, u >= e, by g within its
+    row, and then, in a row k >= d, the whole row by f into rows k - d ..
+    k - 1, so no row ever holds more than s coefficients. A fold by a
+    modulus whose low terms are -(ints)/D multiplies every int by D first,
+    and D multiplies the result's denominator: once per entry for g, once
+    per row for f; D is 1 over F_p and for an integral modulus. Box: rows
+    0 .. d-1, coordinates 0 .. e-1, become one Fraction each over the
+    denominator, or ground elements reduced mod p.
     """
     element = type(a[0])  # ExtensionElement, from tower, which imports this module
     ground, g, d = field.base, field.modulus, f.degree
@@ -276,22 +277,30 @@ def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
         for j, y in terms_b:
             out[i + j] += x * y
     den *= den_b
-    by_g = g.int_fold or _keep_int_fold(g, e, _int_terms(ground, [g.coeffs[:e]], s))
-    by_f = f.int_fold or _keep_int_fold(f, d * s, _int_terms(ground, [c.coords for c in f.coeffs[:d]], s))
-    for m in range(len(out) - 1, -1, -1):
-        x = out[m]
-        k, u = divmod(m, s)
-        if x and (u >= e or k >= d):
-            shift, low, low_den = by_g if u >= e else by_f
-            if low_den != 1:
-                out = [c * low_den for c in out]
-                den *= low_den
-            for j, y in low:
-                out[m - shift + j] -= x * y
-    rows = [out[k * s : k * s + e] for k in range(d)]
+    low_g, den_g = g.int_fold or _keep_int_fold(g, _int_terms(ground, [g.coeffs[:e]], s))
+    low_f, den_f = f.int_fold or _keep_int_fold(f, _int_terms(ground, [c.coords for c in f.coeffs[:d]], s))
+    for row in range((2 * d - 2) * s, -1, -s):
+        for m in range(row + s - 1, row + e - 1, -1):
+            x = out[m]
+            if x:
+                if den_g != 1:
+                    out = [c * den_g for c in out]
+                    den *= den_g
+                for j, y in low_g:
+                    out[m - e + j] -= x * y
+        top = out[row : row + e]
+        if row >= d * s and any(top):
+            if den_f != 1:
+                out = [c * den_f for c in out]
+                den *= den_f
+            for u, x in enumerate(top, row - d * s):
+                if x:
+                    for j, y in low_f:
+                        out[u + j] -= x * y
+    rows = [out[row : row + e] for row in range(0, d * s, s)]
     if ground.raw_int_bound is not None:
-        return [element(field, tuple(ground.box(row))) for row in rows]
-    return [element(field, tuple([Fraction(c, den) for c in row])) for row in rows]
+        return [element(field, tuple(ground.box(r))) for r in rows]
+    return [element(field, tuple([Fraction(c, den) for c in r])) for r in rows]
 
 
 def _int_terms(ground, rows, s: int) -> tuple[list, int]:
@@ -305,12 +314,10 @@ def _int_terms(ground, rows, s: int) -> tuple[list, int]:
     return [(m, n * (den // q)) for m, n, q in values if n], den
 
 
-def _keep_int_fold(f: Polynomial, shift: int, terms: tuple) -> tuple:
-    """(shift, terms, D), kept as ``f.int_fold``: X^shift in the flat index
-    of ``_mul_mod_on_ground_ints`` is -(the terms)/D mod f."""
-    fold = (shift,) + terms
-    object.__setattr__(f, "int_fold", fold)
-    return fold
+def _keep_int_fold(f: Polynomial, terms: tuple) -> tuple:
+    """``_int_terms`` of f's low coefficients, kept as ``f.int_fold``."""
+    object.__setattr__(f, "int_fold", terms)
+    return terms
 
 
 def _pack(values, width: int) -> int:
