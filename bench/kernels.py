@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_23.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_24.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -28,15 +28,20 @@ irreducible), whose coefficients are all nonzero:
   with modulus f, x = X + 1, c and x_min_poly X^d - c, as verify reads it:
   every leaf once, and E proven a field by the Kummer witness (X^p and
   x^n) on a fresh copy of f;
+* ``E inverse``: ``ExtensionElement.inverse`` of a dense element of
+  F_p[X]/(f), the extended Euclid of its representative and f;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
-Two more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest cubic
-over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a of
-1, 20 and 40 digits (20 only with ``--quick``), where x is the radical
+Three more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
+cubic over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a
+of 1, 20 and 40 digits (20 only with ``--quick``), where x is the radical
 generator that certify finds, dense but for its first coordinate 1:
 
 * ``tower multiply``: ``ExtensionElement.__mul__`` of x and x + alpha;
-* ``tower x^n``: x^n, n = 3 or 4, as verify computes c.
+* ``tower x^n``: x^n, n = 3 or 4, as verify computes c;
+* ``tower inverse``: the inverse in K of an element whose two coordinates
+  are rationals with numerator and denominator of as many digits as a, as
+  ``rref`` takes one of each pivot over K.
 
 Each kernel runs in rounds of enough calls to last ``ROUND_S``, the trees
 taking turns round by round, in an order that alternates, so that a host
@@ -57,6 +62,7 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 WIDE_P = 2417851639229258349405569  # prime, 1 mod 128, 81 bits: slots wider than one word
@@ -67,17 +73,16 @@ QUICK_MODULUS_CASES = [(97, 8)]
 TOWER_A = {1: 7, 20: 10**19 + 9, 40: 10**39 + 3}  # digits: a
 TOWER_CASES = [(family, digits) for family in ("cubic", "quartic") for digits in TOWER_A]
 QUICK_TOWER_CASES = [("cubic", 20), ("quartic", 20)]
-KERNELS = (
+FP_KERNELS = (
     "E multiply",
     "poly_pow_mod X^p",
     "poly_pow_mod x^n",
     "kummer_frobenius",
     "substitution_matrix",
     "certificate_from_json",
-    "default_modulus",
-    "tower multiply",
-    "tower x^n",
+    "E inverse",
 )
+TOWER_KERNELS = ("tower multiply", "tower x^n", "tower inverse")
 ROUNDS = 21
 ROUND_S = 0.02
 
@@ -158,7 +163,7 @@ def certificate(kk, p: int, d: int, coeffs: list, c: int, zeta: int, image: list
 
 
 def kernels(kk, p: int, d: int) -> list:
-    """The first six KERNELS of one tree at (p, d), as functions of k."""
+    """The FP_KERNELS of one tree at (p, d), as functions of k."""
     Polynomial, poly_pow_mod = kk.polynomials.Polynomial, kk.polynomials.poly_pow_mod
     field = kk.scalars.PrimeField(p)
     coeffs, c, zeta = instance(p, d)
@@ -198,7 +203,11 @@ def kernels(kk, p: int, d: int) -> list:
         for _ in range(k):
             kk.serialize.certificate_from_json(document)
 
-    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix, parse_certificate]
+    def e_inverse(k):
+        for _ in range(k):
+            a.inverse()
+
+    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix, parse_certificate, e_inverse]
 
 
 def default_modulus_calls(kk, p: int, n: int):
@@ -206,10 +215,10 @@ def default_modulus_calls(kk, p: int, n: int):
     return lambda k: [kk.families.default_modulus(field, n) for _ in range(k)]
 
 
-def tower_kernels(kk, family: str, a: int) -> list:
-    """The two tower KERNELS of one tree, as functions of k, for Shanks'
-    cubic over QQ(zeta_3) or the simplest quartic over QQ(i) at a."""
-    QQ, Polynomial = kk.scalars.RationalField(), kk.polynomials.Polynomial
+def tower_kernels(kk, family: str, digits: int) -> list:
+    """The TOWER_KERNELS of one tree, as functions of k, for Shanks' cubic
+    over QQ(zeta_3) or the simplest quartic over QQ(i) at TOWER_A[digits]."""
+    QQ, Polynomial, a = kk.scalars.RationalField(), kk.polynomials.Polynomial, TOWER_A[digits]
     if family == "cubic":  # sigma(alpha) = -1/(1 + alpha)
         k_field = kk.tower.ExtensionField(QQ, Polynomial(QQ, [1, 1, 1]))
         ext = kk.tower.ExtensionField(k_field, Polynomial(k_field, [-1, -(a + 3), -a, 1]))
@@ -222,6 +231,9 @@ def tower_kernels(kk, family: str, a: int) -> list:
     x = kk.kummer.certify(kk.kummer.CyclicExtensionInput(ext, n, k_field.gen(), image)).x
     y = x + ext.gen()
     assert all(x.coords[1:]) and all(y.coords), (family, a)
+    rng = random.Random(f"{family}-{digits}")
+    sizes = [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(4)]
+    pivot = k_field.element([Fraction(-sizes[0], sizes[1]), Fraction(sizes[2], sizes[3])])
 
     def multiply(k):
         for _ in range(k):
@@ -231,7 +243,11 @@ def tower_kernels(kk, family: str, a: int) -> list:
         for _ in range(k):
             x**n
 
-    return [multiply, x_to_n]
+    def k_inverse(k):
+        for _ in range(k):
+            pivot.inverse()
+
+    return [multiply, x_to_n, k_inverse]
 
 
 def results(trees: list, quick: bool) -> list:
@@ -240,13 +256,13 @@ def results(trees: list, quick: bool) -> list:
     cases = []
     for p, d in QUICK_GRID if quick else GRID:
         per_tree = [kernels(kk, p, d) for _, kk in trees]
-        cases += [(name, {"p": p, "d": d}, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[:6])]
+        cases += [(name, {"p": p, "d": d}, [calls[j] for calls in per_tree]) for j, name in enumerate(FP_KERNELS)]
     for p, n in QUICK_MODULUS_CASES if quick else MODULUS_CASES:
         cases.append(("default_modulus", {"p": p, "d": n}, [default_modulus_calls(kk, p, n) for _, kk in trees]))
     for family, digits in QUICK_TOWER_CASES if quick else TOWER_CASES:
-        per_tree = [tower_kernels(kk, family, TOWER_A[digits]) for _, kk in trees]
+        per_tree = [tower_kernels(kk, family, digits) for _, kk in trees]
         case = {"family": family, "a_digits": digits}
-        cases += [(name, case, [calls[j] for calls in per_tree]) for j, name in enumerate(KERNELS[7:])]
+        cases += [(name, case, [calls[j] for calls in per_tree]) for j, name in enumerate(TOWER_KERNELS)]
     out = []
     for name, case, calls_by_tree in cases:
         timings = time_per_call(calls_by_tree)

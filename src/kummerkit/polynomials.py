@@ -10,13 +10,14 @@ ring arithmetic plus division.
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from array import array
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
-from .scalars import PrimeField, RationalField, prime_factors
+from .scalars import PrimeField, RationalField, is_prime, prime_factors
 
 
 class Polynomial:
@@ -126,10 +127,6 @@ class Polynomial:
         field = self.field
         return Polynomial._of(field, field.box(raw_product(field, field.unbox(self.coeffs), field.unbox(other.coeffs))))
 
-    def scale(self, k) -> "Polynomial":
-        k = self.field.coerce(k)
-        return Polynomial(self.field, [c * k for c in self.coeffs])
-
     def __divmod__(self, other):
         return poly_divmod(self, other)
 
@@ -145,7 +142,8 @@ class Polynomial:
         lead = self.coeffs[-1]
         if lead == self.field.one():
             return self
-        return Polynomial(self.field, [c / lead for c in self.coeffs])
+        inv = self.field.one() / lead
+        return Polynomial._of(self.field, [c * inv for c in self.coeffs])
 
     def evaluate(self, point):
         """Horner evaluation; the point may live in any extension of the field."""
@@ -394,43 +392,51 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial._of(field, field.box(quo)), Polynomial._of(field, field.box(rem))
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd, zero when both operands are zero: Euclid on raw values
-    through ``raw_divmod``, each remainder stripped of its trailing zeros,
-    and one scaling by the inverse of the last leading coefficient."""
-    a._check_same_field(b)
-    field = a.field
-    a, b = field.unbox(a.coeffs), field.unbox(b.coeffs)
+def raw_euclid(field, a, b) -> tuple[list, list]:
+    """The only Euclid loop, on raw values through ``raw_divmod``: the last
+    nonzero remainder of a and b (b empty or with a nonzero last value), not
+    yet monic, and the quotient of each step."""
+    quotients = []
     while b:
-        rem = raw_divmod(field, a, b)[1]
+        q, rem = raw_divmod(field, a, b)
         while rem and not rem[-1]:
             rem.pop()
+        quotients.append(q)
         a, b = b, rem
-    if a:
-        inv = field.raw_inverse(a[-1])
-        a = [c * inv for c in a]
-    return Polynomial._of(field, field.box(a))
+    return a, quotients
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd, zero when both operands are zero: ``raw_euclid``'s
+    remainder, boxed and made monic."""
+    a._check_same_field(b)
+    field = a.field
+    g = raw_euclid(field, field.unbox(a.coeffs), field.unbox(b.coeffs))[0]
+    return Polynomial._of(field, field.box(g)).monic()
 
 
 def poly_gcd_extended(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """Monic g plus Bezout cofactors: g = u*a + v*b."""
+    """Monic g plus Bezout cofactors, g = u*a + v*b. On raw values, each
+    quotient q_k of ``raw_euclid`` steps u (from 1, 0) and v (from 0, 1)
+    by c_(k+1) = c_(k-1) - q_k c_k; g, u and v are scaled once at the end."""
     a._check_same_field(b)
     field = a.field
     if not a and not b:
         raise DivisionByZero("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    u0, u1 = Polynomial.one(field), Polynomial.zero(field)
-    v0, v1 = Polynomial.zero(field), Polynomial.one(field)
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lead = r0.leading
-    if lead != field.one():
-        inv = field.one() / lead
-        r0, u0, v0 = r0.scale(inv), u0.scale(inv), v0.scale(inv)
-    return r0, u0, v0
+    g, quotients = raw_euclid(field, field.unbox(a.coeffs), field.unbox(b.coeffs))
+    one = field.unbox([field.one()])
+    u0, u1, v0, v1 = one, [], [], one
+    for q in quotients:
+        u0, u1, v0, v1 = u1, _minus_product(field, u0, q, u1), v1, _minus_product(field, v0, q, v1)
+    inv = field.raw_inverse(g[-1])
+    return tuple(Polynomial._of(field, field.box([c * inv for c in r])) for r in (g, u0, v0))
+
+
+def _minus_product(field, c, a, b) -> list:
+    """c - a b on raw values, reduced; a b is zero or longer than c."""
+    out = raw_product(field, [-x for x in a], b) if a and b else [field.raw_zero] * len(c)
+    out[: len(c)] = [x + y for x, y in zip(out, c)]
+    return [field.reduce(x) for x in out]
 
 
 def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
@@ -461,46 +467,51 @@ def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
 
 
 @functools.cache
-def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
-    # Recursive exact division over QQ: (X^n - 1) / prod of lower cyclotomics.
-    # The result always has integer coefficients; cached field-independently.
-    rationals = RationalField()
-    num = Polynomial.x_pow_minus_const(rationals, n, 1)
-    den = Polynomial.one(rationals)
-    for d in range(1, n):
-        if n % d == 0:
-            den = den * Polynomial(rationals, [c for c in _cyclotomic_int_coeffs(d)])
-    quo, rem = poly_divmod(num, den)
-    assert not rem, f"cyclotomic recursion left a remainder at n={n}"
-    assert all(c.denominator == 1 for c in quo.coeffs)
-    return tuple(int(c) for c in quo.coeffs)
-
-
 def cyclotomic_polynomial(n: int, field) -> Polynomial:
-    """The n-th cyclotomic polynomial with coefficients mapped into the field."""
+    """The n-th cyclotomic polynomial with coefficients mapped into the field.
+
+    Phi_n is the product over d | n of (t^d - 1)^mu(n/d), and for n >= 2 of
+    (1 - t^d)^mu(n/d), as the signs cancel: on ints, a power series cut at
+    degree phi(n) is multiplied or divided by each factor in place, for the
+    d with n/d a product of k distinct primes of n, mu(n/d) = (-1)^k."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
     char = field.characteristic()
     if char and n % char == 0:
         raise CharacteristicDividesN(f"characteristic {char} divides {n}")
-    return Polynomial(field, [field.from_int(c) for c in _cyclotomic_int_coeffs(n)])
+    primes = prime_factors(n)
+    deg = n // prod(primes) * prod(q - 1 for q in primes)
+    series = [1] + [0] * deg
+    for k in range(len(primes) + 1):
+        for dividing in itertools.combinations(primes, k):
+            d, sign = n // prod(dividing), (-1) ** (k + 1)
+            for i in range(d, deg + 1) if k % 2 else range(deg, d - 1, -1):  # divide, or multiply
+                series[i] += sign * series[i - d]
+    return Polynomial(field, [field.from_int(-c if n == 1 else c) for c in series])  # Phi_1 = -(1 - t)
 
 
 def cyclotomic_index(g: Polynomial) -> int | None:
-    """The m with g = Phi_m, for g over QQ; None for any other g.
+    """The m with g = Phi_m, for g over QQ; None for any other g. A match
+    proves g irreducible over QQ (Gauss), so QQ[t]/(g) is a field.
 
-    Phi_m has degree phi(m), and phi(m) >= sqrt(m/2) for every m >= 1, so
-    only m <= 2*deg(g)^2 can match. A match proves g irreducible over QQ
-    (Gauss), so QQ[t]/(g) is a field.
-    """
+    Only the m with phi(m) = deg g are tried, built from the primes q with
+    (q - 1) | deg g, each checked on its constant term and t^(deg g - 1)
+    coefficient, -mu(m), before Phi_m is built (and cached)."""
     if not isinstance(g.field, RationalField) or g.degree < 1:
         return None
-    for m in range(1, 2 * g.degree**2 + 1):
-        phi = m
-        for q in prime_factors(m):
-            phi = phi // q * (q - 1)
-        if phi == g.degree and g.coeffs == _cyclotomic_int_coeffs(m):
+    c = g.coeffs
+    primes = [q + 1 for q in range(1, len(c)) if g.degree % q == 0 and is_prime(q + 1)]
+    stack = [(1, g.degree, 0, 1)]  # (m, deg g / phi(m), index of m's next prime, mu(m))
+    while stack:
+        m, rest, start, mu = stack.pop()
+        if rest == 1 and (m == 1 or c[0] == 1) and c[-2] == -mu and cyclotomic_polynomial(m, g.field) == g:
             return m
+        for j in range(start, len(primes)):
+            q, power, div, mu_q, left = primes[j], primes[j], primes[j] - 1, -mu, rest
+            while left % div == 0:  # phi(q^e) = (q - 1) q^(e - 1)
+                left //= div
+                stack.append((m * power, left, j + 1, mu_q))
+                power, div, mu_q = power * q, q, 0
     return None
 
 
@@ -526,13 +537,11 @@ def rabin_frobenius(f: Polynomial):
 
     The powers X^(p^k) come from iterating Frobenius as a linear map (Gao &
     Panario, 1997). Over F_p, g(X)^p = g(X^p) for every g, so g -> g^p mod f
-    is the matrix Q whose column j is X^(j*p) mod f: the substitution matrix
-    of X^p mod f, which one ``poly_pow_mod`` finds. Then X^(p^k) =
-    Q^(k-1) X^p costs one d x d ``raw_mat_apply`` per k >= 2 on raw values,
-    d - 1 in all, and the gcd test at k = d/q runs as the loop reaches k;
-    k = 1 is the root test. In every degree Q, the substitution matrix of
-    X^p mod f, is the matrix of the Frobenius of F_p[X]/(f) ([[1]] when
-    d = 1).
+    is the matrix Q whose column j is X^(j*p) mod f, the substitution matrix
+    of X^p mod f ([[1]] when d = 1), which one ``poly_pow_mod`` finds. Then
+    X^(p^k) = Q^(k-1) X^p costs one d x d ``raw_mat_apply`` per k >= 2, d - 1
+    in all; each gcd test (the root test at k = 1, and k = d/q as the loop
+    reaches it) is one ``raw_euclid``, all on raw values.
     """
     from .linalg import raw_mat_apply, substitution_matrix  # linalg imports this module
 
@@ -543,13 +552,10 @@ def rabin_frobenius(f: Polynomial):
         return None
     if not f.is_monic():
         raise NotMonic(f"irreducibility test needs a monic polynomial, got {f}")
-    field = f.field
+    field, raw_f = f.field, f.field.unbox(f.coeffs)
 
-    def coprime(power) -> bool:
-        """gcd(power - X, f) = 1, for a residue given as d >= 2 raw values."""
-        h = list(power)
-        h[1] -= 1
-        return poly_gcd(Polynomial._of(field, field.box(h)), f).degree == 0
+    def coprime(power) -> bool:  # gcd(power - X, f) = 1, for d >= 2 raw values
+        return len(raw_euclid(field, [power[0], power[1] - 1, *power[2:]], raw_f)[0]) == 1
 
     x_to_p = poly_pow_mod(Polynomial.x(field), field.p, f).padded(d)
     power = field.unbox(x_to_p)  # X^(p^k) mod f, from k = 1

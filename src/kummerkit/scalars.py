@@ -7,40 +7,36 @@ denominator, fully reduced, 0/1 for zero, ``str()`` gives ``"num/den"`` with
 the denominator omitted when it is 1). :func:`rational` is the checked
 constructor. Prime-field arithmetic gets its own element class.
 
-The hot loops (the E multiply, polynomial multiply, ``raw_divmod``,
-``rref`` and ``raw_mat_apply``) exist once each. ``raw_divmod`` is the only
-division: ``poly_divmod`` boxes its result and ``poly_gcd`` runs Euclid on
-raw values through it. ``rref`` is the only elimination: ``nullspace`` and
-the Krylov dependency search ``first_linear_dependency`` read its result
-and box only the entries they return. ``raw_mat_apply`` is the only dot
-product: ``mat_apply`` boxes it, and ``Matrix.__mul__`` (on each raw
-column of the right factor) and the Rabin test's Frobenius steps call it
-on raw values. A ``Matrix`` keeps only its raw rows, which its ``rows``
-box on each read. ``raw_product`` is the only polynomial product,
-``raw_mul_mod`` the only multiply mod f (the E multiply and each column
-of ``substitution_matrix``) and ``poly_pow_mod``, which runs on it, the
-only residue power
-(``ExtensionElement.__pow__``). The loops run on raw values
-through hooks of the field descriptor: ``unbox(elements)`` gives the raw
-values, ``box(values)`` reduces raw values and wraps them as elements,
-``reduce(value)`` gives a canonical raw value, ``raw_inverse`` inverts a
-nonzero raw value, ``raw_zero`` is the raw zero, and ``raw_int_bound`` is p
-when the raw values are ints reduced mod p, else None. A loop unboxes
-its operands once, reduces where the algorithm needs a canonical value (a
-pivot test, a multiplier) and once per sum, and boxes its results once; its
-inner updates call no hook. Only :class:`PrimeField` knows that F_p values
-are ints there: an element's raw value is its ``value``, reduction is
-``% p``, a sum of products stays an unreduced int until it is reduced, and
-``raw_int_bound`` lets ``raw_mul_mod`` pack a sequence of canonical values
-into one int (Kronecker substitution); ``raw_product`` is the schoolbook
-loop for every field.
-:class:`RationalField` and :class:`~kummerkit.tower.ExtensionField` share
-the identity hooks of :class:`IdentityHooks`, whose raw values are the
-elements themselves and whose products run the schoolbook loops.
-``raw_mul_mod`` has one path per kind of base: packed over F_p, the
-schoolbook loop on ``Fraction`` values over QQ, and over an extension of
-F_p or QQ one bivariate product and one fold on the ground coordinates
-as ints, with no multiply in the extension.
+The hot loops exist once each and run on raw values. ``raw_product`` is
+the only polynomial product and ``raw_divmod`` the only division
+(``poly_divmod`` boxes it). ``raw_euclid`` is the only Euclid loop, on
+``raw_divmod``: ``poly_gcd``, ``poly_gcd_extended`` (whose Bezout cofactors
+grow from its quotients), the Rabin test's gcds and, through the extended
+gcd, every inverse in an extension. ``raw_mul_mod`` is the only multiply
+mod f (the E multiply and each column of ``substitution_matrix``), and
+``poly_pow_mod``, on it, the only residue power. ``rref`` is the only
+elimination (``nullspace`` and ``first_linear_dependency`` read it and box
+only what they return) and ``raw_mat_apply`` the only dot product
+(``mat_apply``, each column of ``Matrix.__mul__``, the Rabin test's
+Frobenius steps). A ``Matrix`` keeps only its raw rows, boxed on each read
+of ``rows``. The loops reach the values through hooks of the field
+descriptor: ``unbox(elements)`` gives the raw values, ``box(values)``
+reduces and wraps them, ``reduce(value)`` gives a canonical raw value,
+``raw_inverse`` inverts a nonzero one, ``raw_zero`` is the raw zero, and
+``raw_int_bound`` is p when the raw values are ints reduced mod p, else
+None. A loop unboxes its operands once, reduces where the algorithm needs
+a canonical value (a pivot test, a multiplier) and once per sum, and boxes
+its results once; its inner updates call no hook. Only
+:class:`PrimeField` knows that F_p values are ints there: an element's raw
+value is its ``value``, reduction is ``% p``, and ``raw_int_bound`` lets
+``raw_mul_mod`` pack canonical values into one int (Kronecker
+substitution). :class:`RationalField` and
+:class:`~kummerkit.tower.ExtensionField` share the identity hooks of
+:class:`IdentityHooks`, whose raw values are the elements themselves; an
+extension inverts by its own ``inverse``. ``raw_mul_mod`` has one path per
+kind of base: packed over F_p, the schoolbook loop on ``Fraction`` values
+over QQ, and over an extension of F_p or QQ one bivariate product and one
+fold on the ground coordinates as ints, with no multiply in the extension.
 
 No floating point appears anywhere in this module or its callers.
 """
@@ -220,6 +216,10 @@ class PrimeFieldElement:
         if other is NotImplemented:
             return NotImplemented
         return self * invert_mod_p(other)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other * invert_mod_p(self)
 
     def __pow__(self, e: int):
         if e < 0:

@@ -15,15 +15,8 @@ from __future__ import annotations
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
-from .polynomials import (
-    Polynomial,
-    cyclotomic_index,
-    kummer_frobenius,
-    poly_gcd_extended,
-    poly_pow_mod,
-    rabin_frobenius,
-    raw_mul_mod,
-)
+from .polynomials import Polynomial, cyclotomic_index, kummer_frobenius, poly_gcd_extended, poly_pow_mod
+from .polynomials import rabin_frobenius, raw_mul_mod
 from .scalars import IdentityHooks, PrimeField
 
 MAX_TOWER_HEIGHT = 3
@@ -98,6 +91,9 @@ class ExtensionField(IdentityHooks):
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")
+
+    def raw_inverse(self, value):
+        return value.inverse()
 
     def height(self) -> int:
         return self.base.height() + 1
@@ -265,14 +261,12 @@ class ExtensionElement:
         """
         if not self:
             raise DivisionByZero(f"0 has no inverse in {self.field}")
-        rep = Polynomial(self.field.base, self.coords)
-        g, u, _ = poly_gcd_extended(rep, self.field.modulus)
+        field = self.field
+        rep = Polynomial._of(field.base, list(self.coords))
+        g, u, _ = poly_gcd_extended(rep, field.modulus)
         if g.degree != 0:
-            raise NotInvertible(
-                f"gcd({rep}, {self.field.modulus}) = {g}; the modulus is reducible"
-            )
-        inv = u % self.field.modulus
-        return self.field.element(inv.coeffs)
+            raise NotInvertible(f"gcd({rep}, {field.modulus}) = {g}; the modulus is reducible")
+        return ExtensionElement(field, u.padded(field.degree))  # deg u < deg f
 
     def as_base(self):
         """The base-field value when all higher coordinates vanish, else None."""

@@ -78,3 +78,14 @@ def certificate_sha256(inp: CyclicExtensionInput) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certificate_bytes_pinned(name):
     assert certificate_sha256(CASES[name]()) == EXPECTED_SHA256[name]
+
+
+def test_certificate_over_a_degree_200_base_pinned():
+    # K = QQ[t]/(t^200 + 3) is no cyclotomic field, which cyclotomic_index
+    # decides from the divisors of 200, not by a scan of every m <= 80000;
+    # the hash was recorded while it still scanned
+    k_field = ExtensionField(QQ, Polynomial(QQ, [3] + [0] * 199 + [1]))
+    ext = ExtensionField(k_field, Polynomial(k_field, [-2, 0, 1]))
+    assert not k_field.proven_field
+    inp = CyclicExtensionInput(ext, 2, k_field.from_int(-1), -ext.gen())
+    assert certificate_sha256(inp) == "c1897e6990e531d159cd76eb1a1c813b2d5baceed0759ec6b1224752f4625d10"

@@ -1,9 +1,9 @@
 """The shared arithmetic loops against reference loops over field elements.
 
-Polynomial multiply, ``raw_divmod`` (under ``poly_divmod`` and the Euclid
-of ``poly_gcd``), the E x E multiply, ``rref`` and ``raw_mat_apply``
-(under ``mat_apply``) each run one loop on raw values through the hooks of
-the field descriptor (``unbox``, ``box``, ``reduce``, ``raw_inverse``,
+Polynomial multiply, ``raw_divmod`` (under ``poly_divmod`` and
+``raw_euclid``, the Euclid of every gcd), the E x E multiply, ``rref``
+and ``raw_mat_apply`` (under ``mat_apply``) each run one loop on raw
+values through the hooks of the field descriptor (``unbox``, ``box``, ``reduce``, ``raw_inverse``,
 ``raw_zero``). ``rref`` is the only elimination and ``raw_mat_apply`` the
 only dot product: ``first_linear_dependency`` reads the first dependency
 off ``rref`` and ``Matrix.__mul__`` applies ``mat_apply`` to each column.
@@ -59,9 +59,18 @@ negative and 40-digit numerators and denominators, and checks a * b,
 a * a and a^e against ``oracle_ext_mul``, whose K multiplies run on the
 Fraction loop or the packed one. A counting test finds no ``raw_product``
 call inside such an E multiply, power or substitution matrix. The last
-test counts ``raw_product`` calls across CLI requests like the
-benchmark's: none is over F_p, so every F_p product of the pipeline is
-packed.
+test of that section counts ``raw_product`` calls across CLI requests
+like the benchmark's: none is over F_p, so every F_p product of the
+pipeline is packed.
+
+``raw_euclid`` is the only Euclid loop. ``oracle_poly_gcd_extended`` is
+the extended Euclid that ran on boxed polynomials before it, and
+``oracle_inverse`` the inverse in E that read it. ``poly_gcd_extended``,
+``poly_gcd`` and ``ExtensionElement.inverse`` are checked against them
+over F_13, F_7681, the 81-bit F_p, QQ and QQ(i) with 40-digit values, and
+F_5[t]/(t^2 - 2), and both ``NotInvertible`` messages are pinned. The
+last test counts no ``Polynomial`` add, subtract, negate or multiply in
+a tower and verify pair of each qq family and a finite request.
 """
 
 import collections
@@ -76,7 +85,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummerkit.cli import main
-from kummerkit.errors import DimensionMismatch
+from kummerkit.errors import DimensionMismatch, DivisionByZero, NotInvertible
+from kummerkit.kummer import CyclicExtensionInput
 from kummerkit.linalg import (
     Matrix,
     RrefResult,
@@ -87,12 +97,13 @@ from kummerkit.linalg import (
     rref,
     substitution_matrix,
 )
-from kummerkit import linalg, polynomials
+from kummerkit import linalg, polynomials, serialize
 from kummerkit.polynomials import (
     Polynomial,
     is_irreducible_mod_p,
     poly_divmod,
     poly_gcd,
+    poly_gcd_extended,
     poly_pow_mod,
     raw_mul_mod,
     raw_product,
@@ -815,3 +826,168 @@ def test_no_pipeline_request_multiplies_over_f_p_without_a_modulus(tmp_path, cap
         assert main(argv + ["--format", "json"]) == 0, argv
     capsys.readouterr()
     assert calls[False] > 0 and calls[True] == 0, calls
+
+
+# -- the one Euclid loop ---------------------------------------------------------
+
+
+def oracle_poly_gcd_extended(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The extended Euclid on boxed polynomials that ``poly_gcd_extended``
+    ran before it read ``raw_euclid``'s quotients, on the oracle divmod and
+    multiply; the removed ``Polynomial.scale`` is a multiply per coefficient."""
+    field = a.field
+    if not a and not b:
+        raise DivisionByZero("gcd(0, 0) is undefined")
+    r0, r1 = a, b
+    u0, u1 = Polynomial.one(field), Polynomial.zero(field)
+    v0, v1 = Polynomial.zero(field), Polynomial.one(field)
+    while r1:
+        q, r = oracle_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - oracle_poly_mul(q, u1)
+        v0, v1 = v1, v0 - oracle_poly_mul(q, v1)
+    lead = r0.leading
+    if lead != field.one():
+        inv = field.one() / lead
+        r0, u0, v0 = (Polynomial(field, [c * inv for c in p.coeffs]) for p in (r0, u0, v0))
+    return r0, u0, v0
+
+
+def oracle_inverse(x: ExtensionElement) -> ExtensionElement:
+    """``ExtensionElement.inverse`` as it read the boxed extended Euclid,
+    with its u mod f and its coercion through ``field.element``."""
+    field = x.field
+    rep = Polynomial(field.base, x.coords)
+    g, u, _ = oracle_poly_gcd_extended(rep, field.modulus)
+    if g.degree != 0:
+        raise NotInvertible(f"gcd({rep}, {field.modulus}) = {g}; the modulus is reducible")
+    return field.element(oracle_poly_divmod(u, field.modulus)[1].coeffs)
+
+
+# F_p at 13, 7681 and 81 bits, QQ with 40-digit numerators and denominators,
+# QQ(i) with such coordinates, and F_5[t]/(t^2 - 2)
+EUCLID_FIELDS = (PrimeField(13), PrimeField(7681), PrimeField(WIDE_P), QQ, QQ_I, F_25)
+
+
+def euclid_values(field):
+    return ground_values(field) if field.height() == 1 else base_elements(field)
+
+
+def euclid_polys(field, max_len: int = 5):
+    return st.lists(euclid_values(field), max_size=max_len).map(lambda c: Polynomial(field, c))
+
+
+def check_gcds(a: Polynomial, b: Polynomial):
+    field = a.field
+    want = oracle_poly_gcd_extended(a, b)
+    got = poly_gcd_extended(a, b)
+    assert got == want
+    for poly in got:
+        assert_canonical(poly.coeffs, field)
+    assert poly_gcd(a, b) == want[0]
+    g, u, v = got
+    assert oracle_poly_mul(u, a) + oracle_poly_mul(v, b) == g and g.is_monic()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extended_gcd_against_the_boxed_loop(data):
+    field = data.draw(st.sampled_from(EUCLID_FIELDS), label="field")
+    a, b = data.draw(euclid_polys(field)), data.draw(euclid_polys(field))
+    shape = data.draw(st.sampled_from(["any", "common factor", "equal", "a shorter"]), label="shape")
+    if shape == "common factor":
+        c = data.draw(euclid_polys(field, 3).filter(lambda c: c.degree >= 1))
+        a, b = oracle_poly_mul(a, c), oracle_poly_mul(b, c)
+    elif shape == "equal":
+        b = a
+    elif shape == "a shorter" and a.degree > b.degree:
+        a, b = b, a
+    if not a and not b:
+        with pytest.raises(DivisionByZero):
+            poly_gcd_extended(a, b)
+        assert poly_gcd(a, b) == Polynomial.zero(field)
+        return
+    check_gcds(a, b)
+
+
+@pytest.mark.parametrize("field", EUCLID_FIELDS, ids=str)
+def test_extended_gcd_of_chosen_operands(field):
+    zero = Polynomial.zero(field)
+    two, three = field.from_int(2), field.from_int(3)
+    line = Polynomial(field, [two, three])  # degree 1
+    cubic = Polynomial(field, [field.one(), field.zero(), three, two])
+    with pytest.raises(DivisionByZero):
+        poly_gcd_extended(zero, zero)
+    assert poly_gcd(zero, zero) == zero
+    for a, b in ((line, zero), (zero, line), (cubic, cubic), (line, cubic), (cubic, line), (line, line)):
+        check_gcds(a, b)
+    check_gcds(oracle_poly_mul(line, cubic), oracle_poly_mul(line, line))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_against_the_boxed_loop(data):
+    base = data.draw(st.sampled_from(EUCLID_FIELDS), label="base")
+    d = data.draw(st.integers(1, 4), label="d")
+    if isinstance(base, PrimeField):  # a reducible modulus would fail the Rabin test
+        f = Polynomial(base, irreducible(base.p, d, data.draw(st.integers(0, 2))))
+    else:  # any monic f, a reducible one included
+        f = Polynomial(base, data.draw(st.lists(euclid_values(base), min_size=d, max_size=d)) + [base.one()])
+    ext = ExtensionField(base, f)
+    x = ext.element(data.draw(st.lists(euclid_values(base), min_size=d, max_size=d).filter(any)))
+    try:
+        want = oracle_inverse(x)
+    except NotInvertible as error:
+        with pytest.raises(NotInvertible) as caught:
+            x.inverse()
+        assert str(caught.value) == str(error)
+        return
+    got = x.inverse()
+    assert got == want
+    assert_canonical([got], ext)
+    assert oracle_ext_mul(got, x) == ext.one()
+
+
+def test_not_invertible_messages():
+    k = ExtensionField(QQ, Polynomial(QQ, [-1, 0, 1]))  # QQ[t]/(t^2 - 1)
+    with pytest.raises(NotInvertible) as caught:
+        (k.gen() - 1).inverse()
+    assert str(caught.value) == "gcd(X + -1, X^2 + -1) = X + -1; the modulus is reducible"
+    f_25 = ExtensionField(F_5, Polynomial(F_5, [2, 0, 1]))  # F_5[t]/(t^2 + 2)
+    ext = ExtensionField(f_25, Polynomial(f_25, [-1, 0, 1]))  # X^2 - 1 over it
+    with pytest.raises(NotInvertible) as caught:
+        (ext.gen() - 1).inverse()
+    assert str(caught.value) == "gcd(X + (4, 0), X^2 + (4, 0)) = X + (4, 0); the modulus is reducible"
+
+
+def test_no_request_runs_boxed_polynomial_arithmetic(tmp_path, capsys, monkeypatch):
+    # every gcd, the inverses in E and K among them, runs on raw values: a
+    # tower and verify pair of each qq family and a finite request add,
+    # subtract, negate and multiply no Polynomial
+    calls = collections.Counter()
+    for name in ("__add__", "__sub__", "__neg__", "__mul__"):
+
+        def counting(*args, _name=name, _method=getattr(Polynomial, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Polynomial, name, counting)
+    k_3 = ExtensionField(QQ, Polynomial(QQ, [1, 1, 1]))
+    k_4 = ExtensionField(QQ, Polynomial(QQ, [1, 0, 1]))
+    a = 10**19 + 9
+    cubic = ExtensionField(k_3, Polynomial(k_3, [-1, -(a + 3), -a, 1]))  # Shanks' simplest cubic
+    quartic = ExtensionField(k_4, Polynomial(k_4, [1, a, -6, -a, 1]))  # the simplest quartic
+    inputs = [
+        CyclicExtensionInput(cubic, 3, k_3.gen(), -1 / (1 + cubic.gen())),
+        CyclicExtensionInput(quartic, 4, k_4.gen(), (quartic.gen() - 1) / (quartic.gen() + 1)),
+    ]
+    argvs = [["finite", "--p", "13", "--n", "4"]]
+    for k, inp in enumerate(inputs):
+        spec, cert = tmp_path / f"{k}.spec.json", tmp_path / f"{k}.cert.json"
+        spec.write_text(serialize.canonical_dumps(serialize.input_to_json(inp)))
+        argvs += [["tower", str(spec), "--out", str(cert)], ["verify", str(cert)]]
+    calls.clear()  # building the inputs above inverts in E
+    for argv in argvs:
+        assert main(argv + ["--format", "json"]) == 0, argv
+    capsys.readouterr()
+    assert calls == {}, calls

@@ -3,11 +3,16 @@
 Independent oracles: an int-tuple polynomial arithmetic (mod p) written here
 from scratch for trial-division irreducibility and naive powering, the
 evaluate-at-root rule for division remainders, and sympy's cyclotomic
-polynomials and irreducibility test.
+polynomials and irreducibility test. ``cyclotomic_index`` is checked against
+the scan it ran before it built its candidates from the divisors of deg g
+(every m <= 2 deg(g)^2, on the recursive QQ division that built Phi_m then),
+kept here as ``oracle_cyclotomic_index``.
 """
 
+import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +24,7 @@ from kummerkit.errors import CharacteristicDividesN, DivisionByZero, FieldMismat
 from kummerkit.families import default_modulus
 from kummerkit.polynomials import (
     Polynomial,
+    cyclotomic_index,
     cyclotomic_polynomial,
     is_irreducible_mod_p,
     poly_divmod,
@@ -27,7 +33,7 @@ from kummerkit.polynomials import (
     poly_pow_mod,
     rabin_frobenius,
 )
-from kummerkit.scalars import PrimeField, RationalField
+from kummerkit.scalars import PrimeField, RationalField, prime_factors
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
@@ -206,6 +212,102 @@ class TestCyclotomic:
     def test_characteristic_divides_n(self):
         with pytest.raises(CharacteristicDividesN):
             cyclotomic_polynomial(4, PrimeField(2))
+
+
+@functools.cache
+def oracle_cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
+    # the recursive exact division over QQ that built Phi_n before the
+    # product over the divisors of n did: (X^n - 1) / prod of lower cyclotomics
+    num = Polynomial.x_pow_minus_const(QQ, n, 1)
+    den = Polynomial.one(QQ)
+    for d in range(1, n):
+        if n % d == 0:
+            den = den * Polynomial(QQ, list(oracle_cyclotomic_int_coeffs(d)))
+    quo, rem = poly_divmod(num, den)
+    assert not rem
+    return tuple(int(c) for c in quo.coeffs)
+
+
+def oracle_cyclotomic_index(g: Polynomial):
+    # the scan that cyclotomic_index ran before it built its candidates from
+    # the divisors of deg g: every m <= 2 deg(g)^2, each trial-factored
+    if not isinstance(g.field, RationalField) or g.degree < 1:
+        return None
+    for m in range(1, 2 * g.degree**2 + 1):
+        phi = m
+        for q in prime_factors(m):
+            phi = phi // q * (q - 1)
+        if phi == g.degree and g.coeffs == oracle_cyclotomic_int_coeffs(m):
+            return m
+    return None
+
+
+def at_minus_t(g: Polynomial) -> Polynomial:
+    """(-1)^deg g * g(-t), monic again."""
+    return Polynomial(QQ, [c if (g.degree - i) % 2 == 0 else -c for i, c in enumerate(g.coeffs)])
+
+
+class TestCyclotomicIndex:
+    ORACLE_DEGREE = 24  # the scan is quadratic in the degree
+
+    def expect(self, g: Polynomial, answer):
+        assert cyclotomic_index(g) == answer, g
+        if g.degree <= self.ORACLE_DEGREE:
+            assert oracle_cyclotomic_index(g) == answer, g
+
+    @pytest.mark.parametrize("m", range(1, 301))
+    def test_each_cyclotomic_polynomial_and_its_twist(self, m):
+        phi_m = cyclotomic_polynomial(m, QQ)
+        x = sympy.symbols("x")
+        assert list(phi_m.coeffs) == sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        if m <= 120:
+            assert phi_m.coeffs == oracle_cyclotomic_int_coeffs(m)
+        self.expect(phi_m, m)
+        # Phi_m(-t) is Phi_2m for odd m, Phi_(m/2) for m = 2 mod 4, else Phi_m
+        self.expect(at_minus_t(phi_m), 2 * m if m % 2 else m // 2 if m % 4 == 2 else m)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (3, 3), (3, 4), (5, 8), (7, 9), (12, 13), (15, 16), (60, 61)])
+    def test_products_of_two_are_no_cyclotomic_polynomial(self, a, b):
+        self.expect(cyclotomic_polynomial(a, QQ) * cyclotomic_polynomial(b, QQ), None)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 100, 128, 200])
+    def test_binomials(self, d):
+        self.expect(Polynomial.x_pow_minus_const(QQ, d, 1), 1 if d == 1 else None)
+        self.expect(Polynomial.x_pow_minus_const(QQ, d, -1), 2 * d if d & (d - 1) == 0 else None)
+        self.expect(Polynomial.x_pow_minus_const(QQ, d, -3), None)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [1, 1, 2, 1, 1],  # constant 1 and t^3 coefficient -mu(5), yet not Phi_5
+            [1, 0, 3, 0, 1],
+            [1, -1, 1, -1, 1, -1, 1, -1, 1],  # Phi_18 has degree 6, Phi_20 is t^8 - t^6 + t^4 - t^2 + 1
+            [1, 1, 1, 0, 1, 1, 1],
+            [2, 1, 2],
+            [Fraction(1, 2), 1],
+        ],
+    )
+    def test_other_polynomials(self, coeffs):
+        self.expect(Polynomial(QQ, coeffs), None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 1, -1, 2]), st.lists(st.integers(-2, 2), max_size=6), st.booleans())
+    def test_small_polynomials_against_the_scan(self, constant, middle, palindromic):
+        # monic, mostly with the constant 1 of every Phi_m for m >= 2, and
+        # half the time palindromic in the middle, as each such Phi_m is
+        g = Polynomial(QQ, [constant] + middle + (middle[-2::-1] if palindromic else []) + [1])
+        assert cyclotomic_index(g) == oracle_cyclotomic_index(g), g
+
+    def test_degree_1000_is_decided_fast(self):
+        for g, answer in (
+            (Polynomial.x_pow_minus_const(QQ, 1000, -3), None),
+            (Polynomial.x_pow_minus_const(QQ, 1000, -1), None),
+            (cyclotomic_polynomial(1111, QQ), 1111),  # phi(11 * 101) = 1000
+            (cyclotomic_polynomial(1111, QQ) + Polynomial(QQ, [0, 0, 1]), None),
+        ):
+            start = time.perf_counter()
+            assert cyclotomic_index(g) == answer
+            assert time.perf_counter() - start < 0.5
 
 
 class TestIrreducibility:

@@ -131,6 +131,17 @@ class TestPrimeFieldArithmetic:
         with pytest.raises(DivisionByZero):
             invert_mod_p(PrimeFieldElement(0, 7))
 
+    def test_reflected_division(self):
+        f13 = PrimeField(13)
+        assert 1 / f13.from_int(3) == f13.from_int(9)
+        quotient = 2 / f13.from_int(3)
+        assert type(quotient) is PrimeFieldElement and quotient.value == 5  # 2 * 9 = 18
+        with pytest.raises(DivisionByZero):
+            1 / f13.from_int(0)
+        assert f13.from_int(3).__rtruediv__("1") is NotImplemented
+        with pytest.raises(TypeError):
+            "1" / f13.from_int(3)
+
     @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**6))
     def test_inverse_property(self, p, raw):
         a = PrimeFieldElement(raw, p)
