@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_24.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_25.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -32,13 +32,15 @@ irreducible), whose coefficients are all nonzero:
   F_p[X]/(f), the extended Euclid of its representative and f;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
-Three more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
+Four more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
 cubic over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a
 of 1, 20 and 40 digits (20 only with ``--quick``), where x is the radical
 generator that certify finds, dense but for its first coordinate 1:
 
 * ``tower multiply``: ``ExtensionElement.__mul__`` of x and x + alpha;
 * ``tower x^n``: x^n, n = 3 or 4, as verify computes c;
+* ``tower sigma``: ``mat_apply`` of sigma's matrix to x's coordinates,
+  one application of sigma as ``ValidatedContext.sigma`` makes it;
 * ``tower inverse``: the inverse in K of an element whose two coordinates
   are rationals with numerator and denominator of as many digits as a, as
   ``rref`` takes one of each pivot over K.
@@ -82,7 +84,7 @@ FP_KERNELS = (
     "certificate_from_json",
     "E inverse",
 )
-TOWER_KERNELS = ("tower multiply", "tower x^n", "tower inverse")
+TOWER_KERNELS = ("tower multiply", "tower x^n", "tower sigma", "tower inverse")
 ROUNDS = 21
 ROUND_S = 0.02
 
@@ -228,7 +230,9 @@ def tower_kernels(kk, family: str, digits: int) -> list:
         ext = kk.tower.ExtensionField(k_field, Polynomial(k_field, [1, a, -6, -a, 1]))
         image = (ext.gen() - 1) / (ext.gen() + 1)
     n = ext.degree
-    x = kk.kummer.certify(kk.kummer.CyclicExtensionInput(ext, n, k_field.gen(), image)).x
+    inp = kk.kummer.CyclicExtensionInput(ext, n, k_field.gen(), image)
+    x = kk.kummer.certify(inp).x
+    matrix = kk.kummer.validate_setup(inp).matrix
     y = x + ext.gen()
     assert all(x.coords[1:]) and all(y.coords), (family, a)
     rng = random.Random(f"{family}-{digits}")
@@ -243,11 +247,15 @@ def tower_kernels(kk, family: str, digits: int) -> list:
         for _ in range(k):
             x**n
 
+    def sigma(k):
+        for _ in range(k):
+            kk.linalg.mat_apply(matrix, x.coords)
+
     def k_inverse(k):
         for _ in range(k):
             pivot.inverse()
 
-    return [multiply, x_to_n, k_inverse]
+    return [multiply, x_to_n, sigma, k_inverse]
 
 
 def results(trees: list, quick: bool) -> list:

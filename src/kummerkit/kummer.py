@@ -91,7 +91,9 @@ class ValidatedContext(CyclicExtensionInput):
     def sigma(self, e: ExtensionElement) -> ExtensionElement:
         """Apply the automorphism: the image of sum(c_j * alpha^j) is
         sum(c_j * s^j), the matrix times the coordinate vector, O(n^2)
-        base-field operations and no multiply in E."""
+        base-field operations and no multiply in E. Over an extension K of
+        F_p or QQ the dot product runs on ground ints (``raw_mat_apply``):
+        no multiply in K either."""
         e = self.ext_field.coerce(e)
         return ExtensionElement(self.ext_field, mat_apply(self.matrix, e.coords))
 

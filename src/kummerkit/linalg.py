@@ -6,7 +6,9 @@ meaningless in exact arithmetic), and nullspace bases use the standard RREF
 free-column parametrization. Vectors are plain tuples of field elements.
 
 A ``Matrix`` carries its raw rows and one product, ``__mul__``: kernels and
-products with vectors are all that sigma's matrix is needed for.
+products with vectors are all that sigma's matrix is needed for. Over an
+extension of F_p or QQ it also keeps its rows' ground ints, flattened by
+the first dot product (``raw_mat_apply``), for every later one.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .polynomials import Polynomial, raw_mul_mod
+from .polynomials import Polynomial, _fold_by_g, _ground_coords, _int_terms, on_ground_ints, raw_mul_mod
 from .tower import ExtensionElement
 
 
 class Matrix:
-    """Immutable dense matrix, kept only as ``raw_rows``: a tuple of rows of
-    the field's raw values, which need not be reduced."""
+    """Immutable dense matrix, kept as ``raw_rows``: a tuple of rows of the
+    field's raw values, which need not be reduced. ``int_rows`` is None
+    until ``raw_mat_apply`` first runs on ground ints over this matrix; it
+    then holds each row's ground ints (``_int_terms``)."""
 
-    __slots__ = ("field", "raw_rows")
+    __slots__ = ("field", "raw_rows", "int_rows")
 
     def __init__(self, field, rows):
         raw_rows = tuple(field.unbox(map(field.coerce, row)) for row in rows)
@@ -34,6 +38,7 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
         self.field = field
         self.raw_rows = raw_rows
+        self.int_rows = None
 
     @classmethod
     def _of_raw(cls, field, raw_rows) -> "Matrix":
@@ -42,6 +47,7 @@ class Matrix:
         m = object.__new__(cls)
         m.field = field
         m.raw_rows = tuple(raw_rows)
+        m.int_rows = None
         return m
 
     @property
@@ -76,7 +82,7 @@ class Matrix:
             raise FieldMismatch(f"matrices over {self.field} and {other.field}")
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        cols = [raw_mat_apply(self.field, self.raw_rows, col) for col in zip(*other.raw_rows)]
+        cols = [raw_mat_apply(self, col) for col in zip(*other.raw_rows)]
         return Matrix._of_raw(self.field, [tuple(col[i] for col in cols) for i in range(self.nrows)])
 
     def __eq__(self, other):
@@ -156,11 +162,49 @@ def nullspace(m: Matrix) -> list[tuple]:
     return basis
 
 
-def raw_mat_apply(field, rows, v) -> list:
-    """The only dot product: rows of raw values times a vector of raw
-    values, each entry reduced once."""
+def raw_mat_apply(m: Matrix, v) -> list:
+    """The only dot product: a matrix's raw rows times a vector of raw
+    values, with one path per kind of base, as ``raw_mul_mod`` has. Over an
+    extension K = ground[t]/(g) of F_p or QQ, ``_mat_apply_on_ground_ints``
+    runs on the ground coordinates as ints, with no multiply in K; each row
+    is flattened once per matrix, on its first product, and kept as
+    ``m.int_rows``. Over F_p, QQ and a base higher in a tower, each entry
+    is the sum of the products, reduced once."""
+    field = m.field
+    if on_ground_ints(field):
+        if m.int_rows is None:
+            m.int_rows = [_int_terms(field.base, [x.coords for x in row], field.degree) for row in m.raw_rows]
+        return _mat_apply_on_ground_ints(field, m.int_rows, v)
     reduce, zero = field.reduce, field.raw_zero
-    return [reduce(sum(map(operator.mul, row, v), zero)) for row in rows]
+    return [reduce(sum(map(operator.mul, row, v), zero)) for row in m.raw_rows]
+
+
+def _mat_apply_on_ground_ints(field, int_rows, v) -> list:
+    """``raw_mat_apply`` over K = ground[t]/(g), g monic of degree e, on the
+    rows' ground ints: for each row, u of entry j at index j e + u, over
+    one common denominator (``_int_terms``).
+
+    Flatten: the vector's ground coordinates the same way, grouped by
+    entry. Multiply: a row's sum of products in ZZ[t], at most 2e - 1
+    coefficients. Fold: once per row, by g (``_fold_by_g``, whose scaling
+    multiplies the denominator). Box: one Fraction per coordinate over the
+    row's denominator times the vector's, or one value mod p
+    (``_ground_coords``)."""
+    ground, e = field.base, field.degree
+    terms, den_v = _int_terms(ground, [x.coords for x in v], e)
+    vector = [[] for _ in v]
+    for i, y in terms:
+        vector[i // e].append((i % e, y))
+    out_rows = []
+    for terms, den in int_rows:
+        out = [0] * (2 * e - 1)
+        for i, x in terms:
+            j, u = divmod(i, e)
+            for w, y in vector[j]:
+                out[u + w] += x * y
+        den *= den_v * _fold_by_g(ground, field.modulus, out, 0)
+        out_rows.append(ExtensionElement(field, _ground_coords(ground, [out[:e]], den)[0]))
+    return out_rows
 
 
 def mat_apply(m: Matrix, v) -> tuple:
@@ -169,7 +213,7 @@ def mat_apply(m: Matrix, v) -> tuple:
     v = field.unbox(map(field.coerce, v))
     if len(v) != m.ncols:
         raise DimensionMismatch(f"vector of length {len(v)} against {m.nrows}x{m.ncols}")
-    return tuple(field.box(raw_mat_apply(field, m.raw_rows, v)))
+    return tuple(field.box(raw_mat_apply(m, v)))
 
 
 def substitution_matrix(field, f: Polynomial, image) -> Matrix:
@@ -217,7 +261,7 @@ def poly_at_matrix(p: Polynomial, m: Matrix) -> Matrix:
     field, n = m.field, m.nrows
     columns = [[field.raw_zero] * n for _ in range(n)]
     for c in reversed(field.unbox(map(field.coerce, p.coeffs))):
-        columns = [raw_mat_apply(field, m.raw_rows, col) for col in columns]
+        columns = [raw_mat_apply(m, col) for col in columns]
         for j, col in enumerate(columns):
             col[j] += c
     return Matrix._of_raw(field, zip(*columns))

@@ -234,7 +234,7 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
         for h, row in zip(_unpack(prod >> width * d, width, d - 1), rows):
             low += h % p * row
         return [c % p for c in _unpack(low, width, d)]
-    if not isinstance(field, RationalField) and isinstance(field.base, (PrimeField, RationalField)):
+    if on_ground_ints(field):
         return _mul_mod_on_ground_ints(field, a, b, f)
     reduce = field.reduce
     prod = raw_product(field, a, b)
@@ -247,6 +247,15 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     return prod[:d]
 
 
+def on_ground_ints(field) -> bool:
+    """Whether field is an extension K = ground[t]/(g) of F_p or QQ, over
+    which ``raw_mul_mod`` and ``raw_mat_apply`` run on the ground
+    coordinates as ints."""
+    if field.raw_int_bound is not None or isinstance(field, RationalField):
+        return False
+    return isinstance(field.base, (PrimeField, RationalField))
+
+
 def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
     """``raw_mul_mod`` over K = ground[t]/(g), g monic of degree e, on ints.
 
@@ -255,14 +264,14 @@ def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
     (``_int_terms``), coordinate u of coefficient k at index k s + u, where
     the stride s = 2e - 1 holds a row's t-coefficients before their
     reduction mod g. Multiply: the bivariate product of a and b, once, over
-    ZZ. Fold, row by row from the top: each t^u, u >= e, by g within its
-    row, and then, in a row k >= d, the whole row by f into rows k - d ..
-    k - 1, so no row ever holds more than s coefficients. A fold by a
-    modulus whose low terms are -(ints)/D multiplies every int by D first,
-    and D multiplies the result's denominator: once per entry for g, once
-    per row for f; D is 1 over F_p and for an integral modulus. Box: rows
-    0 .. d-1, coordinates 0 .. e-1, become one Fraction each over the
-    denominator, or ground elements reduced mod p.
+    ZZ. Fold, row by row from the top: the row by g (``_fold_by_g``), and
+    then, in a row k >= d, the whole row by f into rows k - d .. k - 1, so
+    no row ever holds more than s coefficients. A fold by f, whose low
+    terms are -(ints)/D, multiplies every int by D first, once per row, and
+    D multiplies the result's denominator; D is 1 over F_p and for an
+    integral f. Box: rows 0 .. d-1, coordinates 0 .. e-1, become one
+    Fraction each over the denominator, or ground elements reduced mod p
+    (``_ground_coords``).
     """
     element = type(a[0])  # ExtensionElement, from tower, which imports this module
     ground, g, d = field.base, field.modulus, f.degree
@@ -275,17 +284,9 @@ def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
         for j, y in terms_b:
             out[i + j] += x * y
     den *= den_b
-    low_g, den_g = g.int_fold or _keep_int_fold(g, _int_terms(ground, [g.coeffs[:e]], s))
     low_f, den_f = f.int_fold or _keep_int_fold(f, _int_terms(ground, [c.coords for c in f.coeffs[:d]], s))
     for row in range((2 * d - 2) * s, -1, -s):
-        for m in range(row + s - 1, row + e - 1, -1):
-            x = out[m]
-            if x:
-                if den_g != 1:
-                    out = [c * den_g for c in out]
-                    den *= den_g
-                for j, y in low_g:
-                    out[m - e + j] -= x * y
+        den *= _fold_by_g(ground, g, out, row)
         top = out[row : row + e]
         if row >= d * s and any(top):
             if den_f != 1:
@@ -295,10 +296,38 @@ def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
                 if x:
                     for j, y in low_f:
                         out[u + j] -= x * y
-    rows = [out[row : row + e] for row in range(0, d * s, s)]
+    return [element(field, c) for c in _ground_coords(ground, [out[row : row + e] for row in range(0, d * s, s)], den)]
+
+
+def _fold_by_g(ground, g: Polynomial, out: list, row: int) -> int:
+    """The only fold by K's modulus g, monic of degree e, on ground ints, in
+    place: the t^u of out's row at index row, a run of 2e - 1 ints, are
+    folded from u = 2e - 2 down to e by t^e = -(low ints of g)/D, g's
+    ``int_fold`` (built on first use). When D != 1, every int of out is
+    multiplied by D before each nonzero t^u is folded; the product of those
+    D, by which out's denominator grows, is returned. The ints at u >= e
+    are left behind, to be ignored."""
+    e = g.degree
+    low, den = g.int_fold or _keep_int_fold(g, _int_terms(ground, [g.coeffs[:e]], e))
+    scale = 1
+    for m in range(row + 2 * e - 2, row + e - 1, -1):
+        x = out[m]
+        if x:
+            if den != 1:
+                out[:] = [c * den for c in out]
+                scale *= den
+            for j, y in low:
+                out[m - e + j] -= x * y
+    return scale
+
+
+def _ground_coords(ground, rows, den: int) -> list:
+    """Rows of ground ints over the denominator den, boxed into one tuple
+    each: one Fraction per int over QQ, reduced mod p over F_p (den is 1
+    there)."""
     if ground.raw_int_bound is not None:
-        return [element(field, tuple(ground.box(r))) for r in rows]
-    return [element(field, tuple([Fraction(c, den) for c in r])) for r in rows]
+        return [tuple(ground.box(r)) for r in rows]
+    return [tuple([Fraction(c, den) for c in r]) for r in rows]
 
 
 def _int_terms(ground, rows, s: int) -> tuple[list, int]:
@@ -562,10 +591,9 @@ def rabin_frobenius(f: Polynomial):
     if d >= 2 and not coprime(power):
         return None
     q_matrix = substitution_matrix(field, f, x_to_p)
-    rows = q_matrix.raw_rows
     tested = {d // q for q in prime_factors(d)} - {1}
     for k in range(2, d + 1):
-        power = raw_mat_apply(field, rows, power)
+        power = raw_mat_apply(q_matrix, power)
         if k in tested and not coprime(power):
             return None
     x = field.unbox((Polynomial.x(field) % f).padded(d))

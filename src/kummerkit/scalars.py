@@ -18,8 +18,10 @@ mod f (the E multiply and each column of ``substitution_matrix``), and
 elimination (``nullspace`` and ``first_linear_dependency`` read it and box
 only what they return) and ``raw_mat_apply`` the only dot product
 (``mat_apply``, each column of ``Matrix.__mul__``, the Rabin test's
-Frobenius steps). A ``Matrix`` keeps only its raw rows, boxed on each read
-of ``rows``. The loops reach the values through hooks of the field
+Frobenius steps), with one path per kind of base as ``raw_mul_mod``. A
+``Matrix`` keeps its raw rows, boxed on each read of ``rows``, and over an
+extension of F_p or QQ their ground ints once a dot product has
+flattened them. The loops reach the values through hooks of the field
 descriptor: ``unbox(elements)`` gives the raw values, ``box(values)``
 reduces and wraps them, ``reduce(value)`` gives a canonical raw value,
 ``raw_inverse`` inverts a nonzero one, ``raw_zero`` is the raw zero, and
@@ -37,6 +39,9 @@ extension inverts by its own ``inverse``. ``raw_mul_mod`` has one path per
 kind of base: packed over F_p, the schoolbook loop on ``Fraction`` values
 over QQ, and over an extension of F_p or QQ one bivariate product and one
 fold on the ground coordinates as ints, with no multiply in the extension.
+``raw_mat_apply`` over such an extension flattens each row the same way,
+sums its products in ZZ[t] and folds each entry once, by the same fold by
+the extension's modulus; over F_p, QQ and higher bases it sums products.
 
 No floating point appears anywhere in this module or its callers.
 """

@@ -5,9 +5,10 @@ An extension element is a coordinate vector over the level below, always
 stored at full length (zero-padded). Coordinates stay recursive: an element
 of E = K[X]/(f) over K = QQ[t]/(g) holds K-elements, never a flattened
 rational vector, so the linear algebra downstream is genuinely over K.
-Only the multiply flattens: ``raw_mul_mod`` has one path per kind of base,
-and over such a K it multiplies and folds E's ground coordinates as ints
-over a common denominator, with no multiply in K.
+Only the multiply and the dot product flatten: ``raw_mul_mod`` and
+``raw_mat_apply`` have one path per kind of base, and over such a K they
+multiply and fold the ground coordinates as ints over a common
+denominator, with no multiply in K.
 """
 
 from __future__ import annotations

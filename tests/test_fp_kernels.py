@@ -57,11 +57,16 @@ t^3 + 2, a K of degree 1 over QQ and over F_5, and F_25), f integral or
 with any rational coordinates, and operands with zero coordinates and
 negative and 40-digit numerators and denominators, and checks a * b,
 a * a and a^e against ``oracle_ext_mul``, whose K multiplies run on the
-Fraction loop or the packed one. A counting test finds no ``raw_product``
-call inside such an E multiply, power or substitution matrix. The last
-test of that section counts ``raw_product`` calls across CLI requests
-like the benchmark's: none is over F_p, so every F_p product of the
-pipeline is packed.
+Fraction loop or the packed one. ``raw_mat_apply`` over such a K also runs
+on ground ints: its property checks ``mat_apply`` and ``Matrix.__mul__``
+over every such K, from 1 x 1 to 5 x 5 and non-square, with zero rows, a
+zero vector and 40-digit values, against ``oracle_mat_apply`` and
+``oracle_mat_mul``. A counting test finds no ``raw_product`` call inside
+such an E multiply, power, substitution matrix, dot product or matrix
+product, and another pins the ``ExtensionElement.__mul__`` calls of a
+tower and verify pair of each qq family. The last test of that section
+counts ``raw_product`` calls across CLI requests like the benchmark's:
+none is over F_p, so every F_p product of the pipeline is packed.
 
 ``raw_euclid`` is the only Euclid loop. ``oracle_poly_gcd_extended`` is
 the extended Euclid that ran on boxed polynomials before it, and
@@ -86,7 +91,6 @@ from hypothesis import given, settings, strategies as st
 
 from kummerkit.cli import main
 from kummerkit.errors import DimensionMismatch, DivisionByZero, NotInvertible
-from kummerkit.kummer import CyclicExtensionInput
 from kummerkit.linalg import (
     Matrix,
     RrefResult,
@@ -112,6 +116,7 @@ from kummerkit.scalars import MR_EXACT_BOUND, PrimeField, PrimeFieldElement, Rat
 from kummerkit.tower import ExtensionElement, ExtensionField
 
 from matrix_oracles import identity, power
+from test_determinism import shanks_cubic, simplest_quartic
 
 BIG_P = 3317044064679887385959989
 PRIMES = (2, 3, 97, 65537, BIG_P)
@@ -780,10 +785,32 @@ def test_multiply_over_an_extension_base_against_the_oracle(data):
     assert_canonical([got], ext)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dot_product_over_an_extension_base_against_the_oracle(data):
+    base = data.draw(st.sampled_from(EXTENSION_BASES), label="base")
+    nrows, ncols, width = (data.draw(st.integers(1, 5), label=label) for label in ("rows", "columns", "width"))
+
+    def vectors(length):
+        dense = st.lists(base_elements(base), min_size=length, max_size=length)
+        return st.one_of(dense, dense, dense, st.just([base.zero()] * length))
+
+    m = Matrix(base, data.draw(st.lists(vectors(ncols), min_size=nrows, max_size=nrows), label="m"))
+    v = data.draw(vectors(ncols), label="v")
+    got = mat_apply(m, v)
+    assert got == oracle_mat_apply(m, v)
+    assert_canonical(got, base)
+    other = Matrix(base, data.draw(st.lists(vectors(width), min_size=ncols, max_size=ncols), label="other"))
+    got = m * other
+    assert got == oracle_mat_mul(m, other)
+    for row in got.rows:
+        assert_canonical(row, base)
+
+
 def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch):
     # the ground coordinates are multiplied and folded as ints: no K
-    # multiply, so no raw_product, runs inside the E multiply, the power or
-    # the substitution matrix
+    # multiply, so no raw_product, runs inside the E multiply, the power,
+    # the substitution matrix or a dot product
     calls = collections.Counter()
     product = polynomials.raw_product
 
@@ -796,8 +823,49 @@ def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch)
         ext = ExtensionField(base, Polynomial(base, [base.from_int(2), base.gen(), base.zero(), base.one()]))
         a = ext.element([base.gen(), base.from_int(3), base.one() + base.gen()])
         b = ext.element([base.one(), base.zero(), base.from_int(-2)])
-        a * b, a * a, a**7, substitution_matrix(base, ext.modulus, a.coords)
+        m = substitution_matrix(base, ext.modulus, a.coords)
+        a * b, a * a, a**7, mat_apply(m, b.coords), m * m
     assert calls == {}
+
+
+def qq_tower_requests(tmp_path) -> dict:
+    """{family: (tower argv, verify argv)} for Shanks' cubic over QQ(zeta_3)
+    and the simplest quartic over QQ(i) at a = 10^19 + 9, with the spec
+    written and the certificate read in tmp_path."""
+    requests = {}
+    for family, make in (("cubic", shanks_cubic), ("quartic", simplest_quartic)):
+        spec, cert = tmp_path / f"{family}.spec.json", tmp_path / f"{family}.cert.json"
+        spec.write_text(serialize.canonical_dumps(serialize.input_to_json(make(10**19 + 9))))
+        requests[family] = (["tower", str(spec), "--out", str(cert)], ["verify", str(cert)])
+    return requests
+
+
+def test_e_multiplies_of_a_qq_tower_request(tmp_path, capsys, monkeypatch):
+    # sigma makes no K multiply: what is left are the E multiplies, the K
+    # multiplies of the elimination, and verify's few
+    requests = qq_tower_requests(tmp_path)
+    calls = collections.Counter()
+    multiply = ExtensionElement.__mul__
+
+    def counting(self, other):
+        calls["__mul__"] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(ExtensionElement, "__mul__", counting)
+    monkeypatch.setattr(ExtensionElement, "__rmul__", counting)
+    counts = {}
+    for family, pair in requests.items():
+        for argv in pair:
+            calls.clear()
+            assert main(argv + ["--format", "json"]) == 0, argv
+            counts[family, argv[0]] = calls["__mul__"]
+    capsys.readouterr()
+    assert counts == {
+        ("cubic", "tower"): 45,
+        ("cubic", "verify"): 8,
+        ("quartic", "tower"): 127,
+        ("quartic", "verify"): 10,
+    }
 
 
 # -- the pipeline's products over F_p are all mod f ----------------------------
@@ -972,21 +1040,9 @@ def test_no_request_runs_boxed_polynomial_arithmetic(tmp_path, capsys, monkeypat
             return _method(*args)
 
         monkeypatch.setattr(Polynomial, name, counting)
-    k_3 = ExtensionField(QQ, Polynomial(QQ, [1, 1, 1]))
-    k_4 = ExtensionField(QQ, Polynomial(QQ, [1, 0, 1]))
-    a = 10**19 + 9
-    cubic = ExtensionField(k_3, Polynomial(k_3, [-1, -(a + 3), -a, 1]))  # Shanks' simplest cubic
-    quartic = ExtensionField(k_4, Polynomial(k_4, [1, a, -6, -a, 1]))  # the simplest quartic
-    inputs = [
-        CyclicExtensionInput(cubic, 3, k_3.gen(), -1 / (1 + cubic.gen())),
-        CyclicExtensionInput(quartic, 4, k_4.gen(), (quartic.gen() - 1) / (quartic.gen() + 1)),
-    ]
     argvs = [["finite", "--p", "13", "--n", "4"]]
-    for k, inp in enumerate(inputs):
-        spec, cert = tmp_path / f"{k}.spec.json", tmp_path / f"{k}.cert.json"
-        spec.write_text(serialize.canonical_dumps(serialize.input_to_json(inp)))
-        argvs += [["tower", str(spec), "--out", str(cert)], ["verify", str(cert)]]
-    calls.clear()  # building the inputs above inverts in E
+    argvs += [argv for pair in qq_tower_requests(tmp_path).values() for argv in pair]
+    calls.clear()  # building the inputs inverts in E
     for argv in argvs:
         assert main(argv + ["--format", "json"]) == 0, argv
     capsys.readouterr()

@@ -10,6 +10,7 @@ Hand derivations behind the frozen values:
 """
 
 import copy
+import functools
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -55,10 +56,31 @@ from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField, is_p
 from kummerkit.tower import ExtensionElement, ExtensionField
 
 from matrix_oracles import identity, power, scale, shift
+from test_determinism import shanks_cubic, simplest_quartic
 from test_verify_witness import NOT_FIELDS
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
+F25 = ExtensionField(F5, Polynomial(F5, [-2, 0, 1]))
+
+
+def f25_frobenius_cubic() -> CyclicExtensionInput:
+    """E = F_25[X]/(X^3 + X + t), t^2 = 2, with sigma the Frobenius a -> a^25
+    and zeta = 2 + 2t, a primitive cube root of unity in F_25. The cubic has
+    no root in F_25, so it is irreducible."""
+    t = F25.gen()
+    roots = [a for a in (F25.element([u, v]) for u in range(5) for v in range(5)) if a * a * a + a + t == 0]
+    assert not roots
+    ext = ExtensionField(F25, Polynomial(F25, [t, 1, 0, 1]))
+    return CyclicExtensionInput(ext, 3, F25.element([2, 2]), ext.gen() ** 25)
+
+
+RESOLVENT_INPUTS = {
+    **{f"shanks-cubic-{a}": functools.partial(shanks_cubic, a) for a in (1, 2, 10**20 + 3, 10**39 + 7)},
+    **{f"simplest-quartic-{a}": functools.partial(simplest_quartic, a) for a in (1, 2, 10**20 + 3, 10**39 + 7)},
+    "builtin-cubic": builtin_cubic_over_eisenstein,
+    "f25-frobenius-cubic": f25_frobenius_cubic,
+}
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +480,21 @@ class TestStepwiseProperties:
                 continue
             stacked = Matrix(ctx.base_field, [list(r.coords), list(x.coords)])
             assert rref(stacked).rank == 1
+
+    @pytest.mark.parametrize("name", sorted(RESOLVENT_INPUTS))
+    def test_resolvent_parallel_to_x_over_an_extension_base(self, name):
+        # over K = QQ(zeta_3), QQ(i) or F_25, each sigma of the resolvent is
+        # the dot product on ground ints: a route to x independent of the
+        # eigenspace that certify reads
+        inp = RESOLVENT_INPUTS[name]()
+        ctx = validate_setup(inp)
+        x = certify(inp).x
+        alpha = ctx.ext_field.gen()
+        resolvents = [lagrange_resolvent(ctx, seed) for seed in (alpha, alpha + 1, alpha**2)]
+        r = next((r for r in resolvents if r), None)
+        assert r is not None, "every resolvent is zero"
+        stacked = Matrix(ctx.base_field, [list(r.coords), list(x.coords)])
+        assert rref(stacked).rank == 1
 
 
 class TestEachKernelOnce:
