@@ -7,8 +7,8 @@ free-column parametrization. Vectors are plain tuples of field elements.
 
 A ``Matrix`` carries its raw rows and one product, ``__mul__``: kernels and
 products with vectors are all that sigma's matrix is needed for. Over an
-extension of F_p or QQ it also keeps its rows' ground ints, flattened by
-the first dot product (``raw_mat_apply``), for every later one.
+extension of F_p or QQ it also keeps its rows as the field flattened them
+for the first dot product (``raw_mat_apply``), for every later one.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .polynomials import Polynomial, _fold_by_g, _ground_coords, _int_terms, on_ground_ints, raw_mul_mod
-from .tower import ExtensionElement
+from .polynomials import Polynomial, raw_mul_mod
 
 
 class Matrix:
     """Immutable dense matrix, kept as ``raw_rows``: a tuple of rows of the
     field's raw values, which need not be reduced. ``int_rows`` is None
     until ``raw_mat_apply`` first runs on ground ints over this matrix; it
-    then holds each row's ground ints (``_int_terms``)."""
+    then holds the field's ``int_rows`` of them, opaque here."""
 
     __slots__ = ("field", "raw_rows", "int_rows")
 
@@ -165,46 +164,18 @@ def nullspace(m: Matrix) -> list[tuple]:
 def raw_mat_apply(m: Matrix, v) -> list:
     """The only dot product: a matrix's raw rows times a vector of raw
     values, with one path per kind of base, as ``raw_mul_mod`` has. Over an
-    extension K = ground[t]/(g) of F_p or QQ, ``_mat_apply_on_ground_ints``
-    runs on the ground coordinates as ints, with no multiply in K; each row
-    is flattened once per matrix, on its first product, and kept as
-    ``m.int_rows``. Over F_p, QQ and a base higher in a tower, each entry
-    is the sum of the products, reduced once."""
+    extension K of F_p or QQ (its ``int_modulus`` is set), K's
+    ``int_mat_apply`` runs on the ground coordinates as ints, with no
+    multiply in K; each row is flattened once per matrix, on its first
+    product, and kept as ``m.int_rows``. Over F_p, QQ and a base higher in
+    a tower, each entry is the sum of the products, reduced once."""
     field = m.field
-    if on_ground_ints(field):
+    if field.int_modulus is not None:
         if m.int_rows is None:
-            m.int_rows = [_int_terms(field.base, [x.coords for x in row], field.degree) for row in m.raw_rows]
-        return _mat_apply_on_ground_ints(field, m.int_rows, v)
+            m.int_rows = field.int_rows(m.raw_rows)
+        return field.int_mat_apply(m.int_rows, v)
     reduce, zero = field.reduce, field.raw_zero
     return [reduce(sum(map(operator.mul, row, v), zero)) for row in m.raw_rows]
-
-
-def _mat_apply_on_ground_ints(field, int_rows, v) -> list:
-    """``raw_mat_apply`` over K = ground[t]/(g), g monic of degree e, on the
-    rows' ground ints: for each row, u of entry j at index j e + u, over
-    one common denominator (``_int_terms``).
-
-    Flatten: the vector's ground coordinates the same way, grouped by
-    entry. Multiply: a row's sum of products in ZZ[t], at most 2e - 1
-    coefficients. Fold: once per row, by g (``_fold_by_g``, whose scaling
-    multiplies the denominator). Box: one Fraction per coordinate over the
-    row's denominator times the vector's, or one value mod p
-    (``_ground_coords``)."""
-    ground, e = field.base, field.degree
-    terms, den_v = _int_terms(ground, [x.coords for x in v], e)
-    vector = [[] for _ in v]
-    for i, y in terms:
-        vector[i // e].append((i % e, y))
-    out_rows = []
-    for terms, den in int_rows:
-        out = [0] * (2 * e - 1)
-        for i, x in terms:
-            j, u = divmod(i, e)
-            for w, y in vector[j]:
-                out[u + w] += x * y
-        den *= den_v * _fold_by_g(ground, field.modulus, out, 0)
-        out_rows.append(ExtensionElement(field, _ground_coords(ground, [out[:e]], den)[0]))
-    return out_rows
 
 
 def mat_apply(m: Matrix, v) -> tuple:
@@ -288,7 +259,7 @@ def operator_min_poly(m: Matrix) -> Polynomial:
     return Polynomial(field, first_linear_dependency(field, powers(), n + 1))
 
 
-def element_min_poly(x: ExtensionElement) -> Polynomial:
+def element_min_poly(x) -> Polynomial:
     """Minimal polynomial of an extension element over the base field.
 
     Krylov on the coordinate vectors of 1, x, x^2, ...; the first linear

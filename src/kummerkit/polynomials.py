@@ -13,8 +13,7 @@ import functools
 import itertools
 import sys
 from array import array
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
 from .scalars import PrimeField, RationalField, is_prime, prime_factors
@@ -25,12 +24,9 @@ class Polynomial:
 
     ``fold_table`` is None until ``raw_mul_mod`` first reduces by this
     polynomial over F_p; it then holds the packed X^(d+k) mod f that every
-    later multiply mod this polynomial reuses (``_build_fold_table``).
-    ``int_fold`` is None until ``_mul_mod_on_ground_ints`` first folds by
-    this polynomial, as f over an extension base K or as K's modulus g; it
-    then holds the ground ints of its low coefficients (``_keep_int_fold``)."""
+    later multiply mod this polynomial reuses (``_build_fold_table``)."""
 
-    __slots__ = ("field", "coeffs", "fold_table", "int_fold")
+    __slots__ = ("field", "coeffs", "fold_table")
 
     def __init__(self, field, coeffs=()):
         coeffs = [field.coerce(c) for c in coeffs]
@@ -39,7 +35,6 @@ class Polynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "fold_table", None)
-        object.__setattr__(self, "int_fold", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -54,7 +49,6 @@ class Polynomial:
         object.__setattr__(poly, "field", field)
         object.__setattr__(poly, "coeffs", tuple(coeffs))
         object.__setattr__(poly, "fold_table", None)
-        object.__setattr__(poly, "int_fold", None)
         return poly
 
     @classmethod
@@ -218,10 +212,11 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     A negative value would borrow from the slot above, and an unreduced one
     could overflow its own.
 
-    Over an extension base K = ground[t]/(g) of degree e, ground F_p or QQ,
-    ``_mul_mod_on_ground_ints`` runs on the ground coordinates as ints,
-    with no multiply in K. Over QQ (and a base higher in a tower, which no
-    pipeline multiplies over) raw values are canonical elements: the
+    Over an extension base K = ground[t]/(g), ground F_p or QQ (K's
+    ``int_modulus`` is set), K's ``int_mul_mod`` runs on the ground
+    coordinates as ints, with no multiply in K. Over QQ (and a base higher
+    in a tower, which no pipeline multiplies over) raw values are
+    canonical elements: the
     schoolbook ``raw_product`` is folded back with f from the top, one
     degree at a time. So there is one path per kind of base."""
     d = f.degree
@@ -234,8 +229,8 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
         for h, row in zip(_unpack(prod >> width * d, width, d - 1), rows):
             low += h % p * row
         return [c % p for c in _unpack(low, width, d)]
-    if on_ground_ints(field):
-        return _mul_mod_on_ground_ints(field, a, b, f)
+    if field.int_modulus is not None:
+        return field.int_mul_mod(a, b, f)
     reduce = field.reduce
     prod = raw_product(field, a, b)
     low = field.unbox(f.coeffs[:d])
@@ -245,106 +240,6 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
             for j, y in enumerate(low, k - d):
                 prod[j] -= c * y
     return prod[:d]
-
-
-def on_ground_ints(field) -> bool:
-    """Whether field is an extension K = ground[t]/(g) of F_p or QQ, over
-    which ``raw_mul_mod`` and ``raw_mat_apply`` run on the ground
-    coordinates as ints."""
-    if field.raw_int_bound is not None or isinstance(field, RationalField):
-        return False
-    return isinstance(field.base, (PrimeField, RationalField))
-
-
-def _mul_mod_on_ground_ints(field, a, b, f: Polynomial) -> list:
-    """``raw_mul_mod`` over K = ground[t]/(g), g monic of degree e, on ints.
-
-    Flatten: the d e ground coordinates of a, of b and of f's d low
-    coefficients become (index, int) terms over a common denominator each
-    (``_int_terms``), coordinate u of coefficient k at index k s + u, where
-    the stride s = 2e - 1 holds a row's t-coefficients before their
-    reduction mod g. Multiply: the bivariate product of a and b, once, over
-    ZZ. Fold, row by row from the top: the row by g (``_fold_by_g``), and
-    then, in a row k >= d, the whole row by f into rows k - d .. k - 1, so
-    no row ever holds more than s coefficients. A fold by f, whose low
-    terms are -(ints)/D, multiplies every int by D first, once per row, and
-    D multiplies the result's denominator; D is 1 over F_p and for an
-    integral f. Box: rows 0 .. d-1, coordinates 0 .. e-1, become one
-    Fraction each over the denominator, or ground elements reduced mod p
-    (``_ground_coords``).
-    """
-    element = type(a[0])  # ExtensionElement, from tower, which imports this module
-    ground, g, d = field.base, field.modulus, f.degree
-    e = g.degree
-    s = 2 * e - 1
-    terms_a, den = _int_terms(ground, [x.coords for x in a], s)
-    terms_b, den_b = (terms_a, den) if a is b else _int_terms(ground, [x.coords for x in b], s)
-    out = [0] * ((2 * d - 1) * s)
-    for i, x in terms_a:
-        for j, y in terms_b:
-            out[i + j] += x * y
-    den *= den_b
-    low_f, den_f = f.int_fold or _keep_int_fold(f, _int_terms(ground, [c.coords for c in f.coeffs[:d]], s))
-    for row in range((2 * d - 2) * s, -1, -s):
-        den *= _fold_by_g(ground, g, out, row)
-        top = out[row : row + e]
-        if row >= d * s and any(top):
-            if den_f != 1:
-                out = [c * den_f for c in out]
-                den *= den_f
-            for u, x in enumerate(top, row - d * s):
-                if x:
-                    for j, y in low_f:
-                        out[u + j] -= x * y
-    return [element(field, c) for c in _ground_coords(ground, [out[row : row + e] for row in range(0, d * s, s)], den)]
-
-
-def _fold_by_g(ground, g: Polynomial, out: list, row: int) -> int:
-    """The only fold by K's modulus g, monic of degree e, on ground ints, in
-    place: the t^u of out's row at index row, a run of 2e - 1 ints, are
-    folded from u = 2e - 2 down to e by t^e = -(low ints of g)/D, g's
-    ``int_fold`` (built on first use). When D != 1, every int of out is
-    multiplied by D before each nonzero t^u is folded; the product of those
-    D, by which out's denominator grows, is returned. The ints at u >= e
-    are left behind, to be ignored."""
-    e = g.degree
-    low, den = g.int_fold or _keep_int_fold(g, _int_terms(ground, [g.coeffs[:e]], e))
-    scale = 1
-    for m in range(row + 2 * e - 2, row + e - 1, -1):
-        x = out[m]
-        if x:
-            if den != 1:
-                out[:] = [c * den for c in out]
-                scale *= den
-            for j, y in low:
-                out[m - e + j] -= x * y
-    return scale
-
-
-def _ground_coords(ground, rows, den: int) -> list:
-    """Rows of ground ints over the denominator den, boxed into one tuple
-    each: one Fraction per int over QQ, reduced mod p over F_p (den is 1
-    there)."""
-    if ground.raw_int_bound is not None:
-        return [tuple(ground.box(r)) for r in rows]
-    return [tuple([Fraction(c, den) for c in r]) for r in rows]
-
-
-def _int_terms(ground, rows, s: int) -> tuple[list, int]:
-    """([(i s + u, c)], D): the nonzero ground values of rows, value u of
-    row i at index i s + u, as ints c over one denominator D, the lcm of
-    theirs over QQ and 1 over F_p."""
-    if ground.raw_int_bound is not None:
-        return [(i * s + u, c.value) for i, row in enumerate(rows) for u, c in enumerate(row) if c.value], 1
-    values = [(i * s + u, c.numerator, c.denominator) for i, row in enumerate(rows) for u, c in enumerate(row)]
-    den = lcm(*[q for _, _, q in values])
-    return [(m, n * (den // q)) for m, n, q in values if n], den
-
-
-def _keep_int_fold(f: Polynomial, terms: tuple) -> tuple:
-    """``_int_terms`` of f's low coefficients, kept as ``f.int_fold``."""
-    object.__setattr__(f, "int_fold", terms)
-    return terms
 
 
 def _pack(values, width: int) -> int:

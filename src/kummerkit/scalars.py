@@ -7,41 +7,22 @@ denominator, fully reduced, 0/1 for zero, ``str()`` gives ``"num/den"`` with
 the denominator omitted when it is 1). :func:`rational` is the checked
 constructor. Prime-field arithmetic gets its own element class.
 
-The hot loops exist once each and run on raw values. ``raw_product`` is
-the only polynomial product and ``raw_divmod`` the only division
-(``poly_divmod`` boxes it). ``raw_euclid`` is the only Euclid loop, on
-``raw_divmod``: ``poly_gcd``, ``poly_gcd_extended`` (whose Bezout cofactors
-grow from its quotients), the Rabin test's gcds and, through the extended
-gcd, every inverse in an extension. ``raw_mul_mod`` is the only multiply
-mod f (the E multiply and each column of ``substitution_matrix``), and
-``poly_pow_mod``, on it, the only residue power. ``rref`` is the only
-elimination (``nullspace`` and ``first_linear_dependency`` read it and box
-only what they return) and ``raw_mat_apply`` the only dot product
-(``mat_apply``, each column of ``Matrix.__mul__``, the Rabin test's
-Frobenius steps), with one path per kind of base as ``raw_mul_mod``. A
-``Matrix`` keeps its raw rows, boxed on each read of ``rows``, and over an
-extension of F_p or QQ their ground ints once a dot product has
-flattened them. The loops reach the values through hooks of the field
-descriptor: ``unbox(elements)`` gives the raw values, ``box(values)``
-reduces and wraps them, ``reduce(value)`` gives a canonical raw value,
-``raw_inverse`` inverts a nonzero one, ``raw_zero`` is the raw zero, and
-``raw_int_bound`` is p when the raw values are ints reduced mod p, else
-None. A loop unboxes its operands once, reduces where the algorithm needs
-a canonical value (a pivot test, a multiplier) and once per sum, and boxes
-its results once; its inner updates call no hook. Only
-:class:`PrimeField` knows that F_p values are ints there: an element's raw
-value is its ``value``, reduction is ``% p``, and ``raw_int_bound`` lets
-``raw_mul_mod`` pack canonical values into one int (Kronecker
-substitution). :class:`RationalField` and
-:class:`~kummerkit.tower.ExtensionField` share the identity hooks of
-:class:`IdentityHooks`, whose raw values are the elements themselves; an
-extension inverts by its own ``inverse``. ``raw_mul_mod`` has one path per
-kind of base: packed over F_p, the schoolbook loop on ``Fraction`` values
-over QQ, and over an extension of F_p or QQ one bivariate product and one
-fold on the ground coordinates as ints, with no multiply in the extension.
-``raw_mat_apply`` over such an extension flattens each row the same way,
-sums its products in ZZ[t] and folds each entry once, by the same fold by
-the extension's modulus; over F_p, QQ and higher bases it sums products.
+The arithmetic loops run on raw values (README, "How it works", lists
+which loop runs for each operation over each kind of field) and reach
+them through hooks of the field descriptor: ``unbox(elements)`` gives the
+raw values, ``box(values)`` reduces and wraps them, ``reduce(value)``
+gives a canonical raw value, ``raw_inverse`` inverts a nonzero one and
+``raw_zero`` is the raw zero. A loop unboxes its operands once, reduces
+where the algorithm needs a canonical value (a pivot test, a multiplier)
+and once per sum, and boxes its results once; its inner updates call no
+hook. ``raw_int_bound`` is p when the raw values are ints reduced mod p,
+which lets ``raw_mul_mod`` pack them into one int, else None.
+``int_modulus`` is None but on an extension of F_p or QQ, whose multiply
+and dot product run on ground ints (:mod:`kummerkit.tower`).
+:class:`PrimeField`'s raw value is an element's ``value``, reduced by
+``% p``; :class:`RationalField` and :class:`~kummerkit.tower.ExtensionField`
+share the identity hooks of :class:`IdentityHooks`, whose raw values are
+the elements themselves.
 
 No floating point appears anywhere in this module or its callers.
 """
@@ -336,6 +317,7 @@ class PrimeField:
         raise FieldMismatch(f"{value!r} is not an element of F_{self.p}")
 
     raw_zero = 0
+    int_modulus = None  # no modulus to fold by
 
     @property
     def raw_int_bound(self) -> int:
@@ -382,6 +364,7 @@ class IdentityHooks:
 
     __slots__ = ()
     raw_int_bound = None  # raw values are not ints
+    int_modulus = None  # set by an extension of F_p or QQ only
 
     @property
     def raw_zero(self):

@@ -5,20 +5,24 @@ An extension element is a coordinate vector over the level below, always
 stored at full length (zero-padded). Coordinates stay recursive: an element
 of E = K[X]/(f) over K = QQ[t]/(g) holds K-elements, never a flattened
 rational vector, so the linear algebra downstream is genuinely over K.
-Only the multiply and the dot product flatten: ``raw_mul_mod`` and
-``raw_mat_apply`` have one path per kind of base, and over such a K they
-multiply and fold the ground coordinates as ints over a common
-denominator, with no multiply in K.
+Only the multiply and the dot product flatten, and only K knows how:
+``raw_mul_mod`` and ``raw_mat_apply`` hand an extension of F_p or QQ to
+its ``int_mul_mod`` and ``int_mat_apply``, which multiply and fold the
+ground coordinates as ints over a common denominator, with no multiply
+in K.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
+from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
+from .linalg import substitution_matrix
 from .polynomials import Polynomial, cyclotomic_index, kummer_frobenius, poly_gcd_extended, poly_pow_mod
 from .polynomials import rabin_frobenius, raw_mul_mod
-from .scalars import IdentityHooks, PrimeField
+from .scalars import IdentityHooks, PrimeField, RationalField
 
 MAX_TOWER_HEIGHT = 3
 
@@ -49,9 +53,13 @@ class ExtensionField(IdentityHooks):
     asserted: a reducible one surfaces only when a division meets a zero
     divisor (NotInvertible), and otherwise may go unseen, so some such
     algebras certify valid (ROADMAP item 1).
+
+    Over F_p or QQ, ``int_modulus`` is the modulus's low coefficients as
+    ground ints (``flatten``), kept for every fold by it; over a higher
+    base it is None, as on F_p and QQ themselves.
     """
 
-    __slots__ = ("base", "modulus", "degree", "_frobenius", "frobenius_image", "kummer_witness", "proven_field")
+    __slots__ = ("base", "modulus", "degree", "_frobenius", "frobenius_image", "kummer_witness", "proven_field", "int_modulus")
 
     def __init__(self, base, modulus: Polynomial, witness=None):
         if modulus.field != base:
@@ -79,19 +87,131 @@ class ExtensionField(IdentityHooks):
         object.__setattr__(self, "frobenius_image", frobenius_image)
         object.__setattr__(self, "kummer_witness", kummer_witness)
         object.__setattr__(self, "proven_field", frobenius_image is not None or cyclotomic_index(modulus) is not None)
+        on_ints = isinstance(base, (PrimeField, RationalField))
+        object.__setattr__(self, "int_modulus", self.flatten([modulus.coeffs[:-1]], self.degree) if on_ints else None)
 
     @property
     def frobenius(self):
         """Q, the substitution matrix of X^p mod f over F_p (None over other
         bases): the Rabin test's, or built on first read."""
         if self._frobenius is None and self.frobenius_image is not None:
-            from .linalg import substitution_matrix  # linalg imports this module
-
             object.__setattr__(self, "_frobenius", substitution_matrix(self.base, self.modulus, self.frobenius_image))
         return self._frobenius
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")
+
+    def flatten(self, rows, s: int) -> tuple[list, int]:
+        """([(i s + u, c)], D): the nonzero ground values of rows, value u of
+        row i at index i s + u, as ints c over one denominator D, the lcm of
+        theirs over QQ and 1 over F_p."""
+        ground = self.base
+        if ground.raw_int_bound is not None:
+            return [(i * s + u, c.value) for i, row in enumerate(rows) for u, c in enumerate(row) if c.value], 1
+        values = [(i * s + u, c.numerator, c.denominator) for i, row in enumerate(rows) for u, c in enumerate(row)]
+        den = lcm(*[q for _, _, q in values])
+        return [(m, n * (den // q)) for m, n, q in values if n], den
+
+    def _fold_by_g(self, out: list, row: int) -> int:
+        """The only fold by this field's modulus g, monic of degree e, on
+        ground ints, in place: the t^u of out's row at index row, a run of
+        2e - 1 ints, are folded from u = 2e - 2 down to e by
+        t^e = -(low ints of g)/D, ``int_modulus``. When D != 1, every int of
+        out is multiplied by D before each nonzero t^u is folded; the
+        product of those D, by which out's denominator grows, is returned.
+        The ints at u >= e are left behind, to be ignored."""
+        e = self.degree
+        low, den = self.int_modulus
+        scale = 1
+        for m in range(row + 2 * e - 2, row + e - 1, -1):
+            x = out[m]
+            if x:
+                if den != 1:
+                    out[:] = [c * den for c in out]
+                    scale *= den
+                for j, y in low:
+                    out[m - e + j] -= x * y
+        return scale
+
+    def _box(self, ints, den: int) -> "ExtensionElement":
+        """The element whose e ground coordinates are ints over the
+        denominator den: one Fraction per int over QQ, reduced mod p over
+        F_p (den is 1 there)."""
+        ground = self.base
+        if ground.raw_int_bound is not None:
+            return ExtensionElement(self, tuple(ground.box(ints)))
+        return ExtensionElement(self, tuple([Fraction(c, den) for c in ints]))
+
+    def int_mul_mod(self, a, b, f: Polynomial) -> list:
+        """``raw_mul_mod`` over this field K = ground[t]/(g), ground F_p or
+        QQ, g monic of degree e, on ints.
+
+        Flatten: the d e ground coordinates of a, of b and of f's d low
+        coefficients become (index, int) terms over a common denominator
+        each (``flatten``), coordinate u of coefficient k at index k s + u,
+        where the stride s = 2e - 1 holds a row's t-coefficients before
+        their reduction mod g. Multiply: the bivariate product of a and b,
+        once, over ZZ. Fold, row by row from the top: the row by g
+        (``_fold_by_g``), and then, in a row k >= d, the whole row by f into
+        rows k - d .. k - 1, so no row ever holds more than s coefficients.
+        A fold by f, whose low terms are -(ints)/D, multiplies every int by
+        D first, once per row, and D multiplies the result's denominator;
+        D is 1 over F_p and for an integral f. Box: rows 0 .. d-1,
+        coordinates 0 .. e-1, become one element each (``_box``).
+        """
+        d, e = f.degree, self.degree
+        s = 2 * e - 1
+        terms_a, den = self.flatten([x.coords for x in a], s)
+        terms_b, den_b = (terms_a, den) if a is b else self.flatten([x.coords for x in b], s)
+        out = [0] * ((2 * d - 1) * s)
+        for i, x in terms_a:
+            for j, y in terms_b:
+                out[i + j] += x * y
+        den *= den_b
+        low_f, den_f = self.flatten([c.coords for c in f.coeffs[:d]], s)
+        for row in range((2 * d - 2) * s, -1, -s):
+            den *= self._fold_by_g(out, row)
+            top = out[row : row + e]
+            if row >= d * s and any(top):
+                if den_f != 1:
+                    out = [c * den_f for c in out]
+                    den *= den_f
+                for u, x in enumerate(top, row - d * s):
+                    if x:
+                        for j, y in low_f:
+                            out[u + j] -= x * y
+        return [self._box(out[row : row + e], den) for row in range(0, d * s, s)]
+
+    def int_rows(self, raw_rows) -> list:
+        """A matrix's rows flattened for ``int_mat_apply``: for each row,
+        u of entry j at index j e + u, over one common denominator
+        (``flatten``)."""
+        return [self.flatten([x.coords for x in row], self.degree) for row in raw_rows]
+
+    def int_mat_apply(self, int_rows, v) -> list:
+        """``raw_mat_apply`` over this field K, ground F_p or QQ, g monic of
+        degree e, on a matrix's ``int_rows``.
+
+        Flatten: the vector's ground coordinates the same way, grouped by
+        entry. Multiply: a row's sum of products in ZZ[t], at most 2e - 1
+        coefficients. Fold: once per row, by g (``_fold_by_g``, whose
+        scaling multiplies the denominator). Box: e coordinates over the
+        row's denominator times the vector's (``_box``)."""
+        e = self.degree
+        terms, den_v = self.flatten([x.coords for x in v], e)
+        vector = [[] for _ in v]
+        for i, y in terms:
+            vector[i // e].append((i % e, y))
+        out_rows = []
+        for terms, den in int_rows:
+            out = [0] * (2 * e - 1)
+            for i, x in terms:
+                j, u = divmod(i, e)
+                for w, y in vector[j]:
+                    out[u + w] += x * y
+            den *= den_v * self._fold_by_g(out, 0)
+            out_rows.append(self._box(out[:e], den))
+        return out_rows
 
     def raw_inverse(self, value):
         return value.inverse()

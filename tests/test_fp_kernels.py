@@ -63,7 +63,9 @@ over every such K, from 1 x 1 to 5 x 5 and non-square, with zero rows, a
 zero vector and 40-digit values, against ``oracle_mat_apply`` and
 ``oracle_mat_mul``. A counting test finds no ``raw_product`` call inside
 such an E multiply, power, substitution matrix, dot product or matrix
-product, and another pins the ``ExtensionElement.__mul__`` calls of a
+product, and counts what K flattens to ground ints in each (never its
+modulus g, whose ints ``int_modulus`` holds from K's construction);
+another pins the ``ExtensionElement.__mul__`` calls of a
 tower and verify pair of each qq family. The last test of that section
 counts ``raw_product`` calls across CLI requests like the benchmark's:
 none is over F_p, so every F_p product of the pipeline is packed.
@@ -810,21 +812,44 @@ def test_dot_product_over_an_extension_base_against_the_oracle(data):
 def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch):
     # the ground coordinates are multiplied and folded as ints: no K
     # multiply, so no raw_product, runs inside the E multiply, the power,
-    # the substitution matrix or a dot product
+    # the substitution matrix or a dot product. K flattens the operands and
+    # f's d low coefficients on each multiply (a square's operand once), a
+    # dot product's vector on each product and a matrix's rows on its first
+    # product only, d values a row. Its own modulus g, one row, K flattened
+    # when it was built, and never again
     calls = collections.Counter()
     product = polynomials.raw_product
+    flatten = ExtensionField.flatten
+    flattened = []
 
     def counting(field, a, b):
         calls[str(field)] += 1
         return product(field, a, b)
 
+    def counting_flatten(field, rows, s):
+        flattened.append(len(rows))
+        return flatten(field, rows, s)
+
     monkeypatch.setattr(polynomials, "raw_product", counting)
+    monkeypatch.setattr(ExtensionField, "flatten", counting_flatten)
+    assert PrimeField(5).int_modulus is None and QQ.int_modulus is None
     for base in EXTENSION_BASES:
         ext = ExtensionField(base, Polynomial(base, [base.from_int(2), base.gen(), base.zero(), base.one()]))
+        assert base.int_modulus is not None and ext.int_modulus is None
         a = ext.element([base.gen(), base.from_int(3), base.one() + base.gen()])
         b = ext.element([base.one(), base.zero(), base.from_int(-2)])
+        flattened.clear()
         m = substitution_matrix(base, ext.modulus, a.coords)
-        a * b, a * a, a**7, mat_apply(m, b.coords), m * m
+        counts = [len(flattened)]
+        for operation in (lambda: a * b, lambda: a * a, lambda: a**7, lambda: mat_apply(m, b.coords), lambda: m * m):
+            before = len(flattened)
+            operation()
+            counts.append(len(flattened) - before)
+        # d - 1 columns of one multiply each; a^7 is two squares and two
+        # multiplies; m * m is one product per column, on the kept rows
+        d = ext.degree
+        assert counts == [3 * (d - 1), 3, 2, 2 * 2 + 2 * 3, 1 + d, d], base
+        assert set(flattened) == {d}, base
     assert calls == {}
 
 
