@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_26.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_27.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -32,7 +32,7 @@ irreducible), whose coefficients are all nonzero:
   F_p[X]/(f), the extended Euclid of its representative and f;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
-Four more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
+Five more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
 cubic over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a
 of 1, 20 and 40 digits (20 only with ``--quick``), where x is the radical
 generator that certify finds, dense but for its first coordinate 1:
@@ -43,7 +43,10 @@ generator that certify finds, dense but for its first coordinate 1:
   one application of sigma as ``ValidatedContext.sigma`` makes it;
 * ``tower inverse``: the inverse in K of an element whose two coordinates
   are rationals with numerator and denominator of as many digits as a, as
-  ``rref`` takes one of each pivot over K.
+  ``extract_radical_generator`` takes one to scale x (``rref`` takes none
+  over a K proven a field);
+* ``tower eigenspace``: ``nullspace`` of M - zeta I over K, M sigma's
+  matrix, as ``eigen_spectrum`` takes the kernel for the eigenvalue of x.
 
 Each kernel runs in rounds of enough calls to last ``ROUND_S``, the trees
 taking turns round by round, in an order that alternates, so that a host
@@ -84,7 +87,7 @@ FP_KERNELS = (
     "certificate_from_json",
     "E inverse",
 )
-TOWER_KERNELS = ("tower multiply", "tower x^n", "tower sigma", "tower inverse")
+TOWER_KERNELS = ("tower multiply", "tower x^n", "tower sigma", "tower inverse", "tower eigenspace")
 ROUNDS = 21
 ROUND_S = 0.02
 
@@ -238,6 +241,11 @@ def tower_kernels(kk, family: str, digits: int) -> list:
     rng = random.Random(f"{family}-{digits}")
     sizes = [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(4)]
     pivot = k_field.element([Fraction(-sizes[0], sizes[1]), Fraction(sizes[2], sizes[3])])
+    shifted = [list(row) for row in matrix.raw_rows]
+    for j, row in enumerate(shifted):
+        row[j] -= inp.zeta
+    eigen = kk.linalg.Matrix._of_raw(k_field, shifted)
+    assert len(kk.linalg.nullspace(eigen)) == 1, (family, a)
 
     def multiply(k):
         for _ in range(k):
@@ -255,7 +263,11 @@ def tower_kernels(kk, family: str, digits: int) -> list:
         for _ in range(k):
             pivot.inverse()
 
-    return [multiply, x_to_n, sigma, k_inverse]
+    def eigenspace(k):
+        for _ in range(k):
+            kk.linalg.nullspace(eigen)
+
+    return [multiply, x_to_n, sigma, k_inverse, eigenspace]
 
 
 def results(trees: list, quick: bool) -> list:

@@ -9,16 +9,25 @@ A ``Matrix`` carries its raw rows and one product, ``__mul__``: kernels and
 products with vectors are all that sigma's matrix is needed for. Over an
 extension of F_p or QQ it also keeps its rows as the field flattened them
 for the first dot product (``raw_mat_apply``), for every later one.
+
+``rref`` is the only elimination. Over QQ it runs on ints, fraction-free,
+and over an extension of F_p or QQ proven a field it eliminates the
+field's ground expansion of the matrix and reads the field's RREF back:
+neither takes an inverse outside F_p. Over F_p, and over a field not
+proven one, each pivot is inverted.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
 from .polynomials import Polynomial, raw_mul_mod
+from .scalars import RationalField
 
 
 class Matrix:
@@ -105,18 +114,111 @@ class RrefResult(NamedTuple):
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with leading 1s; fully deterministic.
 
-    Runs on raw values: a pivot row is reduced when it is normalized, the
-    other rows only when one of their entries is tested or used as a
-    multiplier. The normalized pivot row is zero left of its pivot, so the
-    other rows are updated from the pivot column on. The reduced matrix
-    is made of the raw rows as they stand, reduced or not."""
+    One loop per kind of field, each giving the same, unique, RREF:
+
+    * over QQ, fraction-free Gauss-Jordan on ints (``_rref_on_ints``), with
+      no inverse; each entry of the result is boxed once, as its int over
+      its row's pivot;
+    * over an extension K of F_p or QQ proven a field (``int_modulus`` set,
+      ``proven_field`` true), the RREF of K's ground expansion
+      (``ExtensionField.int_expansion``) over the ground field, from which
+      K reads its own (``ExtensionField.from_expansion_rref``): no inverse
+      and no multiply in K;
+    * over F_p and any other K, Gauss-Jordan with one pivot inverse per
+      pivot (``_rref_with_inverses``). Over a K not proven a field that
+      inverse is where a zero divisor raises NotInvertible.
+
+    The result is made of raw rows as they stand, reduced or not."""
     field = m.field
-    reduce = field.reduce
-    rows = list(map(list, m.raw_rows))
+    if field.int_modulus is not None and field.proven_field:
+        return _rref_of_expansion(m)
+    if isinstance(field, RationalField):
+        rows = [_int_row(row) for row in m.raw_rows]
+        pivots = _rref_on_ints(rows, m.ncols)
+        heads = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
+        rows = [[Fraction(x, h) for x in row] for row, h in zip(rows, heads)]
+    else:
+        rows = list(map(list, m.raw_rows))
+        pivots = _rref_with_inverses(field, rows, m.ncols)
+    return RrefResult(Matrix._of_raw(field, rows), pivots, len(pivots))
+
+
+def _rref_of_expansion(m: Matrix) -> RrefResult:
+    """``rref`` over an extension K = ground[t]/(g) of F_p or QQ, g monic of
+    degree e: the ground RREF of K's expansion, on ints over QQ and on F_p's
+    loop over F_p. The expansion is the matrix of the ground-linear map
+    that m is, and has K's RREF's expansion as its RREF. So when K is a
+    field its ground pivots come in whole blocks, K's pivot c giving ground
+    pivots c e .. c e + e - 1; over a ring that need not hold."""
+    field, e = m.field, m.field.degree
+    ground, ncols = field.base, m.ncols * e
+    rows = field.int_expansion(m.raw_rows)
+    if ground.raw_int_bound is None:
+        ground_pivots = _rref_on_ints(rows, ncols)
+    else:
+        ground_pivots = _rref_with_inverses(ground, rows, ncols)
+    pivots = [c // e for c in ground_pivots[::e]]
+    assert ground_pivots == [c * e + u for c in pivots for u in range(e)], "the ground pivots of a field come in whole blocks"
+    return RrefResult(Matrix._of_raw(field, field.from_expansion_rref(rows, ground_pivots)), pivots, len(pivots))
+
+
+def _int_row(row) -> list[int]:
+    """A row of rationals times the lcm of their denominators."""
+    den = lcm(*[a.denominator for a in row])
+    return [a.numerator * (den // a.denominator) for a in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row of ints divided by their gcd, when it is not 0 or 1."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _rref_on_ints(rows: list, ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on rows of ints, in place, each row
+    standing for every nonzero multiple of it; returns the pivot columns.
+
+    Each row is divided by the gcd of its ints first and after each update
+    row_i <- P row_i - F row_r, where P is the pivot and F the row's entry
+    in the pivot column; no inverse is taken. Every row is a nonzero
+    multiple of the row that the loop with inverses holds at the same
+    step, so the pivots are the same, and row r ends as its pivot entry
+    times row r of the RREF."""
+    rows[:] = map(_primitive, rows)
     nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(m.ncols):
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        p = pivot[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(rows[i], pivot)])
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rref_with_inverses(field, rows: list, ncols: int) -> list[int]:
+    """Gauss-Jordan on rows of the field's raw values, in place, with one
+    ``raw_inverse`` per pivot; returns the pivot columns.
+
+    A pivot row is reduced when it is normalized, the other rows only when
+    one of their entries is tested or used as a multiplier. The normalized
+    pivot row is zero left of its pivot, so the other rows are updated from
+    the pivot column on."""
+    reduce = field.reduce
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if reduce(rows[i][c])), None)
@@ -134,7 +236,7 @@ def rref(m: Matrix) -> RrefResult:
                     row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return RrefResult(Matrix._of_raw(field, rows), pivots, len(pivots))
+    return pivots
 
 
 def nullspace(m: Matrix) -> list[tuple]:

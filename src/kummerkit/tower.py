@@ -5,11 +5,13 @@ An extension element is a coordinate vector over the level below, always
 stored at full length (zero-padded). Coordinates stay recursive: an element
 of E = K[X]/(f) over K = QQ[t]/(g) holds K-elements, never a flattened
 rational vector, so the linear algebra downstream is genuinely over K.
-Only the multiply and the dot product flatten, and only K knows how:
-``raw_mul_mod`` and ``raw_mat_apply`` hand an extension of F_p or QQ to
-its ``int_mul_mod`` and ``int_mat_apply``, which multiply and fold the
-ground coordinates as ints over a common denominator, with no multiply
-in K.
+Only the multiply, the dot product and the elimination flatten, and only
+K knows how: ``raw_mul_mod`` and ``raw_mat_apply`` hand an extension of
+F_p or QQ to its ``int_mul_mod`` and ``int_mat_apply``, which multiply and
+fold the ground coordinates as ints over a common denominator, with no
+multiply in K; ``rref`` over such a K proven a field eliminates its
+``int_expansion`` over the ground field and reads K's RREF back through
+``from_expansion_rref``, with no inverse and no multiply in K.
 """
 
 from __future__ import annotations
@@ -212,6 +214,56 @@ class ExtensionField(IdentityHooks):
             den *= den_v * self._fold_by_g(out, 0)
             out_rows.append(self._box(out[:e], den))
         return out_rows
+
+    def int_expansion(self, raw_rows) -> list:
+        """The ground expansion of a matrix over this field K, ground F_p or
+        QQ, g monic of degree e, as rows of ints for ``rref``.
+
+        Its column (j, u), at index j e + u, is t^u times column j, and its
+        row (i, w), at index i e + w, holds coordinate w: the matrix of the
+        ground-linear map that the matrix is. Flatten: each row once, over
+        its common denominator (``flatten``). Fold: t^u times each entry,
+        by g (``_fold_by_g``), and the column scaled so that every int of
+        the row is over den(g)^(e - 1) times the row's denominator. So each
+        ground row is a nonzero multiple of the exact one, which changes no
+        RREF; over F_p the multiple is 1."""
+        e = self.degree
+        full = self.int_modulus[1] ** (e - 1)
+        out = []
+        for row in raw_rows:
+            terms, _ = self.flatten([x.coords for x in row], e)
+            ints = [0] * (len(row) * e)
+            for i, c in terms:
+                ints[i] = c
+            ground_rows = [[0] * len(ints) for _ in range(e)]
+            for j in range(0, len(ints), e):
+                entry = ints[j : j + e]
+                for u in range(e):
+                    shifted = [0] * u + entry + [0] * (e - 1 - u)
+                    scale = full // self._fold_by_g(shifted, 0)
+                    for ground_row, c in zip(ground_rows, shifted):
+                        ground_row[j + u] = c * scale
+            out += ground_rows
+        return out
+
+    def from_expansion_rref(self, rows, pivots) -> list:
+        """The raw rows of K's RREF, read off the RREF of its
+        ``int_expansion`` over the ground field, whose pivots come in whole
+        blocks: coordinate u of K's entry (r, j) is ground entry
+        (r e + u, j e). Over QQ a ground row is its pivot entry times the
+        RREF's row, and each coordinate read is boxed once, as its int over
+        that pivot (over 1 in a zero row); over F_p the loop left each
+        pivot 1, and the ints are boxed as they stand."""
+        e, ground = self.degree, self.base
+        heads = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
+        out = []
+        for r in range(0, len(rows), e):
+            entries = zip(*[row[::e] for row in rows[r : r + e]])
+            if ground.raw_int_bound is None:
+                out.append([ExtensionElement(self, tuple(map(Fraction, ints, heads[r : r + e]))) for ints in entries])
+            else:
+                out.append([ExtensionElement(self, tuple(ground.box(ints))) for ints in entries])
+        return out
 
     def raw_inverse(self, value):
         return value.inverse()

@@ -61,7 +61,13 @@ Fraction loop or the packed one. ``raw_mat_apply`` over such a K also runs
 on ground ints: its property checks ``mat_apply`` and ``Matrix.__mul__``
 over every such K, from 1 x 1 to 5 x 5 and non-square, with zero rows, a
 zero vector and 40-digit values, against ``oracle_mat_apply`` and
-``oracle_mat_mul``. A counting test finds no ``raw_product`` call inside
+``oracle_mat_mul``. ``rref`` over QQ runs fraction-free on ints, and over
+a K proven a field on the ground ints of K's expansion: its property checks
+it over QQ and every such K, with 40-digit values, zero and dependent rows
+and non-square shapes, against ``oracle_rref``, and runs the expansion
+directly on the K that are fields but not proven. A counting test finds no
+inverse and no multiply in K inside ``rref`` or ``nullspace`` over a
+proven K. Another finds no ``raw_product`` call inside
 such an E multiply, power, substitution matrix, dot product or matrix
 product, and counts what K flattens to ground ints in each (never its
 modulus g, whose ints ``int_modulus`` holds from K's construction);
@@ -809,6 +815,64 @@ def test_dot_product_over_an_extension_base_against_the_oracle(data):
         assert_canonical(row, base)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rref_over_qq_and_every_extension_base_against_the_oracle(data):
+    # QQ runs the fraction-free loop on ints; a proven K the ground RREF of
+    # its expansion, which is also run directly on the K that are fields
+    # but not proven (den(g) != 1, e = 3 and e = 1), whose rref keeps the
+    # loop with pivot inverses
+    field = data.draw(st.sampled_from((QQ,) + EXTENSION_BASES), label="field")
+    values = ground_values(QQ) if field is QQ else st.one_of(st.just(field.zero()), base_elements(field))
+    nrows, ncols = data.draw(st.integers(0, 5), label="rows"), data.draw(st.integers(1, 6), label="columns")
+    rows = data.draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if nrows >= 2 and data.draw(st.booleans(), label="dependent row"):
+        k = data.draw(values)
+        rows[-1] = [a + k * b for a, b in zip(rows[0], rows[1])]
+    if nrows >= 1 and data.draw(st.booleans(), label="zero row"):
+        rows[data.draw(st.integers(0, nrows - 1))] = [field.zero()] * ncols
+    m = Matrix(field, rows)
+    want = oracle_rref(m)
+    got = rref(m)
+    assert got == want
+    for row in got.matrix.rows:
+        assert_canonical(row, field)
+    if field is not QQ:
+        got = linalg._rref_of_expansion(m)
+        assert got == want
+        for row in got.matrix.rows:
+            assert_canonical(row, field)
+
+
+def test_rref_over_a_proven_extension_base_makes_no_inverse_and_no_multiply_in_k(monkeypatch):
+    # over a K proven a field, the elimination runs on the ground ints of
+    # K's expansion: rref and nullspace invert and multiply nothing in K
+    assert [base.proven_field for base in EXTENSION_BASES] == [True, True, False, False, False, True, True]
+    calls = collections.Counter()
+
+    def counted(name, method):
+        def counting(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return counting
+
+    cases = []
+    for base in EXTENSION_BASES:
+        if base.proven_field:
+            t = base.gen()
+            rows = [[t, base.one(), t + 3, base.zero()], [base.from_int(2), t, base.zero(), t - 1]]
+            rows.append([a + b for a, b in zip(*rows)])  # rank 2
+            m = Matrix(base, rows)
+            cases.append((m, oracle_rref(m)))
+    for name in ("inverse", "__mul__", "__rmul__"):
+        monkeypatch.setattr(ExtensionElement, name, counted(name, getattr(ExtensionElement, name)))
+    for m, want in cases:
+        assert rref(m) == want and want.rank == 2
+        assert len(nullspace(m)) == 2
+    assert calls == {}
+
+
 def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch):
     # the ground coordinates are multiplied and folded as ints: no K
     # multiply, so no raw_product, runs inside the E multiply, the power,
@@ -866,8 +930,8 @@ def qq_tower_requests(tmp_path) -> dict:
 
 
 def test_e_multiplies_of_a_qq_tower_request(tmp_path, capsys, monkeypatch):
-    # sigma makes no K multiply: what is left are the E multiplies, the K
-    # multiplies of the elimination, and verify's few
+    # neither sigma nor the elimination makes a K multiply: what is left
+    # are the E multiplies and verify's few
     requests = qq_tower_requests(tmp_path)
     calls = collections.Counter()
     multiply = ExtensionElement.__mul__
@@ -886,9 +950,9 @@ def test_e_multiplies_of_a_qq_tower_request(tmp_path, capsys, monkeypatch):
             counts[family, argv[0]] = calls["__mul__"]
     capsys.readouterr()
     assert counts == {
-        ("cubic", "tower"): 45,
+        ("cubic", "tower"): 13,
         ("cubic", "verify"): 8,
-        ("quartic", "tower"): 127,
+        ("quartic", "tower"): 16,
         ("quartic", "verify"): 10,
     }
 

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from kummerkit import linalg
-from kummerkit.errors import DimensionMismatch
+from kummerkit.errors import DimensionMismatch, NotInvertible
 from kummerkit.kummer import check_diagonalizability
 from kummerkit.linalg import (
     Matrix,
@@ -85,6 +85,21 @@ class TestRref:
             m = random_matrix(field, rng, rng.randrange(1, 5), rng.randrange(1, 5))
             once = rref(m).matrix
             assert rref(once).matrix == once
+
+
+def test_a_zero_divisor_pivot_raises_not_invertible_over_a_k_not_proven_a_field():
+    # QQ[t]/(t^2 - 1) is no field and is not proven one, so rref keeps the
+    # loop with pivot inverses, which meets the zero divisor t - 1. The
+    # ground expansion, which only a proven field takes, would eliminate
+    # the same matrix without complaint, to a false RREF
+    k = ExtensionField(QQ, Polynomial(QQ, [-1, 0, 1]))
+    t = k.gen()
+    m = Matrix(k, [[t - 1], [t + 1]])
+    assert not k.proven_field
+    with pytest.raises(NotInvertible) as caught:
+        rref(m)
+    assert str(caught.value) == "gcd(X + -1, X^2 + -1) = X + -1; the modulus is reducible"
+    assert linalg._rref_of_expansion(m) == (Matrix(k, [[1], [0]]), [0], 1)
 
 
 class TestRawRows:
