@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_27.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_28.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -32,7 +32,7 @@ irreducible), whose coefficients are all nonzero:
   F_p[X]/(f), the extended Euclid of its representative and f;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
-Five more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
+Six more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
 cubic over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a
 of 1, 20 and 40 digits (20 only with ``--quick``), where x is the radical
 generator that certify finds, dense but for its first coordinate 1:
@@ -41,6 +41,9 @@ generator that certify finds, dense but for its first coordinate 1:
 * ``tower x^n``: x^n, n = 3 or 4, as verify computes c;
 * ``tower sigma``: ``mat_apply`` of sigma's matrix to x's coordinates,
   one application of sigma as ``ValidatedContext.sigma`` makes it;
+* ``tower sigma (first)``: the same on a fresh copy of sigma's matrix
+  (``Matrix._of_raw`` of its raw rows), so that each call also builds the
+  matrix's int form, as the first application of sigma in a request does;
 * ``tower inverse``: the inverse in K of an element whose two coordinates
   are rationals with numerator and denominator of as many digits as a, as
   ``extract_radical_generator`` takes one to scale x (``rref`` takes none
@@ -87,7 +90,7 @@ FP_KERNELS = (
     "certificate_from_json",
     "E inverse",
 )
-TOWER_KERNELS = ("tower multiply", "tower x^n", "tower sigma", "tower inverse", "tower eigenspace")
+TOWER_KERNELS = ("tower multiply", "tower x^n", "tower sigma", "tower sigma (first)", "tower inverse", "tower eigenspace")
 ROUNDS = 21
 ROUND_S = 0.02
 
@@ -259,6 +262,10 @@ def tower_kernels(kk, family: str, digits: int) -> list:
         for _ in range(k):
             kk.linalg.mat_apply(matrix, x.coords)
 
+    def first_sigma(k):
+        for fresh in [kk.linalg.Matrix._of_raw(k_field, matrix.raw_rows) for _ in range(k)]:
+            kk.linalg.mat_apply(fresh, x.coords)
+
     def k_inverse(k):
         for _ in range(k):
             pivot.inverse()
@@ -267,7 +274,7 @@ def tower_kernels(kk, family: str, digits: int) -> list:
         for _ in range(k):
             kk.linalg.nullspace(eigen)
 
-    return [multiply, x_to_n, sigma, k_inverse, eigenspace]
+    return [multiply, x_to_n, sigma, first_sigma, k_inverse, eigenspace]
 
 
 def results(trees: list, quick: bool) -> list:

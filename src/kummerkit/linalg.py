@@ -7,13 +7,15 @@ free-column parametrization. Vectors are plain tuples of field elements.
 
 A ``Matrix`` carries its raw rows and one product, ``__mul__``: kernels and
 products with vectors are all that sigma's matrix is needed for. Over an
-extension of F_p or QQ it also keeps its rows as the field flattened them
-for the first dot product (``raw_mat_apply``), for every later one.
+extension of F_p or QQ it also keeps one int form, the field's ground
+expansion of it, built on its first dot product (``raw_mat_apply``) for
+every later one.
 
-``rref`` is the only elimination. Over QQ it runs on ints, fraction-free,
-and over an extension of F_p or QQ proven a field it eliminates the
-field's ground expansion of the matrix and reads the field's RREF back:
-neither takes an inverse outside F_p. Over F_p, and over a field not
+``rref`` is the only elimination. Over QQ, and over an extension of F_p or
+QQ proven a field, it runs one ground elimination (``_ground_rref``) on
+ints: on the rows scaled to ints, or on the field's ground expansion of
+the matrix, from which the field reads its RREF back. It is fraction-free
+over QQ and takes no inverse outside F_p. Over F_p, and over a field not
 proven one, each pivot is inverted.
 """
 
@@ -21,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -32,11 +33,12 @@ from .scalars import RationalField
 
 class Matrix:
     """Immutable dense matrix, kept as ``raw_rows``: a tuple of rows of the
-    field's raw values, which need not be reduced. ``int_rows`` is None
-    until ``raw_mat_apply`` first runs on ground ints over this matrix; it
-    then holds the field's ``int_rows`` of them, opaque here."""
+    field's raw values, which need not be reduced. Over an extension of F_p
+    or QQ, ``int_expansion`` is None until the first dot product; it then
+    holds the field's ``int_expansion`` of the rows, the matrix's one int
+    form, which every later product and an elimination read."""
 
-    __slots__ = ("field", "raw_rows", "int_rows")
+    __slots__ = ("field", "raw_rows", "int_expansion")
 
     def __init__(self, field, rows):
         raw_rows = tuple(field.unbox(map(field.coerce, row)) for row in rows)
@@ -46,7 +48,7 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
         self.field = field
         self.raw_rows = raw_rows
-        self.int_rows = None
+        self.int_expansion = None
 
     @classmethod
     def _of_raw(cls, field, raw_rows) -> "Matrix":
@@ -55,7 +57,7 @@ class Matrix:
         m = object.__new__(cls)
         m.field = field
         m.raw_rows = tuple(raw_rows)
-        m.int_rows = None
+        m.int_expansion = None
         return m
 
     @property
@@ -116,14 +118,12 @@ def rref(m: Matrix) -> RrefResult:
 
     One loop per kind of field, each giving the same, unique, RREF:
 
-    * over QQ, fraction-free Gauss-Jordan on ints (``_rref_on_ints``), with
-      no inverse; each entry of the result is boxed once, as its int over
-      its row's pivot;
+    * over QQ, fraction-free Gauss-Jordan on the rows scaled to ints
+      (``_ground_rref``), with no inverse; each entry of the result is
+      boxed once, as its int over its row's pivot;
     * over an extension K of F_p or QQ proven a field (``int_modulus`` set,
-      ``proven_field`` true), the RREF of K's ground expansion
-      (``ExtensionField.int_expansion``) over the ground field, from which
-      K reads its own (``ExtensionField.from_expansion_rref``): no inverse
-      and no multiply in K;
+      ``proven_field`` true), the ground RREF of K's expansion
+      (``_rref_of_expansion``): no inverse and no multiply in K;
     * over F_p and any other K, Gauss-Jordan with one pivot inverse per
       pivot (``_rref_with_inverses``). Over a K not proven a field that
       inverse is where a zero divisor raises NotInvertible.
@@ -133,10 +133,7 @@ def rref(m: Matrix) -> RrefResult:
     if field.int_modulus is not None and field.proven_field:
         return _rref_of_expansion(m)
     if isinstance(field, RationalField):
-        rows = [_int_row(row) for row in m.raw_rows]
-        pivots = _rref_on_ints(rows, m.ncols)
-        heads = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
-        rows = [[Fraction(x, h) for x in row] for row, h in zip(rows, heads)]
+        rows, pivots = _ground_rref(field, [field.to_ints(row)[0] for row in m.raw_rows], m.ncols, 1)
     else:
         rows = list(map(list, m.raw_rows))
         pivots = _rref_with_inverses(field, rows, m.ncols)
@@ -145,27 +142,33 @@ def rref(m: Matrix) -> RrefResult:
 
 def _rref_of_expansion(m: Matrix) -> RrefResult:
     """``rref`` over an extension K = ground[t]/(g) of F_p or QQ, g monic of
-    degree e: the ground RREF of K's expansion, on ints over QQ and on F_p's
-    loop over F_p. The expansion is the matrix of the ground-linear map
-    that m is, and has K's RREF's expansion as its RREF. So when K is a
-    field its ground pivots come in whole blocks, K's pivot c giving ground
-    pivots c e .. c e + e - 1; over a ring that need not hold."""
+    degree e: the ground RREF of K's expansion, the matrix of the
+    ground-linear map that m is, whose RREF is the expansion of K's. The
+    expansion m keeps is read, else one is built and not kept: a matrix is
+    eliminated once."""
     field, e = m.field, m.field.degree
-    ground, ncols = field.base, m.ncols * e
-    rows = field.int_expansion(m.raw_rows)
-    if ground.raw_int_bound is None:
+    expansion = m.int_expansion or field.int_expansion(m.raw_rows)
+    rows, pivots = _ground_rref(field.base, [list(row) for row, _ in expansion], m.ncols * e, e)
+    return RrefResult(Matrix._of_raw(field, field.from_expansion_rref(rows)), pivots, len(pivots))
+
+
+def _ground_rref(ground, rows: list, ncols: int, e: int) -> tuple[list, list[int]]:
+    """The ground elimination, in place, of rows of ints over F_p or QQ:
+    fraction-free over QQ (``_rref_on_ints``), with inverses over F_p
+    (``_rref_with_inverses``, which leaves each pivot 1). Over a field the
+    pivots come in whole blocks of e, K's pivot c giving ground pivots
+    c e .. c e + e - 1; over a ring that need not hold. Returns (rows,
+    pivots): each row read back over its pivot entry (``from_ints``; over 1
+    in a zero row) as ground elements at the columns j e only, and the
+    blocks' pivots."""
+    if isinstance(ground, RationalField):
         ground_pivots = _rref_on_ints(rows, ncols)
     else:
         ground_pivots = _rref_with_inverses(ground, rows, ncols)
     pivots = [c // e for c in ground_pivots[::e]]
     assert ground_pivots == [c * e + u for c in pivots for u in range(e)], "the ground pivots of a field come in whole blocks"
-    return RrefResult(Matrix._of_raw(field, field.from_expansion_rref(rows, ground_pivots)), pivots, len(pivots))
-
-
-def _int_row(row) -> list[int]:
-    """A row of rationals times the lcm of their denominators."""
-    den = lcm(*[a.denominator for a in row])
-    return [a.numerator * (den // a.denominator) for a in row]
+    heads = [row[c] for row, c in zip(rows, ground_pivots)] + [1] * (len(rows) - len(ground_pivots))
+    return [ground.from_ints(row[::e], h) for row, h in zip(rows, heads)], pivots
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -267,15 +270,15 @@ def raw_mat_apply(m: Matrix, v) -> list:
     """The only dot product: a matrix's raw rows times a vector of raw
     values, with one path per kind of base, as ``raw_mul_mod`` has. Over an
     extension K of F_p or QQ (its ``int_modulus`` is set), K's
-    ``int_mat_apply`` runs on the ground coordinates as ints, with no
-    multiply in K; each row is flattened once per matrix, on its first
-    product, and kept as ``m.int_rows``. Over F_p, QQ and a base higher in
-    a tower, each entry is the sum of the products, reduced once."""
+    ``int_mat_apply`` runs on the ground ints of the matrix's
+    ``int_expansion``, built on its first product and kept, with no
+    multiply in K. Over F_p, QQ and a base higher in a tower, each entry is
+    the sum of the products, reduced once."""
     field = m.field
     if field.int_modulus is not None:
-        if m.int_rows is None:
-            m.int_rows = field.int_rows(m.raw_rows)
-        return field.int_mat_apply(m.int_rows, v)
+        if m.int_expansion is None:
+            m.int_expansion = field.int_expansion(m.raw_rows)
+        return field.int_mat_apply(m.int_expansion, v)
     reduce, zero = field.reduce, field.raw_zero
     return [reduce(sum(map(operator.mul, row, v), zero)) for row in m.raw_rows]
 

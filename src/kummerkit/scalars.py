@@ -17,8 +17,12 @@ where the algorithm needs a canonical value (a pivot test, a multiplier)
 and once per sum, and boxes its results once; its inner updates call no
 hook. ``raw_int_bound`` is p when the raw values are ints reduced mod p,
 which lets ``raw_mul_mod`` pack them into one int, else None.
-``int_modulus`` is None but on an extension of F_p or QQ, whose multiply
-and dot product run on ground ints (:mod:`kummerkit.tower`).
+``int_modulus`` is None but on an extension of F_p or QQ, whose multiply,
+dot product and elimination run on ground ints (:mod:`kummerkit.tower`),
+as ``rref`` over QQ does. Only the ground fields write elements as ints:
+``to_ints(elements)`` gives them as ints over one denominator D (the lcm
+of theirs over QQ, 1 over F_p), and ``from_ints(ints, D)`` gives the
+elements back.
 :class:`PrimeField`'s raw value is an element's ``value``, reduced by
 ``% p``; :class:`RationalField` and :class:`~kummerkit.tower.ExtensionField`
 share the identity hooks of :class:`IdentityHooks`, whose raw values are
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -344,6 +348,14 @@ class PrimeField:
     def raw_inverse(self, value: int) -> int:
         return pow(value, -1, self.p)
 
+    def to_ints(self, elements) -> tuple[list[int], int]:
+        """(ints, 1): the elements' values, over 1."""
+        return [c.value for c in elements], 1
+
+    def from_ints(self, ints, den: int) -> list[PrimeFieldElement]:
+        """The elements of the ints, each reduced (den is 1)."""
+        return self.box(ints)
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -410,6 +422,16 @@ class RationalField(IdentityHooks):
         if isinstance(value, int):
             return Fraction(value)
         raise FieldMismatch(f"{value!r} is not a rational")
+
+    def to_ints(self, elements) -> tuple[list[int], int]:
+        """(ints, D): the rationals times D, the lcm of their denominators."""
+        pairs = [q.as_integer_ratio() for q in elements]
+        den = lcm(*[q for _, q in pairs])
+        return [n * (den // q) for n, q in pairs], den
+
+    def from_ints(self, ints, den: int) -> list[Fraction]:
+        """The rationals c / den for the ints c, each reduced."""
+        return [Fraction(c, den) for c in ints]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -6,19 +6,17 @@ stored at full length (zero-padded). Coordinates stay recursive: an element
 of E = K[X]/(f) over K = QQ[t]/(g) holds K-elements, never a flattened
 rational vector, so the linear algebra downstream is genuinely over K.
 Only the multiply, the dot product and the elimination flatten, and only
-K knows how: ``raw_mul_mod`` and ``raw_mat_apply`` hand an extension of
-F_p or QQ to its ``int_mul_mod`` and ``int_mat_apply``, which multiply and
-fold the ground coordinates as ints over a common denominator, with no
-multiply in K; ``rref`` over such a K proven a field eliminates its
-``int_expansion`` over the ground field and reads K's RREF back through
-``from_expansion_rref``, with no inverse and no multiply in K.
+K knows how, on its ground field's ``to_ints`` and ``from_ints``: over an
+extension of F_p or QQ, ``raw_mul_mod`` runs ``int_mul_mod`` on ground
+ints, and a matrix's one int form is its ``int_expansion``, which
+``raw_mat_apply`` applies (``int_mat_apply``) and ``rref`` over a K
+proven a field eliminates over the ground field, reading K's RREF back
+(``from_expansion_rref``); none of them multiplies or inverts in K.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
 from .linalg import substitution_matrix
@@ -104,20 +102,17 @@ class ExtensionField(IdentityHooks):
         raise AttributeError("ExtensionField is immutable")
 
     def flatten(self, rows, s: int) -> tuple[list, int]:
-        """([(i s + u, c)], D): the nonzero ground values of rows, value u of
-        row i at index i s + u, as ints c over one denominator D, the lcm of
-        theirs over QQ and 1 over F_p."""
-        ground = self.base
-        if ground.raw_int_bound is not None:
-            return [(i * s + u, c.value) for i, row in enumerate(rows) for u, c in enumerate(row) if c.value], 1
-        values = [(i * s + u, c.numerator, c.denominator) for i, row in enumerate(rows) for u, c in enumerate(row)]
-        den = lcm(*[q for _, _, q in values])
-        return [(m, n * (den // q)) for m, n, q in values if n], den
+        """([(i s + u, c)], D): the nonzero ground values of rows of e
+        values each, value u of row i at index i s + u, as ints c over one
+        denominator D (the ground field's ``to_ints``)."""
+        e = self.degree
+        ints, den = self.base.to_ints([c for row in rows for c in row])
+        return [(k // e * s + k % e, c) for k, c in enumerate(ints) if c], den
 
     def _fold_by_g(self, out: list, row: int) -> int:
-        """The only fold by this field's modulus g, monic of degree e, on
-        ground ints, in place: the t^u of out's row at index row, a run of
-        2e - 1 ints, are folded from u = 2e - 2 down to e by
+        """The fold of a product by this field's modulus g, monic of degree
+        e, on ground ints, in place: the t^u of out's row at index row, a
+        run of 2e - 1 ints, are folded from u = 2e - 2 down to e by
         t^e = -(low ints of g)/D, ``int_modulus``. When D != 1, every int of
         out is multiplied by D before each nonzero t^u is folded; the
         product of those D, by which out's denominator grows, is returned.
@@ -137,12 +132,8 @@ class ExtensionField(IdentityHooks):
 
     def _box(self, ints, den: int) -> "ExtensionElement":
         """The element whose e ground coordinates are ints over the
-        denominator den: one Fraction per int over QQ, reduced mod p over
-        F_p (den is 1 there)."""
-        ground = self.base
-        if ground.raw_int_bound is not None:
-            return ExtensionElement(self, tuple(ground.box(ints)))
-        return ExtensionElement(self, tuple([Fraction(c, den) for c in ints]))
+        denominator den (the ground field's ``from_ints``)."""
+        return ExtensionElement(self, tuple(self.base.from_ints(ints, den)))
 
     def int_mul_mod(self, a, b, f: Polynomial) -> list:
         """``raw_mul_mod`` over this field K = ground[t]/(g), ground F_p or
@@ -184,86 +175,66 @@ class ExtensionField(IdentityHooks):
                             out[u + j] -= x * y
         return [self._box(out[row : row + e], den) for row in range(0, d * s, s)]
 
-    def int_rows(self, raw_rows) -> list:
-        """A matrix's rows flattened for ``int_mat_apply``: for each row,
-        u of entry j at index j e + u, over one common denominator
-        (``flatten``)."""
-        return [self.flatten([x.coords for x in row], self.degree) for row in raw_rows]
-
-    def int_mat_apply(self, int_rows, v) -> list:
-        """``raw_mat_apply`` over this field K, ground F_p or QQ, g monic of
-        degree e, on a matrix's ``int_rows``.
-
-        Flatten: the vector's ground coordinates the same way, grouped by
-        entry. Multiply: a row's sum of products in ZZ[t], at most 2e - 1
-        coefficients. Fold: once per row, by g (``_fold_by_g``, whose
-        scaling multiplies the denominator). Box: e coordinates over the
-        row's denominator times the vector's (``_box``)."""
-        e = self.degree
-        terms, den_v = self.flatten([x.coords for x in v], e)
-        vector = [[] for _ in v]
-        for i, y in terms:
-            vector[i // e].append((i % e, y))
-        out_rows = []
-        for terms, den in int_rows:
-            out = [0] * (2 * e - 1)
-            for i, x in terms:
-                j, u = divmod(i, e)
-                for w, y in vector[j]:
-                    out[u + w] += x * y
-            den *= den_v * self._fold_by_g(out, 0)
-            out_rows.append(self._box(out[:e], den))
-        return out_rows
-
     def int_expansion(self, raw_rows) -> list:
         """The ground expansion of a matrix over this field K, ground F_p or
-        QQ, g monic of degree e, as rows of ints for ``rref``.
+        QQ, g monic of degree e: the matrix of the ground-linear map that the
+        matrix is, as rows (ints, D) of ground ints over a denominator D. Its
+        column (j, u), at index j e + u, is t^u times column j; its row
+        (i, w), at index i e + w, holds coordinate w.
 
-        Its column (j, u), at index j e + u, is t^u times column j, and its
-        row (i, w), at index i e + w, holds coordinate w: the matrix of the
-        ground-linear map that the matrix is. Flatten: each row once, over
-        its common denominator (``flatten``). Fold: t^u times each entry,
-        by g (``_fold_by_g``), and the column scaled so that every int of
-        the row is over den(g)^(e - 1) times the row's denominator. So each
-        ground row is a nonzero multiple of the exact one, which changes no
-        RREF; over F_p the multiple is 1."""
+        Each row is flattened once, over its own denominator (``flatten``),
+        and the matrix is kept as e lanes, lane w holding coordinate w of
+        every entry. t^(u + 1) times the entries is t^u times them with the
+        lanes moved up one and the top lane folded once by
+        t^e = -(low ints of g)/D_g, ``int_modulus``. When D_g != 1, every
+        int so far is multiplied by D_g first, so every row's denominator
+        grows by D_g^(e - 1)."""
         e = self.degree
-        full = self.int_modulus[1] ** (e - 1)
-        out = []
-        for row in raw_rows:
-            terms, _ = self.flatten([x.coords for x in row], e)
-            ints = [0] * (len(row) * e)
-            for i, c in terms:
-                ints[i] = c
-            ground_rows = [[0] * len(ints) for _ in range(e)]
-            for j in range(0, len(ints), e):
-                entry = ints[j : j + e]
-                for u in range(e):
-                    shifted = [0] * u + entry + [0] * (e - 1 - u)
-                    scale = full // self._fold_by_g(shifted, 0)
-                    for ground_row, c in zip(ground_rows, shifted):
-                        ground_row[j + u] = c * scale
-            out += ground_rows
-        return out
+        low, den_g = self.int_modulus
+        width = len(raw_rows[0]) * e if raw_rows else 0
+        flat, dens = [0] * (len(raw_rows) * width), []
+        for i, row in enumerate(raw_rows):
+            terms, den = self.flatten([x.coords for x in row], e)
+            for k, c in terms:
+                flat[i * width + k] = c
+            dens.append(den)
+        power = [flat[w::e] for w in range(e)]
+        ground = [[0] * len(flat) for _ in range(e)]
+        for u in range(e):
+            if u:
+                top = power[-1]
+                if den_g != 1:
+                    power = [[den_g * c for c in lane] for lane in power]
+                    ground = [[den_g * c for c in lane] for lane in ground]
+                power = [[0] * len(top)] + power[:-1]
+                for w, y in low:
+                    power[w] = [c - y * x for c, x in zip(power[w], top)]
+            for lane, values in zip(ground, power):
+                lane[u::e] = values
+        scale = den_g ** (e - 1)
+        return [(lane[i * width : i * width + width], den * scale) for i, den in enumerate(dens) for lane in ground]
 
-    def from_expansion_rref(self, rows, pivots) -> list:
-        """The raw rows of K's RREF, read off the RREF of its
-        ``int_expansion`` over the ground field, whose pivots come in whole
-        blocks: coordinate u of K's entry (r, j) is ground entry
-        (r e + u, j e). Over QQ a ground row is its pivot entry times the
-        RREF's row, and each coordinate read is boxed once, as its int over
-        that pivot (over 1 in a zero row); over F_p the loop left each
-        pivot 1, and the ints are boxed as they stand."""
-        e, ground = self.degree, self.base
-        heads = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
-        out = []
-        for r in range(0, len(rows), e):
-            entries = zip(*[row[::e] for row in rows[r : r + e]])
-            if ground.raw_int_bound is None:
-                out.append([ExtensionElement(self, tuple(map(Fraction, ints, heads[r : r + e]))) for ints in entries])
-            else:
-                out.append([ExtensionElement(self, tuple(ground.box(ints))) for ints in entries])
-        return out
+    def int_mat_apply(self, expansion, v) -> list:
+        """``raw_mat_apply`` over this field K, ground F_p or QQ, g monic of
+        degree e, on a matrix's ``int_expansion``: the vector's ground
+        coordinates flattened the same way (``flatten``), each ground row's
+        sum of products with them in ZZ, and e of those sums boxed over
+        their rows' denominator times the vector's (``_box``). No fold: the
+        expansion has folded each t^u by g already."""
+        e = self.degree
+        terms, den_v = self.flatten([x.coords for x in v], e)
+        ints = [0] * (len(v) * e)
+        for i, y in terms:
+            ints[i] = y
+        sums = [sum(map(operator.mul, row, ints)) for row, _ in expansion]
+        return [self._box(sums[r : r + e], expansion[r][1] * den_v) for r in range(0, len(sums), e)]
+
+    def from_expansion_rref(self, rows) -> list:
+        """The raw rows of K's RREF from the RREF of its ``int_expansion``,
+        read back as ground elements at the columns j e only: coordinate u
+        of K's entry (r, j) is the element j of ground row r e + u."""
+        e = self.degree
+        return [[ExtensionElement(self, c) for c in zip(*rows[r : r + e])] for r in range(0, len(rows), e)]
 
     def raw_inverse(self, value):
         return value.inverse()

@@ -67,7 +67,11 @@ it over QQ and every such K, with 40-digit values, zero and dependent rows
 and non-square shapes, against ``oracle_rref``, and runs the expansion
 directly on the K that are fields but not proven. A counting test finds no
 inverse and no multiply in K inside ``rref`` or ``nullspace`` over a
-proven K. Another finds no ``raw_product`` call inside
+proven K, and another one ``int_expansion`` per matrix, the one int form
+that every dot product and an elimination read. Every int comes from the
+ground field's ``to_ints`` and goes back through its ``from_ints``: a
+property checks the round trip and the common denominator over every p
+in ``PRIMES`` and over QQ. Another finds no ``raw_product`` call inside
 such an E multiply, power, substitution matrix, dot product or matrix
 product, and counts what K flattens to ground ints in each (never its
 modulus g, whose ints ``int_modulus`` holds from K's construction);
@@ -89,6 +93,7 @@ a tower and verify pair of each qq family and a finite request.
 import collections
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -915,6 +920,50 @@ def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch)
         assert counts == [3 * (d - 1), 3, 2, 2 * 2 + 2 * 3, 1 + d, d], base
         assert set(flattened) == {d}, base
     assert calls == {}
+
+
+def test_a_matrix_over_an_extension_base_builds_its_int_form_once(monkeypatch):
+    # the expansion is the matrix's one int form: the first dot product
+    # builds it, and every later product and an elimination read it
+    built = []
+    expansion = ExtensionField.int_expansion
+
+    def counting(field, raw_rows):
+        built.append(field)
+        return expansion(field, raw_rows)
+
+    monkeypatch.setattr(ExtensionField, "int_expansion", counting)
+    for base in EXTENSION_BASES:
+        t = base.gen()
+        m = Matrix(base, [[t, base.one(), t + 3], [base.from_int(2), t, base.zero()]])
+        built.clear()
+        for k in range(5):
+            assert mat_apply(m, [t, base.from_int(k), t - k]) == oracle_mat_apply(m, [t, base.from_int(k), t - k])
+            assert built == [base]
+        assert m * Matrix(base, [[t], [1], [0]]) == oracle_mat_mul(m, Matrix(base, [[t], [1], [0]]))
+        assert rref(m) == oracle_rref(m)
+        assert built == [base]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_ground_hooks_write_values_as_ints_over_their_lcm_and_back(data):
+    # to_ints and from_ints alone know how a ground element is written as
+    # an int: over F_p its value over 1; over QQ its numerator scaled to
+    # the lcm of the denominators
+    ground = data.draw(st.sampled_from(tuple(PrimeField(p) for p in PRIMES) + (QQ,)), label="ground")
+    big = st.integers(DIGITS_40 // 10, DIGITS_40 - 1)
+    ints = st.one_of(st.just(0), st.integers(-9, 9), big, big.map(operator.neg))
+    if ground is QQ:
+        shared = st.builds(Fraction, ints, st.sampled_from([2, 4, 6, 12, DIGITS_40]))  # lcm below the product
+        values = st.one_of(*(st.lists(v, max_size=8) for v in (ground_values(QQ), ints.map(Fraction), shared)))
+    else:
+        values = st.lists(ints.map(ground.coerce), max_size=8)
+    values = data.draw(values, label="values")
+    got, den = ground.to_ints(values)
+    assert all(type(c) is int for c in got) and len(got) == len(values)
+    assert den == (math.lcm(*[v.denominator for v in values]) if ground is QQ else 1)
+    assert ground.from_ints(got, den) == values
 
 
 def qq_tower_requests(tmp_path) -> dict:

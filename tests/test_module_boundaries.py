@@ -6,7 +6,10 @@ imports another's underscore name has learnt its internals; the ground-int
 form of an extension element, for one, is known to ``tower`` alone, which
 ``raw_mul_mod`` and ``raw_mat_apply`` reach through the field's methods.
 ``tower`` imports ``linalg`` (for the Frobenius matrix), so ``linalg``
-must not import ``tower``.
+must not import ``tower``. Only a ground field writes its values as ints
+over one denominator and reads them back (``to_ints``, ``from_ints``), so
+neither ``tower`` nor ``linalg`` imports from ``fractions`` or imports
+``lcm``.
 """
 
 import ast
@@ -45,6 +48,18 @@ def test_linalg_does_not_import_tower():
     reached = [(line, source, name) for line, source, name in kummerkit_imports("linalg")
                if source == "tower" or (source == "" and name == "tower")]
     assert reached == []
+
+
+@pytest.mark.parametrize("module", ["tower", "linalg"])
+def test_only_the_ground_field_writes_its_values_as_ints(module):
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{module}.py:{node.lineno}: {alias.name} from {node.module}" for alias in node.names
+                      if node.module == "fractions" or alias.name == "lcm"]
+        elif isinstance(node, ast.Import):
+            found += [f"{module}.py:{node.lineno}: {alias.name}" for alias in node.names if alias.name == "fractions"]
+    assert found == []
 
 
 def test_every_module_is_read():
