@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_28.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_29.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -30,6 +30,15 @@ irreducible), whose coefficients are all nonzero:
   x^n) on a fresh copy of f;
 * ``E inverse``: ``ExtensionElement.inverse`` of a dense element of
   F_p[X]/(f), the extended Euclid of its representative and f;
+* ``F_p eigenspace``: ``nullspace`` of Q - zeta I, Q the Frobenius matrix
+  of F_p[X]/(f), whose kernel is the line through X + 1, as
+  ``eigen_spectrum`` takes one kernel per power of zeta. Here
+  X^p = zeta (X + 1) - 1 mod f, so column j of Q, (X^p)^j, has degree j:
+  Q is upper triangular, and a loop that skips zero multipliers does
+  about a third of the row updates that a dense Q needs;
+* ``F_p eigenspace (dense)``: the same on S (Q - zeta I) S^-1 for
+  S = I + u v^T, u and v drawn at random: Q in a dense basis, as the
+  Frobenius matrix of a random modulus is in certify, found in O(d^2);
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
 Six more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
@@ -89,6 +98,8 @@ FP_KERNELS = (
     "substitution_matrix",
     "certificate_from_json",
     "E inverse",
+    "F_p eigenspace",
+    "F_p eigenspace (dense)",
 )
 TOWER_KERNELS = ("tower multiply", "tower x^n", "tower sigma", "tower sigma (first)", "tower inverse", "tower eigenspace")
 ROUNDS = 21
@@ -215,7 +226,38 @@ def kernels(kk, p: int, d: int) -> list:
         for _ in range(k):
             a.inverse()
 
-    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix, parse_certificate, e_inverse]
+    shifted = [list(row) for row in ext.frobenius.raw_rows]
+    for j, row in enumerate(shifted):
+        row[j] -= zeta
+    eigen = kk.linalg.Matrix._of_raw(field, shifted)
+    dense = kk.linalg.Matrix._of_raw(field, conjugate(shifted, p, rng))
+    assert len(kk.linalg.nullspace(eigen)) == len(kk.linalg.nullspace(dense)) == 1, (p, d)
+
+    def eigenspace(k):
+        for _ in range(k):
+            kk.linalg.nullspace(eigen)
+
+    def dense_eigenspace(k):
+        for _ in range(k):
+            kk.linalg.nullspace(dense)
+
+    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix, parse_certificate, e_inverse, eigenspace, dense_eigenspace]
+
+
+def conjugate(rows: list, p: int, rng) -> list:
+    """S A S^-1 mod p for S = I + u v^T, u and v random with
+    k = 1 + v.u != 0, whose inverse is I - u v^T / k (Sherman-Morrison):
+    two rank-one updates of A, d^2 products each."""
+    d = len(rows)
+    while True:
+        u, v = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
+        k = (1 + sum(a * b for a, b in zip(u, v))) % p
+        if k:
+            break
+    w = [sum(v[i] * rows[i][j] for i in range(d)) % p for j in range(d)]  # v^T A
+    a = [[(x + ui * wj) % p for x, wj in zip(row, w)] for row, ui in zip(rows, u)]  # S A
+    z = [sum(x * uj for x, uj in zip(row, u)) * pow(k, -1, p) % p for row in a]  # S A u / k
+    return [[(x - zi * vj) % p for x, vj in zip(row, v)] for row, zi in zip(a, z)]
 
 
 def default_modulus_calls(kk, p: int, n: int):

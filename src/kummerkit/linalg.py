@@ -11,12 +11,17 @@ extension of F_p or QQ it also keeps one int form, the field's ground
 expansion of it, built on its first dot product (``raw_mat_apply``) for
 every later one.
 
-``rref`` is the only elimination. Over QQ, and over an extension of F_p or
-QQ proven a field, it runs one ground elimination (``_ground_rref``) on
-ints: on the rows scaled to ints, or on the field's ground expansion of
-the matrix, from which the field reads its RREF back. It is fraction-free
-over QQ and takes no inverse outside F_p. Over F_p, and over a field not
-proven one, each pivot is inverted.
+``rref`` is the only elimination. Over F_p and QQ, and over an extension
+of F_p or QQ proven a field, it runs one ground elimination on ints: on
+the rows themselves over F_p, on the rows scaled to ints over QQ, or on
+the field's ground expansion of the matrix, from which the field reads its
+RREF back (``_ground_rref``). Over F_p that is ``_rref_packed``, the one
+F_p loop: each row packed into one int in ``PrimeField.pack``'s slots, the
+codec of the packed multiply mod f, and each row update one big-int
+multiply-add; slots are reduced mod p only when a row is packed and when
+a pivot row is scaled, and are wide enough for the sums in between. Over
+QQ it is fraction-free, with no inverse. Over a field not proven one,
+each pivot is inverted in it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
 from .polynomials import Polynomial, raw_mul_mod
-from .scalars import RationalField
+from .scalars import PrimeField, RationalField
 
 
 class Matrix:
@@ -118,21 +123,26 @@ def rref(m: Matrix) -> RrefResult:
 
     One loop per kind of field, each giving the same, unique, RREF:
 
+    * over F_p, Gauss-Jordan on packed rows (``_rref_packed``): one
+      big-int multiply-add per row update, one pivot inverse per pivot;
     * over QQ, fraction-free Gauss-Jordan on the rows scaled to ints
       (``_ground_rref``), with no inverse; each entry of the result is
       boxed once, as its int over its row's pivot;
     * over an extension K of F_p or QQ proven a field (``int_modulus`` set,
       ``proven_field`` true), the ground RREF of K's expansion
-      (``_rref_of_expansion``): no inverse and no multiply in K;
-    * over F_p and any other K, Gauss-Jordan with one pivot inverse per
-      pivot (``_rref_with_inverses``). Over a K not proven a field that
-      inverse is where a zero divisor raises NotInvertible.
+      (``_rref_of_expansion``), by the loop of its ground field: no
+      inverse and no multiply in K;
+    * over any other K, Gauss-Jordan with one pivot inverse in K per pivot
+      (``_rref_with_inverses``), where a zero divisor raises NotInvertible.
 
     The result is made of raw rows as they stand, reduced or not."""
     field = m.field
     if field.int_modulus is not None and field.proven_field:
         return _rref_of_expansion(m)
-    if isinstance(field, RationalField):
+    if isinstance(field, PrimeField):
+        rows = list(m.raw_rows)
+        pivots = _rref_packed(field, rows, m.ncols)
+    elif isinstance(field, RationalField):
         rows, pivots = _ground_rref(field, [field.to_ints(row)[0] for row in m.raw_rows], m.ncols, 1)
     else:
         rows = list(map(list, m.raw_rows))
@@ -145,26 +155,26 @@ def _rref_of_expansion(m: Matrix) -> RrefResult:
     degree e: the ground RREF of K's expansion, the matrix of the
     ground-linear map that m is, whose RREF is the expansion of K's. The
     expansion m keeps is read, else one is built and not kept: a matrix is
-    eliminated once."""
+    eliminated once, and neither ground loop changes a row it is given."""
     field, e = m.field, m.field.degree
     expansion = m.int_expansion or field.int_expansion(m.raw_rows)
-    rows, pivots = _ground_rref(field.base, [list(row) for row, _ in expansion], m.ncols * e, e)
+    rows, pivots = _ground_rref(field.base, [row for row, _ in expansion], m.ncols * e, e)
     return RrefResult(Matrix._of_raw(field, field.from_expansion_rref(rows)), pivots, len(pivots))
 
 
 def _ground_rref(ground, rows: list, ncols: int, e: int) -> tuple[list, list[int]]:
-    """The ground elimination, in place, of rows of ints over F_p or QQ:
-    fraction-free over QQ (``_rref_on_ints``), with inverses over F_p
-    (``_rref_with_inverses``, which leaves each pivot 1). Over a field the
-    pivots come in whole blocks of e, K's pivot c giving ground pivots
-    c e .. c e + e - 1; over a ring that need not hold. Returns (rows,
-    pivots): each row read back over its pivot entry (``from_ints``; over 1
-    in a zero row) as ground elements at the columns j e only, and the
-    blocks' pivots."""
+    """The ground elimination of rows of ints over F_p or QQ, in place of
+    the list rows (no row in it is changed): fraction-free over QQ
+    (``_rref_on_ints``), packed over F_p (``_rref_packed``, which leaves
+    each pivot 1). Over a field the pivots come in whole blocks of e, K's
+    pivot c giving ground pivots c e .. c e + e - 1; over a ring that need
+    not hold. Returns (rows, pivots): each row read back over its pivot
+    entry (``from_ints``; over 1 in a zero row) as ground elements at the
+    columns j e only, and the blocks' pivots."""
     if isinstance(ground, RationalField):
         ground_pivots = _rref_on_ints(rows, ncols)
     else:
-        ground_pivots = _rref_with_inverses(ground, rows, ncols)
+        ground_pivots = _rref_packed(ground, rows, ncols)
     pivots = [c // e for c in ground_pivots[::e]]
     assert ground_pivots == [c * e + u for c in pivots for u in range(e)], "the ground pivots of a field come in whole blocks"
     heads = [row[c] for row, c in zip(rows, ground_pivots)] + [1] * (len(rows) - len(ground_pivots))
@@ -178,8 +188,9 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _rref_on_ints(rows: list, ncols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan on rows of ints, in place, each row
-    standing for every nonzero multiple of it; returns the pivot columns.
+    """Fraction-free Gauss-Jordan on rows of ints, in place of the list
+    rows, each row standing for every nonzero multiple of it; returns the
+    pivot columns.
 
     Each row is divided by the gcd of its ints first and after each update
     row_i <- P row_i - F row_r, where P is the pivot and F the row's entry
@@ -209,9 +220,72 @@ def _rref_on_ints(rows: list, ncols: int) -> list[int]:
     return pivots
 
 
+def _rref_packed(field, rows: list, ncols: int) -> list[int]:
+    """Gauss-Jordan over F_p on packed rows, in place of the list rows,
+    whose rows of ints, raw values reduced or not, are read and replaced
+    by the RREF's rows; returns the pivot columns. The one F_p
+    elimination: ``rref`` over F_p and ``_ground_rref`` over an F_p
+    ground run it.
+
+    Each row is reduced and packed into one int once (``field.pack``,
+    the codec of the packed multiply mod f), its entry j in slot j of W
+    bits. For each pivot column c, each row's entry f is read by shift,
+    mask and ``% p``; the pivot row alone is unpacked from slot c on,
+    reduced, scaled by its entry's inverse (one ``pow``) and repacked, and
+    every other row with f != 0 is updated by one big-int multiply-add,
+    row += (p - f) pivot, which leaves a multiple of p in its slot c. The
+    rows are unpacked at the end and left unreduced, as raw rows may be;
+    each pivot entry is exactly 1, as every later pivot row is 0 in its
+    column.
+
+    No slot overflows into the next, as in ``raw_mul_mod``: every packed
+    value is a nonnegative int, each multiplier p - f is in [1, p - 1] and
+    each entry of a scaled pivot row in [0, p). A row is packed with its
+    entries in [0, p) and is reset to canonical entries only when it
+    becomes the pivot row; in between it gains at most one update per
+    pivot, adding at most (p - 1)^2 to a slot, and there are at most
+    min(nrows, ncols) pivots. So a slot never exceeds
+    p - 1 + min(nrows, ncols) (p - 1)^2, and W is ``field.slot_width`` of
+    that bound. A negative value would borrow from the slot above, and a
+    wider sum overflow into it. The values mod p are those of the loop
+    with inverses, so the RREF, which is unique, is the same, and so is
+    every certificate byte."""
+    p, nrows = field.p, len(rows)
+    width = field.slot_width(p - 1 + min(nrows, ncols) * (p - 1) ** 2)
+    mask = (1 << width) - 1
+    pack, unpack = field.pack, field.unpack
+    packed = [pack([a % p for a in row], width) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        shift = c * width
+        heads = [(row >> shift & mask) % p for row in packed]
+        for i in range(r, nrows):
+            if heads[i]:
+                break
+        else:
+            continue
+        inv = pow(heads[i], -1, p)
+        packed[r], packed[i] = packed[i], packed[r]
+        heads[i], heads[r] = heads[r], 0
+        pivot = pack([a * inv % p for a in unpack(packed[r] >> shift, width, ncols - c)], width) << shift
+        packed[r] = pivot
+        for i, f in enumerate(heads):
+            if f:
+                packed[i] += (p - f) * pivot
+        pivots.append(c)
+        r += 1
+    rows[:] = [unpack(row, width, ncols) for row in packed]
+    return pivots
+
+
 def _rref_with_inverses(field, rows: list, ncols: int) -> list[int]:
     """Gauss-Jordan on rows of the field's raw values, in place, with one
-    ``raw_inverse`` per pivot; returns the pivot columns.
+    ``raw_inverse`` per pivot; returns the pivot columns. ``rref`` runs it
+    over an extension K that is not proven a field only, where a pivot's
+    inverse is where a zero divisor raises NotInvertible.
 
     A pivot row is reduced when it is normalized, the other rows only when
     one of their entries is tested or used as a multiplier. The normalized

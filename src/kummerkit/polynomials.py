@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
-from array import array
 from math import prod
 
 from .errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
@@ -22,9 +20,10 @@ from .scalars import PrimeField, RationalField, is_prime, prime_factors
 class Polynomial:
     """Immutable dense polynomial; ``coeffs[i]`` is the coefficient of X^i.
 
-    ``fold_table`` is None until ``raw_mul_mod`` first reduces by this
-    polynomial over F_p; it then holds the packed X^(d+k) mod f that every
-    later multiply mod this polynomial reuses (``_build_fold_table``)."""
+    ``fold_table`` is None until ``mul_mod`` first reduces by this
+    polynomial over F_p; it then holds the packed multiply mod this
+    polynomial, made once from its fold table, the packed X^(d+k) mod f,
+    which every later multiply mod it reuses (``_build_fold_table``)."""
 
     __slots__ = ("field", "coeffs", "fold_table")
 
@@ -192,18 +191,20 @@ def raw_product(field, a, b) -> list:
     return out
 
 
-def raw_mul_mod(field, a, b, f: Polynomial) -> list:
-    """The only multiply mod a monic f of degree d: two sequences of d
-    canonical raw values, multiplied into d canonical raw values.
+def mul_mod(field, f: Polynomial):
+    """The only multiply mod a monic f of degree d, made ready for f: a
+    function of two sequences of d canonical raw values, which gives their
+    product mod f as d canonical raw values. ``poly_pow_mod`` makes it once
+    per power, ``raw_mul_mod`` once per product.
 
     Over F_p (``field.raw_int_bound`` is p) it is the only packed product
-    (Kronecker substitution), laid out by f's fold table
-    (``_build_fold_table``, built on first use and kept as
-    ``f.fold_table``), which gives the slot width W, the mask of the d low
-    slots and the rows: a and b become the ints A = sum a_i 2^(iW) and B,
-    C = A*B is one big-int multiply, and its d - 1 high slots are each
-    reduced mod p and folded back by adding h_k times row k, X^(d+k) mod f
-    packed the same way; the d low slots are then unpacked and reduced. No
+    (Kronecker substitution, in ``field.pack``'s slots), made once per f
+    from f's fold table and kept as ``f.fold_table`` (``_build_fold_table``),
+    which gives the slot width W, the mask of the d low slots and the
+    rows: a and b become the ints A = sum a_i 2^(iW) and B, C = A*B is one
+    big-int multiply, and its d - 1 high slots are each reduced mod p and
+    folded back by adding h_k times row k, X^(d+k) mod f packed the same
+    way; the d low slots are then unpacked and reduced. No
     slot overflows into the next, because every packed value is a
     nonnegative int: a, b and the rows are canonical, in [0, p). So slot k
     of C is the exact sum of a_i b_j over i + j = k, at most d terms each
@@ -213,25 +214,22 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     could overflow its own.
 
     Over an extension base K = ground[t]/(g), ground F_p or QQ (K's
-    ``int_modulus`` is set), K's ``int_mul_mod`` runs on the ground
-    coordinates as ints, with no multiply in K. Over QQ (and a base higher
-    in a tower, which no pipeline multiplies over) raw values are
-    canonical elements: the
-    schoolbook ``raw_product`` is folded back with f from the top, one
+    ``int_modulus`` is set), it is K's ``int_mul_mod(f)``, which flattens
+    f's ground coefficients once and multiplies on the ground coordinates
+    as ints, with no multiply in K. Over QQ (and a base higher in a tower,
+    which no pipeline multiplies over) raw values are canonical elements:
+    the schoolbook ``raw_product`` is folded back with f from the top, one
     degree at a time. So there is one path per kind of base."""
-    d = f.degree
-    p = field.raw_int_bound
-    if p is not None:
-        width, mask, rows = f.fold_table or _build_fold_table(field, f)
-        packed = _pack(a, width)
-        prod = packed * packed if a is b else packed * _pack(b, width)
-        low = prod & mask
-        for h, row in zip(_unpack(prod >> width * d, width, d - 1), rows):
-            low += h % p * row
-        return [c % p for c in _unpack(low, width, d)]
+    if field.raw_int_bound is not None:
+        return f.fold_table or _build_fold_table(field, f)
     if field.int_modulus is not None:
-        return field.int_mul_mod(a, b, f)
-    reduce = field.reduce
+        return field.int_mul_mod(f)
+    return functools.partial(_schoolbook_mul_mod, field, f)
+
+
+def _schoolbook_mul_mod(field, f: Polynomial, a, b) -> list:
+    """``mul_mod`` over QQ and a base higher in a tower."""
+    d, reduce = f.degree, field.reduce
     prod = raw_product(field, a, b)
     low = field.unbox(f.coeffs[:d])
     for k in range(len(prod) - 1, d - 1, -1):
@@ -242,43 +240,42 @@ def raw_mul_mod(field, a, b, f: Polynomial) -> list:
     return prod[:d]
 
 
-def _pack(values, width: int) -> int:
-    """The int sum(values[i] << i*width) of ints in [0, 2^width): through
-    an array of 64-bit words when width is 64, else shift by shift."""
-    if width == 64:
-        return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
-    n = 0
-    for c in reversed(values):
-        n = n << width | c
-    return n
+def raw_mul_mod(field, a, b, f: Polynomial) -> list:
+    """One multiply mod a monic f of degree d, ``mul_mod(field, f)(a, b)``:
+    two sequences of d canonical raw values, multiplied into d canonical
+    raw values."""
+    return mul_mod(field, f)(a, b)
 
 
-def _unpack(n: int, width: int, count: int) -> list:
-    """The count slots of ``_pack``'s int n, lowest first; n < 2^(count*width)."""
-    if width == 64:
-        return array("Q", n.to_bytes(8 * count, sys.byteorder)).tolist()
-    mask = (1 << width) - 1
-    return [n >> shift & mask for shift in range(0, count * width, width)]
-
-
-def _build_fold_table(field, f: Polynomial) -> tuple:
-    """(W, 2^(dW) - 1, [X^(d+k) mod f packed, for k = 0..d-2]) for a monic
-    f of degree d over a base with int raw values, kept as ``f.fold_table``.
-    W is one 64-bit word, which ``_pack`` moves whole, while every sum
-    below 2d p^2 (``raw_mul_mod``) fits, else that bound's bit length.
+def _build_fold_table(field, f: Polynomial):
+    """The packed multiply mod a monic f of degree d over F_p, ``mul_mod``'s,
+    built from f's fold table and kept as ``f.fold_table``. The table is W,
+    the mask 2^(dW) - 1 of the d low slots, and the rows X^(d+k) mod f
+    packed, for k = 0..d-2. W is ``field.slot_width`` of 2d p^2, the bound
+    of every sum: one 64-bit word while that fits, else its bit length.
     Each row comes from the one before by one shift and one fold of
     X^d = -(f_0 + ... + f_(d-1) X^(d-1)), every value reduced."""
     d, p = f.degree, field.raw_int_bound
-    width = max(64, (2 * d * p * p).bit_length())
+    pack, unpack = field.pack, field.unpack
+    width = field.slot_width(2 * d * p * p)
+    mask, high = (1 << d * width) - 1, d * width
     x_to_d = [-c % p for c in field.unbox(f.coeffs[:d])]
     row, rows = x_to_d, []
     for _ in range(d - 1):
-        rows.append(_pack(row, width))
+        rows.append(pack(row, width))
         top = row[-1]
         row = [(c + top * y) % p for c, y in zip([0] + row[:-1], x_to_d)]
-    table = (width, (1 << d * width) - 1, rows)
-    object.__setattr__(f, "fold_table", table)
-    return table
+
+    def packed_mul(a, b) -> list:
+        packed = pack(a, width)
+        prod = packed * packed if a is b else packed * pack(b, width)
+        low = prod & mask
+        for h, fold in zip(unpack(prod >> high, width, d - 1), rows):
+            low += h % p * fold
+        return [c % p for c in unpack(low, width, d)]
+
+    object.__setattr__(f, "fold_table", packed_mul)
+    return packed_mul
 
 
 def raw_divmod(field, a, b) -> tuple[list, list]:
@@ -366,13 +363,14 @@ def _minus_product(field, c, a, b) -> list:
 def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     """base^e reduced mod a monic modulus; the only residue power.
 
-    Left to right through ``raw_mul_mod`` on the d raw values of base mod
-    the modulus, unboxed once: from the bit below the top bit of e down,
-    square, and on a set bit multiply by base. The result is boxed once, at
-    the end. Over F_p every step is one packed multiply and one fold by the
-    modulus's fold table, which the first step builds and every later power
-    or E multiply mod the same modulus reuses; over an extension of F_p or
-    QQ it is one product and one fold on the ground coordinates as ints.
+    Left to right through one ``mul_mod`` made for the modulus, on the d
+    raw values of base mod the modulus, unboxed once: from the bit below
+    the top bit of e down, square, and on a set bit multiply by base. The
+    result is boxed once, at the end. Over F_p every step is one packed
+    multiply and one fold by the modulus's fold table, which the first
+    power builds and every later power or E multiply mod the same modulus
+    reuses; over an extension of F_p or QQ it is one product and one fold
+    on the ground coordinates as ints, the modulus flattened once per power.
     """
     if modulus.degree < 1 or not modulus.is_monic():
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
@@ -382,11 +380,12 @@ def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     if not e:
         return Polynomial.one(field)
     base = field.unbox((base % modulus).padded(d))
+    mul = mul_mod(field, modulus)
     result = base
     for bit in bin(e)[3:]:
-        result = raw_mul_mod(field, result, result, modulus)
+        result = mul(result, result)
         if bit == "1":
-            result = raw_mul_mod(field, base, result, modulus)
+            result = mul(base, result)
     return Polynomial._of(field, field.box(result))
 
 

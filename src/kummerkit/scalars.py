@@ -16,7 +16,9 @@ gives a canonical raw value, ``raw_inverse`` inverts a nonzero one and
 where the algorithm needs a canonical value (a pivot test, a multiplier)
 and once per sum, and boxes its results once; its inner updates call no
 hook. ``raw_int_bound`` is p when the raw values are ints reduced mod p,
-which lets ``raw_mul_mod`` pack them into one int, else None.
+else None; :class:`PrimeField`'s one codec, ``pack`` and ``unpack``,
+writes a sequence of them as the slots of one int, on which
+``raw_mul_mod`` multiplies and ``rref`` eliminates.
 ``int_modulus`` is None but on an extension of F_p or QQ, whose multiply,
 dot product and elimination run on ground ints (:mod:`kummerkit.tower`),
 as ``rref`` over QQ does. Only the ground fields write elements as ints:
@@ -33,6 +35,8 @@ No floating point appears anywhere in this module or its callers.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -347,6 +351,37 @@ class PrimeField:
 
     def raw_inverse(self, value: int) -> int:
         return pow(value, -1, self.p)
+
+    @staticmethod
+    def slot_width(bound: int) -> int:
+        """The width W of a slot of ``pack`` that holds every int in
+        [0, bound]: one 64-bit word, which ``pack`` and ``unpack`` move
+        whole, while bound fits in one, else bound's bit length."""
+        return max(64, bound.bit_length())
+
+    @staticmethod
+    def pack(values, width: int) -> int:
+        """The int sum(values[i] << i*width) of ints in [0, 2^width), one
+        slot each (Kronecker substitution): through an array of 64-bit
+        words when width is 64, else shift by shift. A negative value would
+        borrow from the slot above it, and a value of 2^width or more
+        overflow into it, so the callers pack raw values reduced mod p and
+        keep every later sum in a slot nonnegative and below its bound."""
+        if width == 64:
+            return int.from_bytes(array("Q", values), sys.byteorder)
+        n = 0
+        for c in reversed(values):
+            n = n << width | c
+        return n
+
+    @staticmethod
+    def unpack(n: int, width: int, count: int) -> list:
+        """The count slots of ``pack``'s int n, lowest first, as a list of
+        ints, unreduced; n < 2^(count*width)."""
+        if width == 64:
+            return array("Q", n.to_bytes(8 * count, sys.byteorder)).tolist()
+        mask = (1 << width) - 1
+        return [n >> shift & mask for shift in range(0, count * width, width)]
 
     def to_ints(self, elements) -> tuple[list[int], int]:
         """(ints, 1): the elements' values, over 1."""

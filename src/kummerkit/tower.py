@@ -135,45 +135,51 @@ class ExtensionField(IdentityHooks):
         denominator den (the ground field's ``from_ints``)."""
         return ExtensionElement(self, tuple(self.base.from_ints(ints, den)))
 
-    def int_mul_mod(self, a, b, f: Polynomial) -> list:
-        """``raw_mul_mod`` over this field K = ground[t]/(g), ground F_p or
-        QQ, g monic of degree e, on ints.
+    def int_mul_mod(self, f: Polynomial):
+        """``mul_mod`` over this field K = ground[t]/(g), ground F_p or QQ,
+        g monic of degree e: the multiply mod f on ints, made ready for f,
+        as a function of two sequences a, b of d elements of K.
 
-        Flatten: the d e ground coordinates of a, of b and of f's d low
-        coefficients become (index, int) terms over a common denominator
-        each (``flatten``), coordinate u of coefficient k at index k s + u,
-        where the stride s = 2e - 1 holds a row's t-coefficients before
-        their reduction mod g. Multiply: the bivariate product of a and b,
-        once, over ZZ. Fold, row by row from the top: the row by g
-        (``_fold_by_g``), and then, in a row k >= d, the whole row by f into
-        rows k - d .. k - 1, so no row ever holds more than s coefficients.
-        A fold by f, whose low terms are -(ints)/D, multiplies every int by
-        D first, once per row, and D multiplies the result's denominator;
-        D is 1 over F_p and for an integral f. Box: rows 0 .. d-1,
-        coordinates 0 .. e-1, become one element each (``_box``).
+        Flatten: the d e ground coordinates of f's d low coefficients,
+        once, here, and of a and of b on each multiply, become (index, int)
+        terms over a common denominator each (``flatten``), coordinate u of
+        coefficient k at index k s + u, where the stride s = 2e - 1 holds a
+        row's t-coefficients before their reduction mod g. Multiply: the
+        bivariate product of a and b, once, over ZZ. Fold, row by row from
+        the top: the row by g (``_fold_by_g``), and then, in a row k >= d,
+        the whole row by f into rows k - d .. k - 1, so no row ever holds
+        more than s coefficients. A fold by f, whose low terms are
+        -(ints)/D, multiplies every int by D first, once per row, and D
+        multiplies the result's denominator; D is 1 over F_p and for an
+        integral f. Box: rows 0 .. d-1, coordinates 0 .. e-1, become one
+        element each (``_box``).
         """
         d, e = f.degree, self.degree
         s = 2 * e - 1
-        terms_a, den = self.flatten([x.coords for x in a], s)
-        terms_b, den_b = (terms_a, den) if a is b else self.flatten([x.coords for x in b], s)
-        out = [0] * ((2 * d - 1) * s)
-        for i, x in terms_a:
-            for j, y in terms_b:
-                out[i + j] += x * y
-        den *= den_b
         low_f, den_f = self.flatten([c.coords for c in f.coeffs[:d]], s)
-        for row in range((2 * d - 2) * s, -1, -s):
-            den *= self._fold_by_g(out, row)
-            top = out[row : row + e]
-            if row >= d * s and any(top):
-                if den_f != 1:
-                    out = [c * den_f for c in out]
-                    den *= den_f
-                for u, x in enumerate(top, row - d * s):
-                    if x:
-                        for j, y in low_f:
-                            out[u + j] -= x * y
-        return [self._box(out[row : row + e], den) for row in range(0, d * s, s)]
+
+        def int_mul(a, b) -> list:
+            terms_a, den = self.flatten([x.coords for x in a], s)
+            terms_b, den_b = (terms_a, den) if a is b else self.flatten([x.coords for x in b], s)
+            out = [0] * ((2 * d - 1) * s)
+            for i, x in terms_a:
+                for j, y in terms_b:
+                    out[i + j] += x * y
+            den *= den_b
+            for row in range((2 * d - 2) * s, -1, -s):
+                den *= self._fold_by_g(out, row)
+                top = out[row : row + e]
+                if row >= d * s and any(top):
+                    if den_f != 1:
+                        out = [c * den_f for c in out]
+                        den *= den_f
+                    for u, x in enumerate(top, row - d * s):
+                        if x:
+                            for j, y in low_f:
+                                out[u + j] -= x * y
+            return [self._box(out[row : row + e], den) for row in range(0, d * s, s)]
+
+        return int_mul
 
     def int_expansion(self, raw_rows) -> list:
         """The ground expansion of a matrix over this field K, ground F_p or

@@ -881,11 +881,12 @@ def test_rref_over_a_proven_extension_base_makes_no_inverse_and_no_multiply_in_k
 def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch):
     # the ground coordinates are multiplied and folded as ints: no K
     # multiply, so no raw_product, runs inside the E multiply, the power,
-    # the substitution matrix or a dot product. K flattens the operands and
-    # f's d low coefficients on each multiply (a square's operand once), a
-    # dot product's vector on each product and a matrix's rows on its first
-    # product only, d values a row. Its own modulus g, one row, K flattened
-    # when it was built, and never again
+    # the substitution matrix or a dot product. K flattens the operands on
+    # each multiply (a square's operand once) and f's d low coefficients
+    # once per multiply or per power, a dot product's vector on each
+    # product and a matrix's rows on its first product only, d values a
+    # row. Its own modulus g, one row, K flattened when it was built, and
+    # never again
     calls = collections.Counter()
     product = polynomials.raw_product
     flatten = ExtensionField.flatten
@@ -914,10 +915,10 @@ def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch)
             before = len(flattened)
             operation()
             counts.append(len(flattened) - before)
-        # d - 1 columns of one multiply each; a^7 is two squares and two
-        # multiplies; m * m is one product per column, on the kept rows
+        # d - 1 columns of one multiply each; a^7 is f once, two squares
+        # and two multiplies; m * m is one product per column, on the kept rows
         d = ext.degree
-        assert counts == [3 * (d - 1), 3, 2, 2 * 2 + 2 * 3, 1 + d, d], base
+        assert counts == [3 * (d - 1), 3, 2, 1 + 2 * 1 + 2 * 2, 1 + d, d], base
         assert set(flattened) == {d}, base
     assert calls == {}
 

@@ -33,7 +33,7 @@ from kummerkit.scalars import PrimeField, RationalField
 from kummerkit.tower import ExtensionField
 
 from matrix_oracles import horner_at_matrix, identity, is_zero, krylov_lcm_min_poly, power, shift, zeros
-from test_fp_kernels import elements, polys
+from test_fp_kernels import WIDE_P, elements, polys
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
@@ -486,3 +486,114 @@ class TestFirstLinearDependency:
     def test_no_dependency_within_limit(self):
         with pytest.raises(AssertionError):
             first_linear_dependency(QQ, iter([(1, 0), (0, 1)]), 2)
+
+
+# -- the packed F_p elimination against the loop with inverses ------------------
+
+ELIMINATION_PRIMES = (2, 3, 13, 7681, WIDE_P)  # WIDE_P: slots wider than one word
+
+
+@st.composite
+def raw_fp_matrices(draw):
+    """(p, rows, ncols): up to 9 x 9 raw rows over F_p, of one of four
+    kinds: entries anywhere in [-3p, 3p], negative and unreduced; every
+    entry p - 1, where a slot grows most; combinations of at most two
+    drawn rows, rank-deficient, each entry shifted by a multiple of p; or
+    all zero."""
+    p = draw(st.sampled_from(ELIMINATION_PRIMES))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["raw", "p - 1", "low rank", "zero"]))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1, -1, -p, p]), st.integers(-3 * p, 3 * p))
+    if kind == "raw":
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    elif kind == "p - 1":
+        rows = [[p - 1] * ncols for _ in range(nrows)]
+    elif kind == "low rank":
+        basis = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=2))
+        rows = []
+        for _ in range(nrows):
+            scales = draw(st.lists(st.integers(-p, p), min_size=len(basis), max_size=len(basis)))
+            shifts = draw(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols))
+            rows.append([sum(k * b[j] for k, b in zip(scales, basis)) + s * p for j, s in enumerate(shifts)])
+    else:
+        rows = [[0] * ncols for _ in range(nrows)]
+    return p, rows, ncols
+
+
+def reduced(rows, p):
+    return [[a % p for a in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_fp_matrices())
+def test_packed_elimination_matches_the_loop_with_inverses(case):
+    p, rows, ncols = case
+    field = PrimeField(p)
+    given_rows = [list(row) for row in rows]
+    packed, oracle = list(given_rows), [list(row) for row in rows]
+    pivots = linalg._rref_packed(field, packed, ncols)
+    assert pivots == linalg._rref_with_inverses(field, oracle, ncols)
+    assert reduced(packed, p) == reduced(oracle, p)
+    assert all(a >= 0 for row in packed for a in row)
+    assert all(packed[r][c] == 1 for r, c in enumerate(pivots))
+    assert given_rows == rows  # no row it was given is changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_fp_matrices())
+def test_nullspace_and_dependency_over_fp_run_on_the_packed_elimination(case):
+    p, rows, ncols = case
+    field = PrimeField(p)
+    oracle = [list(row) for row in rows]
+    pivots = linalg._rref_with_inverses(field, oracle, ncols)
+    result = rref(Matrix._of_raw(field, rows))
+    assert result.pivots == pivots and reduced(result.matrix.raw_rows, p) == reduced(oracle, p)
+    m = Matrix._of_raw(field, rows)  # with no rows it has no columns
+    basis = nullspace(m)
+    free = [c for c in range(m.ncols) if c not in pivots]
+    assert len(basis) == len(free)
+    for fc, v in zip(free, basis):
+        expected = [0] * m.ncols
+        expected[fc] = 1
+        for r, c in enumerate(pivots):
+            expected[c] = -oracle[r][fc] % p
+        assert [c.value for c in v] == expected
+        assert all(sum(a * c.value for a, c in zip(row, v)) % p == 0 for row in rows)
+    if rows and ncols:  # the columns, then a zero vector: a dependency within ncols + 1
+        columns = [[row[j] for row in rows] for j in range(ncols)] + [[0] * len(rows)]
+        got = first_linear_dependency(field, iter(columns), ncols + 1)
+        k = len(got) - 1
+        assert k == next((j for j, c in enumerate(pivots) if j != c), len(pivots))
+        assert all((sum(c.value * col[i] for c, col in zip(got, columns)) % p) == 0 for i in range(len(rows)))
+
+
+def quadratic_field(p: int) -> ExtensionField:
+    """F_p[t]/(g) for an irreducible g of degree 2: t^2 + t + 1 over F_2,
+    else t^2 - a for the least non-residue a."""
+    field = PrimeField(p)
+    if p == 2:
+        return ExtensionField(field, Polynomial(field, [1, 1, 1]))
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    return ExtensionField(field, Polynomial(field, [-a, 0, 1]))
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+def test_ground_rref_over_fp_runs_the_packed_elimination(p):
+    # K = F_p[t]/(g) is proven a field, so rref over K eliminates K's ground
+    # expansion with the packed loop: the same RREF as inverses in K give
+    k = quadratic_field(p)
+    assert k.proven_field and k.int_modulus is not None
+    rng = random.Random(p)
+    values = [0, 1, p - 1, -1, -p]
+    for _ in range(25):
+        nrows, ncols = rng.randrange(0, 6), rng.randrange(0, 6)
+        basis = [[k.element([rng.choice(values + [rng.randrange(p)]) for _ in range(2)]) for _ in range(ncols)]
+                 for _ in range(rng.randrange(1, 4))]
+        rows = [[sum((k.from_int(rng.randrange(-2, 3)) * b[j] for b in basis), k.zero()) for j in range(ncols)]
+                for _ in range(nrows)]
+        m = Matrix(k, rows)
+        oracle = [list(row) for row in m.raw_rows]
+        pivots = linalg._rref_with_inverses(k, oracle, ncols)
+        got = rref(m)
+        assert got.pivots == pivots
+        assert got.matrix == Matrix(k, oracle)

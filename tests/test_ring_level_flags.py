@@ -16,11 +16,13 @@ is not a field and on the nilpotent ones.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from kummerkit.families import frobenius_family
 from kummerkit.kummer import (
+    EigenEntry,
     EigenReport,
     _is_proven_field,
     certify,
@@ -53,6 +55,18 @@ def root_orbit_transitive(ctx, x):
     """The orbit check as it was: sigma maps zeta^i * x to zeta^(i+1) * x
     for every i."""
     return all(ctx.sigma(x * ctx.zeta_pow(i)) == x * ctx.zeta_pow(i + 1) for i in range(ctx.n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closure_is_the_pairwise_test_on_every_set_of_exponents(n):
+    # the check compares the exponents with the subgroup that their gcd with
+    # n generates; the definition tests all m^2 sums
+    ctx = SimpleNamespace(n=n)
+    for bits in range(1 << n):
+        exponents = [i for i in range(n) if bits >> i & 1]
+        report = EigenReport(tuple(EigenEntry(i, None, 1) for i in exponents))
+        pairwise = all((i + j) % n in exponents for i in exponents for j in exponents)
+        assert check_gamma_closure(ctx, report) == pairwise, exponents
 
 
 def sub_reports(report):
