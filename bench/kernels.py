@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_29.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_30.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -39,6 +39,10 @@ irreducible), whose coefficients are all nonzero:
 * ``F_p eigenspace (dense)``: the same on S (Q - zeta I) S^-1 for
   S = I + u v^T, u and v drawn at random: Q in a dense basis, as the
   Frobenius matrix of a random modulus is in certify, found in O(d^2);
+* ``F_p sigma``: ``raw_mat_apply`` of Q to the coordinates of X^p, one
+  Frobenius step of the Rabin test and one application of sigma's matrix
+  when sigma is the Frobenius, on a Q applied once before, so that a tree
+  that keeps an int form of Q has built it;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p.
 
 Six more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
@@ -100,6 +104,7 @@ FP_KERNELS = (
     "E inverse",
     "F_p eigenspace",
     "F_p eigenspace (dense)",
+    "F_p sigma",
 )
 TOWER_KERNELS = ("tower multiply", "tower x^n", "tower sigma", "tower sigma (first)", "tower inverse", "tower eigenspace")
 ROUNDS = 21
@@ -241,7 +246,14 @@ def kernels(kk, p: int, d: int) -> list:
         for _ in range(k):
             kk.linalg.nullspace(dense)
 
-    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix, parse_certificate, e_inverse, eigenspace, dense_eigenspace]
+    frobenius, power = ext.frobenius, field.unbox(image)
+    kk.linalg.raw_mat_apply(frobenius, power)
+
+    def sigma(k):
+        for _ in range(k):
+            kk.linalg.raw_mat_apply(frobenius, power)
+
+    return [e_multiply, x_to_p, x_to_n, witness_check, q_matrix, parse_certificate, e_inverse, eigenspace, dense_eigenspace, sigma]
 
 
 def conjugate(rows: list, p: int, rng) -> list:

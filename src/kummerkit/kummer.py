@@ -230,23 +230,18 @@ def eigen_spectrum(ctx: ValidatedContext, m: Matrix) -> EigenReport:
     """Eigenvalue report over the candidate eigenvalues zeta^0, ..., zeta^(n-1).
 
     For each power of zeta, the eigenspace is the kernel of M - zeta^i*I,
-    formed by subtracting the raw value of zeta^i on the diagonal of M's raw
-    rows; candidates with a nonzero kernel are listed together with their
+    which ``Matrix.shifted`` forms from M with the raw value of zeta^i;
+    candidates with a nonzero kernel are listed together with their
     dimension and the first RREF kernel basis vector as the stored
     eigenvector. This is the only kernel computation of the pipeline:
     check_fixed_field and extract_radical_generator read the report.
     """
-    field = m.field
-    raw_powers = field.unbox(ctx.zeta_powers)
+    raw_powers = m.field.unbox(ctx.zeta_powers)
     entries = []
     for i in range(ctx.n):
-        lam = ctx.zeta_pow(i)
-        shifted = [list(row) for row in m.raw_rows]
-        for j, row in enumerate(shifted):
-            row[j] -= raw_powers[i]
-        basis = nullspace(Matrix._of_raw(field, shifted))
+        basis = nullspace(m.shifted(raw_powers[i]))
         if basis:
-            entries.append(EigenEntry(i, lam, len(basis), ctx.ext_field.element(basis[0])))
+            entries.append(EigenEntry(i, ctx.zeta_pow(i), len(basis), ctx.ext_field.element(basis[0])))
     assert sum(e.dimension for e in entries) <= ctx.n
     return EigenReport(tuple(entries))
 

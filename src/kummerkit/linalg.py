@@ -6,22 +6,24 @@ meaningless in exact arithmetic), and nullspace bases use the standard RREF
 free-column parametrization. Vectors are plain tuples of field elements.
 
 A ``Matrix`` carries its raw rows and one product, ``__mul__``: kernels and
-products with vectors are all that sigma's matrix is needed for. Over an
-extension of F_p or QQ it also keeps one int form, the field's ground
-expansion of it, built on its first dot product (``raw_mat_apply``) for
-every later one.
+products with vectors are all that sigma's matrix is needed for. Over F_p
+and over an extension of F_p or QQ it also keeps one int form, built on
+first use and kept: over F_p its packed columns, each column one int of
+``PrimeField.pack`` slots, the codec of the packed multiply mod f; over K
+its expansion, the field's ground expansion of it. The dot product
+(``raw_mat_apply``) and an elimination read it, and ``Matrix.shifted``
+gives M - c I its packed columns from M's, one add per column.
 
 ``rref`` is the only elimination. Over F_p and QQ, and over an extension
 of F_p or QQ proven a field, it runs one ground elimination on ints: on
-the rows themselves over F_p, on the rows scaled to ints over QQ, or on
+the packed columns over F_p, on the rows scaled to ints over QQ, or on
 the field's ground expansion of the matrix, from which the field reads its
-RREF back (``_ground_rref``). Over F_p that is ``_rref_packed``, the one
-F_p loop: each row packed into one int in ``PrimeField.pack``'s slots, the
-codec of the packed multiply mod f, and each row update one big-int
-multiply-add; slots are reduced mod p only when a row is packed and when
-a pivot row is scaled, and are wide enough for the sums in between. Over
-QQ it is fraction-free, with no inverse. Over a field not proven one,
-each pivot is inverted in it.
+RREF back (``_ground_rref``). Over F_p that is ``_rref_columns``, the one
+F_p loop: per pivot one unpack of the pivot column and one packed vector
+of multipliers, and each later column one big-int multiply-add; slots are
+reduced mod p only when a column is packed or unpacked, and are wide
+enough for the sums in between. Over QQ it is fraction-free, with no
+inverse. Over a field not proven one, each pivot is inverted in it.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from .scalars import PrimeField, RationalField
 
 class Matrix:
     """Immutable dense matrix, kept as ``raw_rows``: a tuple of rows of the
-    field's raw values, which need not be reduced. Over an extension of F_p
-    or QQ, ``int_expansion`` is None until the first dot product; it then
-    holds the field's ``int_expansion`` of the rows, the matrix's one int
-    form, which every later product and an elimination read."""
+    field's raw values, which need not be reduced. ``int_form`` is the
+    matrix's one int form, None until first used and then kept, which every
+    later product and an elimination read: over F_p its packed columns
+    (``_packed_columns``), over an extension of F_p or QQ the field's
+    ``int_expansion`` of the rows."""
 
-    __slots__ = ("field", "raw_rows", "int_expansion")
+    __slots__ = ("field", "raw_rows", "int_form")
 
     def __init__(self, field, rows):
         raw_rows = tuple(field.unbox(map(field.coerce, row)) for row in rows)
@@ -53,7 +56,7 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
         self.field = field
         self.raw_rows = raw_rows
-        self.int_expansion = None
+        self.int_form = None
 
     @classmethod
     def _of_raw(cls, field, raw_rows) -> "Matrix":
@@ -62,7 +65,7 @@ class Matrix:
         m = object.__new__(cls)
         m.field = field
         m.raw_rows = tuple(raw_rows)
-        m.int_expansion = None
+        m.int_form = None
         return m
 
     @property
@@ -91,6 +94,26 @@ class Matrix:
 
     def column(self, j: int) -> tuple:
         return tuple(self.field.box([row[j] for row in self.raw_rows]))
+
+    def shifted(self, value) -> "Matrix":
+        """M - value I, for a square M and a raw value of its field: the raw
+        rows with value subtracted on the diagonal. Over F_p the packed
+        columns come from M's with one add per column, which sets slot j of
+        column j to the new diagonal entry reduced mod p, so every slot
+        stays canonical, as packing leaves it."""
+        if self.nrows != self.ncols:
+            raise DimensionMismatch(f"a {self.nrows}x{self.ncols} matrix shifted by a multiple of I")
+        field, rows = self.field, [list(row) for row in self.raw_rows]
+        for j, row in enumerate(rows):
+            row[j] -= value
+        shifted = Matrix._of_raw(field, rows)
+        if isinstance(field, PrimeField):
+            p, width = field.p, _slot_width(field, self.nrows, self.ncols)
+            shifted.int_form = [
+                col + ((row[j] % p - old[j] % p) << j * width)
+                for j, (col, row, old) in enumerate(zip(_packed_columns(self), rows, self.raw_rows))
+            ]
+        return shifted
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -123,8 +146,9 @@ def rref(m: Matrix) -> RrefResult:
 
     One loop per kind of field, each giving the same, unique, RREF:
 
-    * over F_p, Gauss-Jordan on packed rows (``_rref_packed``): one
-      big-int multiply-add per row update, one pivot inverse per pivot;
+    * over F_p, Gauss-Jordan on the matrix's packed columns
+      (``_rref_columns``): one big-int multiply-add per column update, one
+      pivot inverse per pivot;
     * over QQ, fraction-free Gauss-Jordan on the rows scaled to ints
       (``_ground_rref``), with no inverse; each entry of the result is
       boxed once, as its int over its row's pivot;
@@ -140,8 +164,7 @@ def rref(m: Matrix) -> RrefResult:
     if field.int_modulus is not None and field.proven_field:
         return _rref_of_expansion(m)
     if isinstance(field, PrimeField):
-        rows = list(m.raw_rows)
-        pivots = _rref_packed(field, rows, m.ncols)
+        rows, pivots = _rref_columns(field, list(_packed_columns(m)), m.nrows)
     elif isinstance(field, RationalField):
         rows, pivots = _ground_rref(field, [field.to_ints(row)[0] for row in m.raw_rows], m.ncols, 1)
     else:
@@ -157,7 +180,7 @@ def _rref_of_expansion(m: Matrix) -> RrefResult:
     expansion m keeps is read, else one is built and not kept: a matrix is
     eliminated once, and neither ground loop changes a row it is given."""
     field, e = m.field, m.field.degree
-    expansion = m.int_expansion or field.int_expansion(m.raw_rows)
+    expansion = m.int_form or field.int_expansion(m.raw_rows)
     rows, pivots = _ground_rref(field.base, [row for row, _ in expansion], m.ncols * e, e)
     return RrefResult(Matrix._of_raw(field, field.from_expansion_rref(rows)), pivots, len(pivots))
 
@@ -165,12 +188,12 @@ def _rref_of_expansion(m: Matrix) -> RrefResult:
 def _ground_rref(ground, rows: list, ncols: int, e: int) -> tuple[list, list[int]]:
     """The ground elimination of rows of ints over F_p or QQ, in place of
     the list rows (no row in it is changed): fraction-free over QQ
-    (``_rref_on_ints``), packed over F_p (``_rref_packed``, which leaves
-    each pivot 1). Over a field the pivots come in whole blocks of e, K's
-    pivot c giving ground pivots c e .. c e + e - 1; over a ring that need
-    not hold. Returns (rows, pivots): each row read back over its pivot
-    entry (``from_ints``; over 1 in a zero row) as ground elements at the
-    columns j e only, and the blocks' pivots."""
+    (``_rref_on_ints``), on packed columns over F_p (``_rref_packed``,
+    which leaves each pivot 1). Over a field the pivots come in whole
+    blocks of e, K's pivot c giving ground pivots c e .. c e + e - 1; over
+    a ring that need not hold. Returns (rows, pivots): each row read back
+    over its pivot entry (``from_ints``; over 1 in a zero row) as ground
+    elements at the columns j e only, and the blocks' pivots."""
     if isinstance(ground, RationalField):
         ground_pivots = _rref_on_ints(rows, ncols)
     else:
@@ -220,65 +243,107 @@ def _rref_on_ints(rows: list, ncols: int) -> list[int]:
     return pivots
 
 
-def _rref_packed(field, rows: list, ncols: int) -> list[int]:
-    """Gauss-Jordan over F_p on packed rows, in place of the list rows,
-    whose rows of ints, raw values reduced or not, are read and replaced
-    by the RREF's rows; returns the pivot columns. The one F_p
-    elimination: ``rref`` over F_p and ``_ground_rref`` over an F_p
-    ground run it.
+def _slot_width(field, nrows: int, ncols: int) -> int:
+    """The one slot width of an nrows x ncols matrix's packed columns over
+    F_p: ``field.slot_width`` of p - 1 + max(nrows, ncols) (p - 1)^2, which
+    bounds every slot that the dot product and the elimination form from
+    canonical slots (``_rref_columns``, ``raw_mat_apply``)."""
+    p = field.p
+    return field.slot_width(p - 1 + max(nrows, ncols) * (p - 1) ** 2)
 
-    Each row is reduced and packed into one int once (``field.pack``,
-    the codec of the packed multiply mod f), its entry j in slot j of W
-    bits. For each pivot column c, each row's entry f is read by shift,
-    mask and ``% p``; the pivot row alone is unpacked from slot c on,
-    reduced, scaled by its entry's inverse (one ``pow``) and repacked, and
-    every other row with f != 0 is updated by one big-int multiply-add,
-    row += (p - f) pivot, which leaves a multiple of p in its slot c. The
-    rows are unpacked at the end and left unreduced, as raw rows may be;
-    each pivot entry is exactly 1, as every later pivot row is 0 in its
-    column.
+
+def _pack_columns(field, rows, ncols: int) -> list:
+    """The packed columns of rows of ints over F_p, raw values reduced or
+    not: column j is one int of ``field.pack`` slots, slot i holding entry
+    (i, j) reduced mod p, in ``_slot_width``'s slots."""
+    p, width, pack = field.p, _slot_width(field, len(rows), ncols), field.pack
+    return [pack([a % p for a in column], width) for column in zip(*rows)]
+
+
+def _packed_columns(m: Matrix) -> list:
+    """The int form of a matrix over F_p, its packed columns
+    (``_pack_columns``), built on first use and kept; no caller changes
+    it in place."""
+    if m.int_form is None:
+        m.int_form = _pack_columns(m.field, m.raw_rows, m.ncols)
+    return m.int_form
+
+
+def _rref_packed(field, rows: list, ncols: int) -> list[int]:
+    """``_rref_columns`` on rows of ints over F_p, raw values reduced or
+    not, in place of the list rows, whose rows are replaced by the RREF's
+    (no row in it is changed); returns the pivot columns.
+    ``_ground_rref`` over an F_p ground runs it."""
+    rows[:], pivots = _rref_columns(field, _pack_columns(field, rows, ncols), len(rows))
+    return pivots
+
+
+def _rref_columns(field, columns: list, nrows: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan over F_p on packed columns, in place of the list
+    columns, whose ints (``_pack_columns``, slots canonical) it changes;
+    returns (rows, pivots): the RREF's rows, nonnegative and left
+    unreduced, as raw rows may be, and its pivot columns. The one F_p
+    elimination: ``rref`` over F_p runs it on a copy of the matrix's int
+    form, and ``_ground_rref`` over an F_p ground on rows packed for it
+    (``_rref_packed``).
+
+    A row swap is kept as a slot permutation: order[r] is the slot of the
+    RREF's row r. For each pivot column c, the column alone is unpacked
+    and its entries reduced; the pivot is the first nonzero one among the
+    rows not yet pivots, at slot s, and with one inverse (one ``pow``) its
+    row op, row s scaled by 1/f and every other row k less e_k times it,
+    is one packed vector of multipliers, -e_k/f in slot k and 1/f - 1 in
+    slot s. Every later column then gets one big-int multiply-add,
+    col += x V, x its slot s reduced. The earlier columns are unchanged:
+    a pivot column is 0 and a free column is 0 mod p in every row that is
+    not yet a pivot's. At the end only the free columns are unpacked: the
+    RREF's row r holds 1 at its pivot and the free columns' slot order[r]
+    as it stands, and the rows past the rank are 0.
 
     No slot overflows into the next, as in ``raw_mul_mod``: every packed
-    value is a nonnegative int, each multiplier p - f is in [1, p - 1] and
-    each entry of a scaled pivot row in [0, p). A row is packed with its
-    entries in [0, p) and is reset to canonical entries only when it
-    becomes the pivot row; in between it gains at most one update per
-    pivot, adding at most (p - 1)^2 to a slot, and there are at most
-    min(nrows, ncols) pivots. So a slot never exceeds
-    p - 1 + min(nrows, ncols) (p - 1)^2, and W is ``field.slot_width`` of
-    that bound. A negative value would borrow from the slot above, and a
-    wider sum overflow into it. The values mod p are those of the loop
-    with inverses, so the RREF, which is unique, is the same, and so is
-    every certificate byte."""
-    p, nrows = field.p, len(rows)
-    width = field.slot_width(p - 1 + min(nrows, ncols) * (p - 1) ** 2)
+    value is a nonnegative int, each x and each slot of V in [0, p). A
+    column is packed canonical and gains at most one update per pivot,
+    adding at most (p - 1)^2 to a slot, and there are at most
+    min(nrows, ncols) pivots, so a slot never exceeds
+    p - 1 + min(nrows, ncols) (p - 1)^2, within ``_slot_width``. A
+    negative value would borrow from the slot above, and a wider sum
+    overflow into it. The values mod p are those of the loop with
+    inverses, so the RREF, which is unique, is the same, and so is every
+    certificate byte."""
+    p, ncols = field.p, len(columns)
+    width = _slot_width(field, nrows, ncols)
     mask = (1 << width) - 1
     pack, unpack = field.pack, field.unpack
-    packed = [pack([a % p for a in row], width) for row in rows]
+    order = list(range(nrows))
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        shift = c * width
-        heads = [(row >> shift & mask) % p for row in packed]
+        entries = unpack(columns[c], width, nrows)
         for i in range(r, nrows):
-            if heads[i]:
+            f = entries[order[i]] % p
+            if f:
                 break
         else:
             continue
-        inv = pow(heads[i], -1, p)
-        packed[r], packed[i] = packed[i], packed[r]
-        heads[i], heads[r] = heads[r], 0
-        pivot = pack([a * inv % p for a in unpack(packed[r] >> shift, width, ncols - c)], width) << shift
-        packed[r] = pivot
-        for i, f in enumerate(heads):
-            if f:
-                packed[i] += (p - f) * pivot
+        order[r], order[i] = order[i], order[r]
+        s = order[r]
+        scale = p - pow(f, -1, p)
+        multipliers = [a * scale % p for a in entries]
+        multipliers[s] = (-1 - scale) % p
+        vector, shift = pack(multipliers, width), s * width
+        columns[c + 1 :] = [col + (col >> shift & mask) % p * vector for col in columns[c + 1 :]]
         pivots.append(c)
-        r += 1
-    rows[:] = [unpack(row, width, ncols) for row in packed]
-    return pivots
+    rows = [[0] * ncols for _ in range(nrows)]
+    for row, c in zip(rows, pivots):
+        row[c] = 1
+    slots = order[: len(pivots)]
+    for c in set(range(ncols)).difference(pivots):
+        entries = unpack(columns[c], width, nrows)
+        for row, s in zip(rows, slots):
+            row[c] = entries[s]
+    return rows, pivots
 
 
 def _rref_with_inverses(field, rows: list, ncols: int) -> list[int]:
@@ -342,17 +407,24 @@ def nullspace(m: Matrix) -> list[tuple]:
 
 def raw_mat_apply(m: Matrix, v) -> list:
     """The only dot product: a matrix's raw rows times a vector of raw
-    values, with one path per kind of base, as ``raw_mul_mod`` has. Over an
-    extension K of F_p or QQ (its ``int_modulus`` is set), K's
-    ``int_mat_apply`` runs on the ground ints of the matrix's
-    ``int_expansion``, built on its first product and kept, with no
-    multiply in K. Over F_p, QQ and a base higher in a tower, each entry is
-    the sum of the products, reduced once."""
+    values, with one path per kind of base, as ``raw_mul_mod`` has, on the
+    matrix's int form where it has one. Over F_p it is sum v_j C_j on the
+    packed columns C_j (``_packed_columns``): one big-int multiply-add per
+    coordinate, each v_j reduced first, then one unpack and one reduction
+    per entry; a slot sums at most ncols products below p^2, within
+    ``_slot_width``. Over an extension K of F_p or QQ (its ``int_modulus``
+    is set), K's ``int_mat_apply`` runs on the ground ints of the matrix's
+    ``int_expansion``, with no multiply in K. Over QQ and a base higher in
+    a tower, each entry is the sum of the products, reduced once."""
     field = m.field
+    if isinstance(field, PrimeField):
+        p = field.p
+        total = sum(map(operator.mul, [a % p for a in v], _packed_columns(m)))
+        return [c % p for c in field.unpack(total, _slot_width(field, m.nrows, m.ncols), m.nrows)]
     if field.int_modulus is not None:
-        if m.int_expansion is None:
-            m.int_expansion = field.int_expansion(m.raw_rows)
-        return field.int_mat_apply(m.int_expansion, v)
+        if m.int_form is None:
+            m.int_form = field.int_expansion(m.raw_rows)
+        return field.int_mat_apply(m.int_form, v)
     reduce, zero = field.reduce, field.raw_zero
     return [reduce(sum(map(operator.mul, row, v), zero)) for row in m.raw_rows]
 

@@ -252,7 +252,7 @@ def _build_fold_table(field, f: Polynomial):
     built from f's fold table and kept as ``f.fold_table``. The table is W,
     the mask 2^(dW) - 1 of the d low slots, and the rows X^(d+k) mod f
     packed, for k = 0..d-2. W is ``field.slot_width`` of 2d p^2, the bound
-    of every sum: one 64-bit word while that fits, else its bit length.
+    of every sum, rounded up to whole 64-bit words.
     Each row comes from the one before by one shift and one fold of
     X^d = -(f_0 + ... + f_(d-1) X^(d-1)), every value reduced."""
     d, p = f.degree, field.raw_int_bound

@@ -18,7 +18,8 @@ and once per sum, and boxes its results once; its inner updates call no
 hook. ``raw_int_bound`` is p when the raw values are ints reduced mod p,
 else None; :class:`PrimeField`'s one codec, ``pack`` and ``unpack``,
 writes a sequence of them as the slots of one int, on which
-``raw_mul_mod`` multiplies and ``rref`` eliminates.
+``raw_mul_mod`` multiplies, and in which a matrix over F_p keeps its
+columns for the dot product and ``rref``.
 ``int_modulus`` is None but on an extension of F_p or QQ, whose multiply,
 dot product and elimination run on ground ints (:mod:`kummerkit.tower`),
 as ``rref`` over QQ does. Only the ground fields write elements as ints:
@@ -355,33 +356,34 @@ class PrimeField:
     @staticmethod
     def slot_width(bound: int) -> int:
         """The width W of a slot of ``pack`` that holds every int in
-        [0, bound]: one 64-bit word, which ``pack`` and ``unpack`` move
-        whole, while bound fits in one, else bound's bit length."""
-        return max(64, bound.bit_length())
+        [0, bound]: bound's bit length rounded up to whole 64-bit words,
+        which ``pack`` and ``unpack`` move whole."""
+        return max(1, -(-bound.bit_length() // 64)) * 64
 
     @staticmethod
     def pack(values, width: int) -> int:
         """The int sum(values[i] << i*width) of ints in [0, 2^width), one
-        slot each (Kronecker substitution): through an array of 64-bit
-        words when width is 64, else shift by shift. A negative value would
+        slot each (Kronecker substitution), width a multiple of 64: through
+        an array of 64-bit words when width is 64, else through the bytes
+        of each value, in one pass either way. A negative value would
         borrow from the slot above it, and a value of 2^width or more
         overflow into it, so the callers pack raw values reduced mod p and
         keep every later sum in a slot nonnegative and below its bound."""
         if width == 64:
             return int.from_bytes(array("Q", values), sys.byteorder)
-        n = 0
-        for c in reversed(values):
-            n = n << width | c
-        return n
+        size = width // 8
+        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in values]), "little")
 
     @staticmethod
     def unpack(n: int, width: int, count: int) -> list:
         """The count slots of ``pack``'s int n, lowest first, as a list of
-        ints, unreduced; n < 2^(count*width)."""
+        ints, unreduced; n < 2^(count*width). Through the bytes of n, in
+        one pass, as ``pack``."""
         if width == 64:
             return array("Q", n.to_bytes(8 * count, sys.byteorder)).tolist()
-        mask = (1 << width) - 1
-        return [n >> shift & mask for shift in range(0, count * width, width)]
+        size, from_bytes = width // 8, int.from_bytes
+        data = n.to_bytes(size * count, "little")
+        return [from_bytes(data[i : i + size], "little") for i in range(0, size * count, size)]
 
     def to_ints(self, elements) -> tuple[list[int], int]:
         """(ints, 1): the elements' values, over 1."""

@@ -39,7 +39,7 @@ into one int each (Kronecker substitution) and folds the high slots back
 with the modulus's fold table, which also fixes the slot width.
 ``raw_product`` is the schoolbook loop over every field, checked against
 ``oracle_raw_product`` on the same inputs. The packed tests run at p in
-``PACKED_PRIMES``, whose slots span one 64-bit word up to about 170 bits,
+``PACKED_PRIMES``, whose slots span one 64-bit word up to three,
 and d up to 128: at the largest slot load (every operand coefficient and
 every low coefficient of f equal to p - 1), on a zero operand, on a square
 (one operand twice) and on the sparse base X. A namespace with the modulus
@@ -48,7 +48,10 @@ F_p[X]/(f) and a degree-128 field would spend seconds on its Rabin test.
 ``substitution_matrix`` is checked the same way at p = 2, 7681 and the
 81-bit ``WIDE_P`` and d up to 64, and counted: d - 1 multiplies mod f, no
 dot product and no fold table of its own; the Rabin test after it makes
-d - 1 Frobenius steps.
+d - 1 Frobenius steps. Those steps are packed dot products on Q's packed
+columns, which a counting test finds built once in a whole certify over
+F_p: the n eigen kernels shift them. The slot codec round-trips slots of
+one, two and three 64-bit words.
 
 Over an extension base K = ground[t]/(g), ``raw_mul_mod`` multiplies and
 folds the ground coordinates as ints. Its property draws K among
@@ -103,6 +106,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummerkit.cli import main
+from kummerkit.families import frobenius_family
+from kummerkit.kummer import certify
 from kummerkit.errors import DimensionMismatch, DivisionByZero, NotInvertible
 from kummerkit.linalg import (
     Matrix,
@@ -738,6 +743,50 @@ def test_substitution_matrix_makes_d_minus_1_multiplies_mod_f(p, d, fold_tables,
     assert substitution_matrix(field, f, x_to_p) == q_matrix
     assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": 0}
     assert fold_tables == [f.coeffs]
+
+
+@pytest.mark.parametrize("width", (64, 128, 192))
+def test_the_slot_codec_round_trips_whole_words(width):
+    # a slot is whole 64-bit words; one of k words goes through its bytes
+    top = (1 << width) - 1
+    rng = random.Random(width)
+    for values in ([], [0], [top], [0, top, 0], [top] * 9, [rng.randrange(top + 1) for _ in range(33)] + [0, top]):
+        n = PrimeField.pack(values, width)
+        assert n == sum(v << i * width for i, v in enumerate(values))
+        assert PrimeField.unpack(n, width, len(values)) == values
+    assert PrimeField.unpack(PrimeField.pack([top, 5], width), width, 4) == [top, 5, 0, 0]
+    assert PrimeField.slot_width(top) == width and PrimeField.slot_width(top + 1) == width + 64
+    assert PrimeField.slot_width(0) == 64
+
+
+@pytest.mark.parametrize("p,n", [(97, 16), (17, 8), (13, 4), (5, 1)])
+def test_a_certify_over_fp_packs_q_once(p, n, monkeypatch):
+    # the Rabin test's d - 1 Frobenius steps pack Q's columns on the first
+    # and keep them; the n eigen kernels shift the kept columns, and each
+    # elimination runs on its kernel's: no other matrix is packed
+    base = PrimeField(p)
+    modulus = frobenius_family(base, n).ext_field.modulus  # its search packs other moduli's Q
+    packed, calls = [], {"raw_mat_apply": 0, "rref": 0}
+    pack_columns = linalg._pack_columns
+
+    def counting_pack(field, rows, ncols):
+        packed.append((len(rows), ncols))
+        return pack_columns(field, rows, ncols)
+
+    monkeypatch.setattr(linalg, "_pack_columns", counting_pack)
+    for name in calls:
+
+        def counting(*args, name=name, fn=getattr(linalg, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    inp = frobenius_family(base, n, modulus)
+    assert calls == {"raw_mat_apply": n - 1, "rref": 0}
+    assert packed == ([(n, n)] if n > 1 else [])
+    cert = certify(inp)
+    assert cert.is_valid() and calls == {"raw_mat_apply": n - 1, "rref": n}
+    assert packed == [(n, n)] and inp.ext_field.frobenius.int_form is not None
 
 
 # -- the multiply over an extension base, on ground ints ------------------------

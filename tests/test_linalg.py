@@ -567,6 +567,134 @@ def test_nullspace_and_dependency_over_fp_run_on_the_packed_elimination(case):
         assert all((sum(c.value * col[i] for c, col in zip(got, columns)) % p) == 0 for i in range(len(rows)))
 
 
+# -- the packed columns over F_p: elimination, shift and dot product -----------
+
+WORD_P = 4294967291  # the largest prime below 2^32: (p - 1)^2 fills one word, a sum of two needs two
+COLUMN_PRIMES = ELIMINATION_PRIMES + (WORD_P,)
+
+
+@st.composite
+def fp_matrices_to_eliminate(draw):
+    """(p, rows, ncols): up to 9 x 9 raw rows over F_p, of one of four
+    kinds: entries anywhere in [-3p, 3p]; rows whose first columns are zero
+    in the top rows, so that pivots come from lower rows and the slot
+    permutation swaps them; combinations of at most two drawn rows,
+    rank-deficient; or a square matrix of canonical entries whose diagonal
+    is raised by p - z for a z in [1, p - 1], entries up to 2p - 2, as
+    adding p - zeta^i shifts an eigen kernel's diagonal."""
+    p = draw(st.sampled_from(COLUMN_PRIMES))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["raw", "swaps", "low rank", "shifted diagonal"]))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1, -1, -p, p]), st.integers(-3 * p, 3 * p))
+    row_of = st.lists(entry, min_size=ncols, max_size=ncols)
+    if kind == "raw":
+        rows = draw(st.lists(row_of, min_size=nrows, max_size=nrows))
+    elif kind == "swaps":
+        rows = draw(st.lists(row_of, min_size=nrows, max_size=nrows))
+        lead, top = draw(st.integers(0, ncols)), draw(st.integers(0, nrows))
+        for row in rows[:top]:
+            row[:lead] = [p * draw(st.integers(-1, 1)) for _ in range(lead)]
+    elif kind == "low rank":
+        basis = draw(st.lists(row_of, min_size=1, max_size=2))
+        rows = []
+        for _ in range(nrows):
+            scales = draw(st.lists(st.integers(-p, p), min_size=len(basis), max_size=len(basis)))
+            rows.append([sum(k * b[j] for k, b in zip(scales, basis)) for j in range(ncols)])
+    else:
+        ncols = nrows
+        canonical = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        rows = draw(st.lists(st.lists(canonical, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+        z = draw(st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1)))
+        for j, row in enumerate(rows):
+            row[j] += p - z
+    return p, rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices_to_eliminate())
+def test_column_elimination_matches_the_loop_with_inverses(case):
+    # rref over F_p eliminates a copy of the matrix's kept packed columns,
+    # and the rows-in entry packs the columns of the rows it is given
+    p, rows, ncols = case
+    field = PrimeField(p)
+    oracle = [list(row) for row in rows]
+    pivots = linalg._rref_with_inverses(field, oracle, ncols)
+    m = Matrix._of_raw(field, [list(row) for row in rows])
+    got = rref(m)
+    assert got.pivots == pivots and got.rank == len(pivots)
+    assert reduced(got.matrix.raw_rows, p) == reduced(oracle, p)
+    assert all(a >= 0 for row in got.matrix.raw_rows for a in row)
+    assert all(got.matrix.raw_rows[r][c] == 1 for r, c in enumerate(pivots))
+    assert m.raw_rows == tuple(map(list, rows)) and m.int_form == linalg._pack_columns(field, rows, ncols)
+    assert rref(m) == got  # the kept form is eliminated again, unchanged
+    packed = [list(row) for row in rows]
+    assert linalg._rref_packed(field, packed, ncols) == pivots
+    assert packed == [list(row) for row in got.matrix.raw_rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_shifted_matrix_keeps_canonical_packed_columns(data):
+    # M - z I takes its packed columns from M's, one add per column, and
+    # they are those of its raw rows packed afresh: every slot canonical,
+    # for z anywhere in [-2p, 2p], whether M's form was built before or not
+    p = data.draw(st.sampled_from(COLUMN_PRIMES), label="p")
+    n = data.draw(st.integers(0, 9), label="n")
+    entry = st.one_of(st.sampled_from([0, 1, p - 1, -1, -p, p]), st.integers(-3 * p, 3 * p))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), label="rows")
+    z = data.draw(st.one_of(st.sampled_from([0, 1, p - 1, p, -1]), st.integers(-2 * p, 2 * p)), label="z")
+    field = PrimeField(p)
+    m = Matrix._of_raw(field, rows)
+    if data.draw(st.booleans(), label="form built first"):
+        linalg.raw_mat_apply(m, [1] * n)
+    shifted = m.shifted(z)
+    expected = [[a - z if i == j else a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+    assert shifted.raw_rows == tuple(expected) and m.raw_rows == tuple(rows)
+    assert shifted.int_form == linalg._pack_columns(field, expected, n)
+    assert m.int_form == linalg._pack_columns(field, rows, n)
+    oracle = [list(row) for row in expected]
+    pivots = linalg._rref_with_inverses(field, oracle, n)
+    assert rref(shifted).pivots == pivots
+    assert nullspace(shifted) == nullspace(Matrix(field, expected))
+    v = data.draw(st.lists(entry, min_size=n, max_size=n), label="v")
+    assert linalg.raw_mat_apply(shifted, v) == [sum(a * b for a, b in zip(row, v)) % p for row in expected]
+
+
+def test_shifted_matches_the_full_shift_over_every_field():
+    k = quadratic_field(13)
+    cases = [
+        (F13, [[1, 2, 3], [4, 5, 6], [7, 8, 9]], 5),
+        (QQ, [[Fraction(1, 2), 2, 0], [0, -1, 3], [Fraction(5, 7), 0, 1]], Fraction(-1, 3)),
+        (k, [[k.gen(), 1, 0], [2, k.gen() + 3, 1], [0, 0, k.one()]], k.gen() + 1),
+    ]
+    for field, rows, lam in cases:
+        m = Matrix(field, rows)
+        got = m.shifted(field.unbox([field.coerce(lam)])[0])
+        assert got == shift(m, lam)
+        assert nullspace(got) == nullspace(shift(m, lam))
+    with pytest.raises(DimensionMismatch):
+        Matrix(F13, [[1, 2]]).shifted(1)
+
+
+@pytest.mark.parametrize("p", COLUMN_PRIMES)
+def test_packed_dot_product_matches_the_sum_of_products(p):
+    # sum v_j C_j on the packed columns against the sum of products: d = 1,
+    # a zero vector, every entry p - 1 (the largest slot sums), unreduced
+    # and negative raw values on both sides, square and not
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for nrows, ncols in [(1, 1), (1, 6), (6, 1), (2, 2), (5, 3), (16, 16), (40, 40)]:
+        heaviest = [[p - 1] * ncols for _ in range(nrows)]
+        raw = [[rng.choice([0, 1, p - 1, -1, 3 * p - 1, rng.randrange(-3 * p, 3 * p)]) for _ in range(ncols)]
+               for _ in range(nrows)]
+        for rows in (heaviest, raw):
+            m = Matrix._of_raw(field, rows)
+            vectors = ([0] * ncols, [p - 1] * ncols, [rng.randrange(-3 * p, 3 * p) for _ in range(ncols)])
+            for v in vectors:
+                assert linalg.raw_mat_apply(m, v) == [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+            assert m.int_form == linalg._pack_columns(field, rows, ncols)
+
+
 def quadratic_field(p: int) -> ExtensionField:
     """F_p[t]/(g) for an irreducible g of degree 2: t^2 + t + 1 over F_2,
     else t^2 - a for the least non-residue a."""
