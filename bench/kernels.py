@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_30.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_31.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -43,7 +43,10 @@ irreducible), whose coefficients are all nonzero:
   Frobenius step of the Rabin test and one application of sigma's matrix
   when sigma is the Frobenius, on a Q applied once before, so that a tree
   that keeps an int form of Q has built it;
-* ``default_modulus``: the lex-first irreducible of degree n over F_p.
+* ``default_modulus``: the lex-first irreducible of degree n over F_p. Its
+  row also gives ``candidates``, the number of moduli the search tests up
+  to the winner, read off the winner's place in the search order once,
+  outside the timed rounds, after every tree has returned the same one.
 
 Six more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
 cubic over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a
@@ -89,7 +92,7 @@ from pathlib import Path
 WIDE_P = 2417851639229258349405569  # prime, 1 mod 128, 81 bits: slots wider than one word
 GRID = [(1201, d) for d in (2, 4, 8, 16)] + [(p, d) for p in (7681, WIDE_P) for d in (2, 4, 8, 16, 32, 64, 128)]
 QUICK_GRID = [(7681, 2), (7681, 4), (WIDE_P, 4)]
-MODULUS_CASES = [(12289, 64)]
+MODULUS_CASES = [(12289, 64), (7681, 32), (7681, 128)]
 QUICK_MODULUS_CASES = [(97, 8)]
 TOWER_A = {1: 7, 20: 10**19 + 9, 40: 10**39 + 3}  # digits: a
 TOWER_CASES = [(family, digits) for family in ("cubic", "quartic") for digits in TOWER_A]
@@ -277,6 +280,21 @@ def default_modulus_calls(kk, p: int, n: int):
     return lambda k: [kk.families.default_modulus(field, n) for _ in range(k)]
 
 
+def candidate_count(trees: list, p: int, n: int) -> int:
+    """The candidates that ``default_modulus`` tests over F_p at degree n:
+    the winner's place in the search order plus one. The search steps the
+    coefficient tuple (c_0, ..., c_(n-1)) like an odometer, the last
+    coordinate fastest, from c_0 = 1 for n >= 2 (0 for n = 1); every tree
+    must find the same winner."""
+    winners = {tuple(c.value for c in kk.families.default_modulus(kk.scalars.PrimeField(p), n).modulus.coeffs) for _, kk in trees}
+    assert len(winners) == 1, f"the trees' moduli over F_{p} of degree {n} differ"
+    (winner,) = winners
+    place = winner[0] - (0 if n == 1 else 1)
+    for c in winner[1:n]:
+        place = place * p + c
+    return place + 1
+
+
 def tower_kernels(kk, family: str, digits: int) -> list:
     """The TOWER_KERNELS of one tree, as functions of k, for Shanks' cubic
     over QQ(zeta_3) or the simplest quartic over QQ(i) at TOWER_A[digits]."""
@@ -339,7 +357,8 @@ def results(trees: list, quick: bool) -> list:
         per_tree = [kernels(kk, p, d) for _, kk in trees]
         cases += [(name, {"p": p, "d": d}, [calls[j] for calls in per_tree]) for j, name in enumerate(FP_KERNELS)]
     for p, n in QUICK_MODULUS_CASES if quick else MODULUS_CASES:
-        cases.append(("default_modulus", {"p": p, "d": n}, [default_modulus_calls(kk, p, n) for _, kk in trees]))
+        case = {"p": p, "d": n, "candidates": candidate_count(trees, p, n)}
+        cases.append(("default_modulus", case, [default_modulus_calls(kk, p, n) for _, kk in trees]))
     for family, digits in QUICK_TOWER_CASES if quick else TOWER_CASES:
         per_tree = [tower_kernels(kk, family, digits) for _, kk in trees]
         case = {"family": family, "a_digits": digits}

@@ -6,18 +6,18 @@ root of unity in F_p). One hard-coded characteristic-0 instance exercises
 the nested tower: the degree-3 extension K[X]/(X^3 - 3X + 1) of
 K = QQ[t]/(t^2 + t + 1), whose generating automorphism sends the generator
 alpha to alpha^2 - 2. The constructors re-check nothing that is proven
-elsewhere: the Frobenius family's modulus passes the Rabin test once, when
-its field is built (the default modulus is found by building the field of
-each candidate), and validate_setup proves every hypothesis on every use,
+elsewhere: the Frobenius family's modulus passes the Rabin test once (the
+default modulus's test is the search's, whose answer its field reads), and
+validate_setup proves every hypothesis on every use,
 the cubic's f(alpha^2 - 2) = 0 included, reading them off the Rabin proof
 when the image is X^p mod f.
 """
 
 from __future__ import annotations
 
-from .errors import ReducibleModulus, ValidationError
+from .errors import ValidationError
 from .kummer import CyclicExtensionInput
-from .polynomials import Polynomial
+from .polynomials import Polynomial, rabin_frobenius
 from .scalars import PrimeField, RationalField, find_nth_root_of_unity
 from .tower import ExtensionField
 from . import serialize
@@ -27,21 +27,21 @@ def default_modulus(field: PrimeField, n: int) -> ExtensionField:
     """The field F_p[X]/(f) for f the first monic irreducible of degree n,
     in lexicographic order of the coefficient tuple (c_0, ..., c_{n-1}).
 
-    Each candidate is tried by building its field, whose Rabin test either
-    raises ReducibleModulus or is the proof the returned field keeps, so
-    the winning modulus is tested once. Tuples with c_0 = 0 are skipped for
-    n >= 2: they all have the root 0, so the lex-first irreducible never
-    lies among them. The tuples are stepped through like an odometer, the
-    last coordinate turning fastest, so no range of p values is ever held
-    in memory.
+    Each candidate is tried by ``rabin_frobenius`` alone, with no field
+    built and nothing raised for a reducible one. The winner's field is
+    built once, and reads the answer that its test recorded on it as its
+    proof, so the winning modulus is tested once. Tuples with c_0 = 0 are
+    skipped for n >= 2: they all have the root 0, so the lex-first
+    irreducible never lies among them. The tuples are stepped through like
+    an odometer, the last coordinate turning fastest, so no range of p
+    values is ever held in memory.
     """
     p = field.p
     digits = [0 if n == 1 else 1] + [0] * (n - 1)
     while True:
-        try:
-            return ExtensionField(field, Polynomial(field, digits + [1]))
-        except ReducibleModulus:
-            pass
+        f = Polynomial._of(field, field.box(digits + [1]))
+        if rabin_frobenius(f) is not None:
+            return ExtensionField(field, f)
         k = n - 1
         while digits[k] == p - 1:
             if k == 0:

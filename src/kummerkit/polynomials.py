@@ -23,9 +23,13 @@ class Polynomial:
     ``fold_table`` is None until ``mul_mod`` first reduces by this
     polynomial over F_p; it then holds the packed multiply mod this
     polynomial, made once from its fold table, the packed X^(d+k) mod f,
-    which every later multiply mod it reuses (``_build_fold_table``)."""
+    which every later multiply mod it reuses (``_build_fold_table``).
+    ``rabin`` is None until ``rabin_frobenius`` first tests this polynomial;
+    it then holds the test's answer, (Q, X^p mod f) when it is irreducible
+    and False when it is not, which ``ExtensionField`` reads in place of a
+    second test."""
 
-    __slots__ = ("field", "coeffs", "fold_table")
+    __slots__ = ("field", "coeffs", "fold_table", "rabin")
 
     def __init__(self, field, coeffs=()):
         coeffs = [field.coerce(c) for c in coeffs]
@@ -34,6 +38,7 @@ class Polynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "fold_table", None)
+        object.__setattr__(self, "rabin", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -48,6 +53,7 @@ class Polynomial:
         object.__setattr__(poly, "field", field)
         object.__setattr__(poly, "coeffs", tuple(coeffs))
         object.__setattr__(poly, "fold_table", None)
+        object.__setattr__(poly, "rabin", None)
         return poly
 
     @classmethod
@@ -194,7 +200,7 @@ def raw_product(field, a, b) -> list:
 def mul_mod(field, f: Polynomial):
     """The only multiply mod a monic f of degree d, made ready for f: a
     function of two sequences of d canonical raw values, which gives their
-    product mod f as d canonical raw values. ``poly_pow_mod`` makes it once
+    product mod f as d canonical raw values. ``raw_pow_mod`` makes it once
     per power, ``raw_mul_mod`` once per product.
 
     Over F_p (``field.raw_int_bound`` is p) it is the only packed product
@@ -360,33 +366,60 @@ def _minus_product(field, c, a, b) -> list:
     return [field.reduce(x) for x in out]
 
 
-def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
-    """base^e reduced mod a monic modulus; the only residue power.
+def raw_pow_mod(field, base, e: int, f: Polynomial) -> list:
+    """base^e mod a monic f of degree d, on raw values: base and the result
+    are the d canonical raw values of a residue. The only residue-power
+    loop: left to right through one ``mul_mod`` made for f, from the bit
+    below the top bit of e down, square, and on a set bit multiply by base.
+    Over F_p every square is one packed multiply and one fold by f's fold
+    table, which the first power builds and every later power or E multiply
+    mod f reuses; over an extension of F_p or QQ it is one product and one
+    fold on the ground coordinates as ints, f flattened once per power.
 
-    Left to right through one ``mul_mod`` made for the modulus, on the d
-    raw values of base mod the modulus, unboxed once: from the bit below
-    the top bit of e down, square, and on a set bit multiply by base. The
-    result is boxed once, at the end. Over F_p every step is one packed
-    multiply and one fold by the modulus's fold table, which the first
-    power builds and every later power or E multiply mod the same modulus
-    reuses; over an extension of F_p or QQ it is one product and one fold
-    on the ground coordinates as ints, the modulus flattened once per power.
-    """
+    When base is X (d >= 2), a multiply by base is a shift: the d values
+    move up one place and the one that leaves, times X^d = -(f_0 + ... +
+    f_(d-1) X^(d-1)), is folded back, O(d) work and no product; and the
+    loop starts from X^m, m the longest run of top bits of e with m < d,
+    which is a monomial and needs neither. X^p, which the Rabin test
+    computes for every candidate modulus, is then about log2(p/d) squares
+    and one shift per set bit of p below them."""
+    d = f.degree
+    if not e:
+        return field.unbox([field.one()]) + [field.raw_zero] * (d - 1)
+    mul = mul_mod(field, f)
+    times_base, result, done = mul, base, 1  # result is base^m, m the top done bits of e
+    if d >= 2 and not base[0] and base[1:] == field.unbox([field.one()]) + [field.raw_zero] * (d - 2):
+        zero, low, reduce = field.raw_zero, field.unbox(f.coeffs[:d]), field.reduce
+
+        def times_base(_, r) -> list:
+            lead = r[-1]
+            return [reduce(c - lead * y) for c, y in zip([zero, *r[:-1]], low)]
+
+        while done < e.bit_length() and e >> (e.bit_length() - done - 1) < d:
+            done += 1  # X^m is a monomial while m < d
+        result = [zero] * d
+        result[e >> (e.bit_length() - done)] = base[1]
+    for bit in bin(e)[2 + done :]:
+        result = mul(result, result)
+        if bit == "1":
+            result = times_base(base, result)
+    return result
+
+
+def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
+    """base^e reduced mod a monic modulus: ``raw_pow_mod`` on the d raw
+    values of base mod the modulus, unboxed once, and the result boxed
+    once, as ``raw_mul_mod`` and ``raw_euclid`` pair with their boxed
+    callers."""
     if modulus.degree < 1 or not modulus.is_monic():
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
     if e < 0:
         raise ValueError("negative exponent")
-    field, d = base.field, modulus.degree
+    field = base.field
     if not e:
         return Polynomial.one(field)
-    base = field.unbox((base % modulus).padded(d))
-    mul = mul_mod(field, modulus)
-    result = base
-    for bit in bin(e)[3:]:
-        result = mul(result, result)
-        if bit == "1":
-            result = mul(base, result)
-    return Polynomial._of(field, field.box(result))
+    raw = raw_pow_mod(field, field.unbox((base % modulus).padded(modulus.degree)), e, modulus)
+    return Polynomial._of(field, field.box(raw))
 
 
 @functools.cache
@@ -441,15 +474,18 @@ def cyclotomic_index(g: Polynomial) -> int | None:
 def is_irreducible_mod_p(f: Polynomial) -> bool:
     """Rabin irreducibility test over a prime field (``rabin_frobenius``).
 
-    The package never calls it: a modulus is proven by building its
-    ExtensionField, which keeps the Rabin test's Frobenius matrix, so a
-    separate yes/no test would only repeat it."""
+    The package never calls it: a modulus is proven by ``rabin_frobenius``,
+    whose answer, the Frobenius matrix included, its ExtensionField keeps,
+    so a separate yes/no test would only repeat it."""
     return rabin_frobenius(f) is not None
 
 
 def rabin_frobenius(f: Polynomial):
     """(Q, the d coordinates of X^p mod f as a tuple) for f irreducible
     over a prime field, else None; Q is the Rabin test's Frobenius matrix.
+    The answer is recorded on f as ``f.rabin`` (False for None), where
+    ``ExtensionField`` reads it, so a modulus found by a search is tested
+    once.
 
     f of degree d is irreducible iff X^(p^d) = X mod f and, for every prime
     q dividing d, gcd(X^(p^(d/q)) - X, f) = 1 (Rabin 1980).
@@ -461,11 +497,20 @@ def rabin_frobenius(f: Polynomial):
     The powers X^(p^k) come from iterating Frobenius as a linear map (Gao &
     Panario, 1997). Over F_p, g(X)^p = g(X^p) for every g, so g -> g^p mod f
     is the matrix Q whose column j is X^(j*p) mod f, the substitution matrix
-    of X^p mod f ([[1]] when d = 1), which one ``poly_pow_mod`` finds. Then
+    of X^p mod f ([[1]] when d = 1). X^p mod f is one ``raw_pow_mod`` of the
+    raw values of X mod f, whose multiplies by X are shifts. Then
     X^(p^k) = Q^(k-1) X^p costs one d x d ``raw_mat_apply`` per k >= 2, d - 1
     in all; each gcd test (the root test at k = 1, and k = d/q as the loop
-    reaches it) is one ``raw_euclid``, all on raw values.
+    reaches it) is one ``raw_euclid``, and the last power is compared with
+    X mod f, all on raw values: only X^p, for Q, is boxed.
     """
+    answer = _rabin_test(f)
+    object.__setattr__(f, "rabin", answer or False)
+    return answer
+
+
+def _rabin_test(f: Polynomial):
+    """``rabin_frobenius``'s answer, not yet recorded."""
     from .linalg import raw_mat_apply, substitution_matrix  # linalg imports this module
 
     if not isinstance(f.field, PrimeField):
@@ -480,17 +525,18 @@ def rabin_frobenius(f: Polynomial):
     def coprime(power) -> bool:  # gcd(power - X, f) = 1, for d >= 2 raw values
         return len(raw_euclid(field, [power[0], power[1] - 1, *power[2:]], raw_f)[0]) == 1
 
-    x_to_p = poly_pow_mod(Polynomial.x(field), field.p, f).padded(d)
-    power = field.unbox(x_to_p)  # X^(p^k) mod f, from k = 1
+    x = raw_divmod(field, [0, 1], raw_f)[1]  # X mod f: [0, 1, 0, ...], or [-f_0] when d = 1
+    x += [0] * (d - len(x))
+    power = raw_pow_mod(field, x, field.p, f)  # X^(p^k) mod f, from k = 1
     if d >= 2 and not coprime(power):
         return None
+    x_to_p = tuple(field.box(power))
     q_matrix = substitution_matrix(field, f, x_to_p)
     tested = {d // q for q in prime_factors(d)} - {1}
     for k in range(2, d + 1):
         power = raw_mat_apply(q_matrix, power)
         if k in tested and not coprime(power):
             return None
-    x = field.unbox((Polynomial.x(field) % f).padded(d))
     return (q_matrix, x_to_p) if power == x else None
 
 

@@ -45,9 +45,11 @@ class ExtensionField(IdentityHooks):
     runs: the field records the witness as ``kummer_witness``, (x's
     coordinates, x^n), and builds Q from ``frobenius_image`` when
     ``frobenius`` is first read. Otherwise
-    ``kummer_witness`` is None and the Rabin test runs, which raises
-    ReducibleModulus on a reducible modulus and keeps its Q. Both ways give
-    the same field, with the same ``frobenius_image`` and Q.
+    ``kummer_witness`` is None and the Rabin test's answer is read, which
+    raises ReducibleModulus on a reducible modulus and keeps its Q: the
+    answer already recorded on the modulus (``Polynomial.rabin``), as by a
+    search that tested it, else a test run here. Both ways give the same
+    field, with the same ``frobenius_image`` and Q.
 
     A modulus over another base, not proven irreducible, is accepted as
     asserted: a reducible one surfaces only when a division meets a zero
@@ -76,8 +78,8 @@ class ExtensionField(IdentityHooks):
             if proof is not None:
                 frobenius_image, kummer_witness = proof
             else:
-                rabin = rabin_frobenius(modulus)
-                if rabin is None:
+                rabin = modulus.rabin if modulus.rabin is not None else rabin_frobenius(modulus)
+                if not rabin:
                     raise ReducibleModulus(f"{modulus} is reducible over {base}")
                 frobenius, frobenius_image = rabin
         object.__setattr__(self, "base", base)

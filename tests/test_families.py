@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from kummerkit import cli, polynomials, tower
+from kummerkit import cli, errors, families, polynomials, tower
 from kummerkit.errors import NoPrimitiveRoot, NotPrime, ParseError, ReducibleModulus, SchemaViolation, ValidationError
 from kummerkit.families import (
     builtin_cubic_over_eisenstein,
@@ -72,8 +72,9 @@ class TestDefaultModulus:
 
 class TestOneRabinTestPerCandidate:
     """On the default-modulus path the Rabin test runs once per candidate,
-    the winning modulus included: default_modulus returns the field that
-    the winner's test built, and frobenius_family and the CLI use it."""
+    the winning modulus included: default_modulus tests each candidate
+    itself and builds the winner's field on the answer its test recorded,
+    and frobenius_family and the CLI use that field."""
 
     PAIRS = [(97, 16), (13, 4), (5, 1), (263, 2), (1993, 3), (1171, 5), (449, 7), (2081, 8)]
 
@@ -85,7 +86,7 @@ class TestOneRabinTestPerCandidate:
             tested.append(tuple(c.value for c in f.coeffs))
             return rabin_frobenius(f)
 
-        for owner in (polynomials, tower):
+        for owner in (polynomials, tower, families):
             monkeypatch.setattr(owner, "rabin_frobenius", counting)
         return tested
 
@@ -125,6 +126,29 @@ class TestOneRabinTestPerCandidate:
         assert cli.main(["finite", "--p", str(p), "--n", str(n), "--format", "json", "--out", str(out)]) == 0
         modulus = tuple(map(int, json.loads(out.read_text())["input"]["modulus"]))
         assert tested == self.candidates_up_to(p, modulus)
+
+
+@pytest.mark.parametrize("p,n", [(263, 2), (2081, 8), (97, 16)])
+def test_a_default_modulus_request_builds_one_field_and_raises_nothing(monkeypatch, tmp_path, p, n):
+    # rejected candidates cost neither a field nor a ReducibleModulus
+    built, raised = [], []
+    init, reducible = tower.ExtensionField.__init__, errors.ReducibleModulus.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    def counting_reducible(self, *args):
+        raised.append(args)
+        reducible(self, *args)
+
+    monkeypatch.setattr(tower.ExtensionField, "__init__", counting_init)
+    monkeypatch.setattr(errors.ReducibleModulus, "__init__", counting_reducible)
+    out = tmp_path / "cert.json"
+    assert cli.main(["finite", "--p", str(p), "--n", str(n), "--format", "json", "--out", str(out)]) == 0
+    modulus = [int(c) for c in json.loads(out.read_text())["input"]["modulus"]]
+    assert [[c.value for c in f.coeffs] for f in built] == [modulus]
+    assert raised == []
 
 
 class TestFrobeniusFamily:

@@ -765,7 +765,9 @@ def test_a_certify_over_fp_packs_q_once(p, n, monkeypatch):
     # and keep them; the n eigen kernels shift the kept columns, and each
     # elimination runs on its kernel's: no other matrix is packed
     base = PrimeField(p)
-    modulus = frobenius_family(base, n).ext_field.modulus  # its search packs other moduli's Q
+    # its search packs other moduli's Q; a fresh copy of the found modulus,
+    # as a request's --modulus is parsed, carries no recorded Rabin answer
+    modulus = Polynomial(base, frobenius_family(base, n).ext_field.modulus.coeffs)
     packed, calls = [], {"raw_mat_apply": 0, "rref": 0}
     pack_columns = linalg._pack_columns
 

@@ -27,17 +27,20 @@ from kummerkit.polynomials import (
     cyclotomic_index,
     cyclotomic_polynomial,
     is_irreducible_mod_p,
+    mul_mod,
     poly_divmod,
     poly_gcd,
     poly_gcd_extended,
     poly_pow_mod,
     rabin_frobenius,
+    raw_pow_mod,
 )
 from kummerkit.scalars import PrimeField, RationalField, prime_factors
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
 QQ = RationalField()
+WIDE_P = 2417851639229258349405569  # prime, 81 bits: slots wider than one word
 
 
 # -- int-tuple oracle arithmetic (mod p), independent of the package --------
@@ -84,6 +87,16 @@ def o_irreducible(f, p):
             if not o_divmod(f, g, p)[1]:
                 return False
     return deg >= 1
+
+
+def o_pow_mod(base, e, f, p):
+    """base^e mod f by square and multiply, each step reduced by o_divmod."""
+    result = o_divmod((1,), f, p)[1]
+    for bit in bin(e)[2:]:
+        result = o_divmod(o_mul(result, result, p), f, p)[1]
+        if bit == "1":
+            result = o_divmod(o_mul(result, base, p), f, p)[1]
+    return result
 
 
 def as_ints(poly):
@@ -493,6 +506,88 @@ class TestPowMod:
         lhs = poly_pow_mod(b, e1 + e2, f)
         rhs = (poly_pow_mod(b, e1, f) * poly_pow_mod(b, e2, f)) % f
         assert lhs == rhs
+
+
+@st.composite
+def power_cases(draw):
+    """(p, monic f of degree 1 to 24 as an int tuple, e): p in {2, 3, 13,
+    7681, WIDE_P}, and e 0, 1, 2, p or below 2^70."""
+    p = draw(st.sampled_from([2, 3, 13, 7681, WIDE_P]))
+    d = draw(st.integers(1, 24))
+    f = tuple(draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))) + (1,)
+    e = draw(st.one_of(st.sampled_from([0, 1, 2, p]), st.integers(0, 2**70 - 1)))
+    return p, f, e
+
+
+class TestRawPowMod:
+    """``raw_pow_mod`` against the schoolbook oracle: X's set bits are shifts,
+    any other base's are products."""
+
+    @staticmethod
+    def padded(values, d):
+        return list(values) + [0] * (d - len(values))
+
+    @given(power_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_x_to_e_with_shifts(self, case):
+        p, f, e = case
+        d, field = len(f) - 1, PrimeField(p)
+        x = o_divmod((0, 1), f, p)[1]
+        got = raw_pow_mod(field, self.padded(x, d), e, Polynomial(field, f))
+        assert got == self.padded(o_pow_mod(x, e, f, p), d)
+
+    @given(power_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_another_base_with_products(self, case, rng):
+        p, f, e = case
+        d, field = len(f) - 1, PrimeField(p)
+        base = o_trim(rng.randrange(p) for _ in range(d))
+        modulus = Polynomial(field, f)
+        got = raw_pow_mod(field, self.padded(base, d), e, modulus)
+        assert got == self.padded(o_pow_mod(base, e, f, p), d)
+        assert as_ints(poly_pow_mod(Polynomial(field, base), e, modulus)) == o_pow_mod(base, e, f, p)
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (13, 5), (7681, 16), (WIDE_P, 8)])
+    def test_a_power_of_x_makes_products_past_degree_d_only(self, p, d):
+        field, rng = PrimeField(p), random.Random(f"{p}-{d}")
+        f = Polynomial(field, [rng.randrange(p) for _ in range(d)] + [1])
+        products = []
+        packed_mul = mul_mod(field, f)  # f's fold table, built
+
+        def counting(a, b):
+            products.append(a is b)
+            return packed_mul(a, b)
+
+        object.__setattr__(f, "fold_table", counting)
+        for e in (1, 2, 3, d - 1, d, p, p**2 - 1, 2**70 - 1):
+            products.clear()
+            raw_pow_mod(field, [0, 1] + [0] * (d - 2), e, f)
+            # squares only, from the first power of X past degree d - 1
+            assert products == [True] * sum(e >> j >= d for j in range(e.bit_length() - 1)), e
+        products.clear()
+        raw_pow_mod(field, [1, 1] + [0] * (d - 2), 7, f)  # X + 1: 7 = 0b111
+        assert products == [True, False, True, False]
+
+
+class TestRecordedRabinAnswer:
+    """``rabin_frobenius`` records its answer on f, which ``ExtensionField``
+    reads in place of a second test."""
+
+    @given(
+        st.sampled_from([2, 3, 13, 7681]),
+        st.integers(1, 10),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_recorded_answer_is_a_fresh_copys(self, p, d, rng):
+        field = PrimeField(p)
+        coeffs = [rng.randrange(p) for _ in range(d)] + [1]
+        f = Polynomial(field, coeffs)
+        assert f.rabin is None
+        answer = rabin_frobenius(f)
+        assert f.rabin is (answer if answer is not None else False)
+        assert (f.rabin or None) == rabin_frobenius(Polynomial(field, coeffs))
+        assert (answer is not None) == sympy_irreducible(tuple(coeffs), p)
 
 
 class TestRepresentation:

@@ -9,6 +9,7 @@ F_13[X]/(X^4-2)) and cross-checked against the extended-gcd identity.
 import json
 import operator
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from kummerkit.errors import (
     ReducibleModulus,
     TowerTooTall,
 )
-from kummerkit.polynomials import Polynomial
+from kummerkit import tower
+from kummerkit.polynomials import Polynomial, rabin_frobenius
 from kummerkit.scalars import PrimeField, PrimeFieldElement, RationalField
 from kummerkit.tower import ExtensionElement, ExtensionField
 
@@ -45,6 +47,20 @@ class TestConstruction:
     def test_reducible_modulus_rejected_over_prime_field(self):
         with pytest.raises(ReducibleModulus):
             ExtensionField(F5, Polynomial(F5, [-1, 0, 1]))
+
+    def test_a_recorded_answer_is_read_not_retested(self, monkeypatch):
+        reducible, irreducible = Polynomial(F13, [-1, 0, 1]), Polynomial(F13, [-2, 0, 0, 0, 1])
+        assert rabin_frobenius(reducible) is None and rabin_frobenius(irreducible) is not None
+
+        def refuse(f):
+            raise AssertionError("a second Rabin test")
+
+        monkeypatch.setattr(tower, "rabin_frobenius", refuse)
+        with pytest.raises(ReducibleModulus, match=re.escape("X^2 + 12 is reducible over GF(13)")):
+            ExtensionField(F13, reducible)
+        ext = ExtensionField(F13, irreducible)
+        assert (ext.frobenius, ext.frobenius_image) == irreducible.rabin
+        assert ext.frobenius_image == F13_4.frobenius_image and ext.frobenius == F13_4.frobenius
 
     def test_modulus_must_be_monic(self):
         with pytest.raises(NotMonic):
