@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_31.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_32.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -14,8 +14,9 @@ degree d over F_p (c^((p-1)/d) has exact order d, so X^d - c is
 irreducible), whose coefficients are all nonzero:
 
 * ``E multiply``: ``ExtensionElement.__mul__`` of two dense elements of
-  F_p[X]/(f), that is one ``raw_mul_mod`` plus one unbox and one box, on a
-  field whose modulus has already been multiplied by;
+  F_p[X]/(f), that is one call of the multiply mod f that ``mul_mod``
+  keeps on the modulus, plus one unbox and one box, on a field whose
+  modulus has already been multiplied by;
 * ``poly_pow_mod X^p``: X^p mod f on a fresh copy of f (its construction
   timed too), as the Rabin test computes it for every candidate modulus;
 * ``poly_pow_mod x^n``: y^d mod f for a dense y, on a modulus already used;

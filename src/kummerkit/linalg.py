@@ -8,11 +8,12 @@ free-column parametrization. Vectors are plain tuples of field elements.
 A ``Matrix`` carries its raw rows and one product, ``__mul__``: kernels and
 products with vectors are all that sigma's matrix is needed for. Over F_p
 and over an extension of F_p or QQ it also keeps one int form, built on
-first use and kept: over F_p its packed columns, each column one int of
-``PrimeField.pack`` slots, the codec of the packed multiply mod f; over K
-its expansion, the field's ground expansion of it. The dot product
-(``raw_mat_apply``) and an elimination read it, and ``Matrix.shifted``
-gives M - c I its packed columns from M's, one add per column.
+first use and kept (``_int_form``): over F_p its packed columns, each
+column one int of ``PrimeField.pack`` slots, the codec of the packed
+multiply mod f; over K its expansion, the field's ground expansion of it.
+The dot product (``raw_mat_apply``) and an elimination read it, and
+``Matrix.shifted`` gives M - c I its packed columns from M's, one add
+per column.
 
 ``rref`` is the only elimination. Over F_p and QQ, and over an extension
 of F_p or QQ proven a field, it runs one ground elimination on ints: on
@@ -34,17 +35,15 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, FieldMismatch
-from .polynomials import Polynomial, raw_mul_mod
+from .polynomials import Polynomial, mul_mod
 from .scalars import PrimeField, RationalField
 
 
 class Matrix:
     """Immutable dense matrix, kept as ``raw_rows``: a tuple of rows of the
     field's raw values, which need not be reduced. ``int_form`` is the
-    matrix's one int form, None until first used and then kept, which every
-    later product and an elimination read: over F_p its packed columns
-    (``_packed_columns``), over an extension of F_p or QQ the field's
-    ``int_expansion`` of the rows."""
+    matrix's one int form (``_int_form``), None until first used and then
+    kept, which every later product and an elimination read."""
 
     __slots__ = ("field", "raw_rows", "int_form")
 
@@ -111,7 +110,7 @@ class Matrix:
             p, width = field.p, _slot_width(field, self.nrows, self.ncols)
             shifted.int_form = [
                 col + ((row[j] % p - old[j] % p) << j * width)
-                for j, (col, row, old) in enumerate(zip(_packed_columns(self), rows, self.raw_rows))
+                for j, (col, row, old) in enumerate(zip(_int_form(self), rows, self.raw_rows))
             ]
         return shifted
 
@@ -146,58 +145,51 @@ def rref(m: Matrix) -> RrefResult:
 
     One loop per kind of field, each giving the same, unique, RREF:
 
-    * over F_p, Gauss-Jordan on the matrix's packed columns
+    * over F_p, Gauss-Jordan on a copy of the matrix's packed columns
       (``_rref_columns``): one big-int multiply-add per column update, one
       pivot inverse per pivot;
     * over QQ, fraction-free Gauss-Jordan on the rows scaled to ints
       (``_ground_rref``), with no inverse; each entry of the result is
       boxed once, as its int over its row's pivot;
-    * over an extension K of F_p or QQ proven a field (``int_modulus`` set,
-      ``proven_field`` true), the ground RREF of K's expansion
-      (``_rref_of_expansion``), by the loop of its ground field: no
-      inverse and no multiply in K;
+    * over an extension K = ground[t]/(g) of F_p or QQ proven a field
+      (``int_modulus`` set, ``proven_field`` true), g monic of degree e,
+      the ground RREF of K's expansion, the matrix of the ground-linear map
+      that m is, whose RREF is the expansion of K's: the loop of its ground
+      field (``_ground_rref``) on the kept expansion, read back by K
+      (``from_expansion_rref``), with no inverse and no multiply in K;
     * over any other K, Gauss-Jordan with one pivot inverse in K per pivot
       (``_rref_with_inverses``), where a zero divisor raises NotInvertible.
 
     The result is made of raw rows as they stand, reduced or not."""
     field = m.field
-    if field.int_modulus is not None and field.proven_field:
-        return _rref_of_expansion(m)
     if isinstance(field, PrimeField):
-        rows, pivots = _rref_columns(field, list(_packed_columns(m)), m.nrows)
+        rows, pivots = _rref_columns(field, list(_int_form(m)), m.nrows)
     elif isinstance(field, RationalField):
         rows, pivots = _ground_rref(field, [field.to_ints(row)[0] for row in m.raw_rows], m.ncols, 1)
+    elif field.int_modulus is not None and field.proven_field:
+        e = field.degree
+        rows, pivots = _ground_rref(field.base, [row for row, _ in _int_form(m)], m.ncols * e, e)
+        rows = field.from_expansion_rref(rows)
     else:
         rows = list(map(list, m.raw_rows))
         pivots = _rref_with_inverses(field, rows, m.ncols)
     return RrefResult(Matrix._of_raw(field, rows), pivots, len(pivots))
 
 
-def _rref_of_expansion(m: Matrix) -> RrefResult:
-    """``rref`` over an extension K = ground[t]/(g) of F_p or QQ, g monic of
-    degree e: the ground RREF of K's expansion, the matrix of the
-    ground-linear map that m is, whose RREF is the expansion of K's. The
-    expansion m keeps is read, else one is built and not kept: a matrix is
-    eliminated once, and neither ground loop changes a row it is given."""
-    field, e = m.field, m.field.degree
-    expansion = m.int_form or field.int_expansion(m.raw_rows)
-    rows, pivots = _ground_rref(field.base, [row for row, _ in expansion], m.ncols * e, e)
-    return RrefResult(Matrix._of_raw(field, field.from_expansion_rref(rows)), pivots, len(pivots))
-
-
 def _ground_rref(ground, rows: list, ncols: int, e: int) -> tuple[list, list[int]]:
-    """The ground elimination of rows of ints over F_p or QQ, in place of
-    the list rows (no row in it is changed): fraction-free over QQ
-    (``_rref_on_ints``), on packed columns over F_p (``_rref_packed``,
-    which leaves each pivot 1). Over a field the pivots come in whole
-    blocks of e, K's pivot c giving ground pivots c e .. c e + e - 1; over
-    a ring that need not hold. Returns (rows, pivots): each row read back
-    over its pivot entry (``from_ints``; over 1 in a zero row) as ground
-    elements at the columns j e only, and the blocks' pivots."""
+    """The ground elimination of a list of rows of ints over F_p or QQ,
+    which it may reorder and replace but changes no row of: fraction-free
+    over QQ (``_rref_on_ints``), on the rows' packed columns over F_p
+    (``_rref_columns``, which leaves each pivot 1). Over a field the
+    pivots come in whole blocks of e, K's pivot c giving ground pivots
+    c e .. c e + e - 1; over a ring that need not hold. Returns (rows,
+    pivots): each row read back over its pivot entry (``from_ints``; over
+    1 in a zero row) as ground elements at the columns j e only, and the
+    blocks' pivots."""
     if isinstance(ground, RationalField):
         ground_pivots = _rref_on_ints(rows, ncols)
     else:
-        ground_pivots = _rref_packed(ground, rows, ncols)
+        rows, ground_pivots = _rref_columns(ground, _pack_columns(ground, rows, ncols), len(rows))
     pivots = [c // e for c in ground_pivots[::e]]
     assert ground_pivots == [c * e + u for c in pivots for u in range(e)], "the ground pivots of a field come in whole blocks"
     heads = [row[c] for row, c in zip(rows, ground_pivots)] + [1] * (len(rows) - len(ground_pivots))
@@ -260,22 +252,18 @@ def _pack_columns(field, rows, ncols: int) -> list:
     return [pack([a % p for a in column], width) for column in zip(*rows)]
 
 
-def _packed_columns(m: Matrix) -> list:
-    """The int form of a matrix over F_p, its packed columns
-    (``_pack_columns``), built on first use and kept; no caller changes
-    it in place."""
+def _int_form(m: Matrix) -> list:
+    """The matrix's one int form, built on first use and kept as
+    ``m.int_form``; no caller changes it in place. Over F_p its packed
+    columns (``_pack_columns``); over an extension K of F_p or QQ (its
+    ``int_modulus`` is set) K's ``int_expansion`` of the rows."""
     if m.int_form is None:
-        m.int_form = _pack_columns(m.field, m.raw_rows, m.ncols)
+        field = m.field
+        if isinstance(field, PrimeField):
+            m.int_form = _pack_columns(field, m.raw_rows, m.ncols)
+        else:
+            m.int_form = field.int_expansion(m.raw_rows)
     return m.int_form
-
-
-def _rref_packed(field, rows: list, ncols: int) -> list[int]:
-    """``_rref_columns`` on rows of ints over F_p, raw values reduced or
-    not, in place of the list rows, whose rows are replaced by the RREF's
-    (no row in it is changed); returns the pivot columns.
-    ``_ground_rref`` over an F_p ground runs it."""
-    rows[:], pivots = _rref_columns(field, _pack_columns(field, rows, ncols), len(rows))
-    return pivots
 
 
 def _rref_columns(field, columns: list, nrows: int) -> tuple[list, list[int]]:
@@ -284,8 +272,7 @@ def _rref_columns(field, columns: list, nrows: int) -> tuple[list, list[int]]:
     returns (rows, pivots): the RREF's rows, nonnegative and left
     unreduced, as raw rows may be, and its pivot columns. The one F_p
     elimination: ``rref`` over F_p runs it on a copy of the matrix's int
-    form, and ``_ground_rref`` over an F_p ground on rows packed for it
-    (``_rref_packed``).
+    form, and ``_ground_rref`` over an F_p ground on rows packed for it.
 
     A row swap is kept as a slot permutation: order[r] is the slot of the
     RREF's row r. For each pivot column c, the column alone is unpacked
@@ -300,7 +287,7 @@ def _rref_columns(field, columns: list, nrows: int) -> tuple[list, list[int]]:
     RREF's row r holds 1 at its pivot and the free columns' slot order[r]
     as it stands, and the rows past the rank are 0.
 
-    No slot overflows into the next, as in ``raw_mul_mod``: every packed
+    No slot overflows into the next, as in ``mul_mod``: every packed
     value is a nonnegative int, each x and each slot of V in [0, p). A
     column is packed canonical and gains at most one update per pivot,
     adding at most (p - 1)^2 to a slot, and there are at most
@@ -407,9 +394,9 @@ def nullspace(m: Matrix) -> list[tuple]:
 
 def raw_mat_apply(m: Matrix, v) -> list:
     """The only dot product: a matrix's raw rows times a vector of raw
-    values, with one path per kind of base, as ``raw_mul_mod`` has, on the
-    matrix's int form where it has one. Over F_p it is sum v_j C_j on the
-    packed columns C_j (``_packed_columns``): one big-int multiply-add per
+    values, with one path per kind of base, as ``mul_mod`` has, on the
+    matrix's int form (``_int_form``) where it has one. Over F_p it is
+    sum v_j C_j on the packed columns C_j: one big-int multiply-add per
     coordinate, each v_j reduced first, then one unpack and one reduction
     per entry; a slot sums at most ncols products below p^2, within
     ``_slot_width``. Over an extension K of F_p or QQ (its ``int_modulus``
@@ -419,12 +406,10 @@ def raw_mat_apply(m: Matrix, v) -> list:
     field = m.field
     if isinstance(field, PrimeField):
         p = field.p
-        total = sum(map(operator.mul, [a % p for a in v], _packed_columns(m)))
+        total = sum(map(operator.mul, [a % p for a in v], _int_form(m)))
         return [c % p for c in field.unpack(total, _slot_width(field, m.nrows, m.ncols), m.nrows)]
     if field.int_modulus is not None:
-        if m.int_form is None:
-            m.int_form = field.int_expansion(m.raw_rows)
-        return field.int_mat_apply(m.int_form, v)
+        return field.int_mat_apply(_int_form(m), v)
     reduce, zero = field.reduce, field.raw_zero
     return [reduce(sum(map(operator.mul, row, v), zero)) for row in m.raw_rows]
 
@@ -441,17 +426,17 @@ def mat_apply(m: Matrix, v) -> tuple:
 def substitution_matrix(field, f: Polynomial, image) -> Matrix:
     """Matrix of g(X) -> g(image) on field[X]/(f), f monic of degree d and
     image the d coordinates of a residue: column j is image^j mod f, and
-    column j + 1 is one ``raw_mul_mod`` of column j by image, from the
+    column j + 1 is column j times image by f's kept ``mul_mod``, from the
     column of 1. It is sigma's matrix (image s) and the Rabin test's
     Frobenius matrix (image X^p mod f). The result is made of the raw rows,
     never boxed here."""
     d = f.degree
     if len(image) != d:
         raise DimensionMismatch(f"an image of {len(image)} coordinates mod a modulus of degree {d}")
-    image = field.unbox(image)
+    image, mul = field.unbox(image), mul_mod(field, f)
     columns = [field.unbox([field.one()]) + [field.raw_zero] * (d - 1)]
     while len(columns) < d:
-        columns.append(raw_mul_mod(field, columns[-1], image, f))
+        columns.append(mul(columns[-1], image))
     return Matrix._of_raw(field, zip(*columns))
 
 

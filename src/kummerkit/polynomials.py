@@ -20,16 +20,15 @@ from .scalars import PrimeField, RationalField, is_prime, prime_factors
 class Polynomial:
     """Immutable dense polynomial; ``coeffs[i]`` is the coefficient of X^i.
 
-    ``fold_table`` is None until ``mul_mod`` first reduces by this
-    polynomial over F_p; it then holds the packed multiply mod this
-    polynomial, made once from its fold table, the packed X^(d+k) mod f,
-    which every later multiply mod it reuses (``_build_fold_table``).
+    ``mul_mod`` is None until ``mul_mod(field, f)`` first multiplies mod
+    this polynomial; it then holds that multiply, made once for it over
+    every base, which every later multiply and power mod it reuses.
     ``rabin`` is None until ``rabin_frobenius`` first tests this polynomial;
     it then holds the test's answer, (Q, X^p mod f) when it is irreducible
     and False when it is not, which ``ExtensionField`` reads in place of a
     second test."""
 
-    __slots__ = ("field", "coeffs", "fold_table", "rabin")
+    __slots__ = ("field", "coeffs", "mul_mod", "rabin")
 
     def __init__(self, field, coeffs=()):
         coeffs = [field.coerce(c) for c in coeffs]
@@ -37,7 +36,7 @@ class Polynomial:
             coeffs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "fold_table", None)
+        object.__setattr__(self, "mul_mod", None)
         object.__setattr__(self, "rabin", None)
 
     def __setattr__(self, name, value):
@@ -52,7 +51,7 @@ class Polynomial:
         poly = object.__new__(cls)
         object.__setattr__(poly, "field", field)
         object.__setattr__(poly, "coeffs", tuple(coeffs))
-        object.__setattr__(poly, "fold_table", None)
+        object.__setattr__(poly, "mul_mod", None)
         object.__setattr__(poly, "rabin", None)
         return poly
 
@@ -188,7 +187,7 @@ def raw_product(field, a, b) -> list:
     """The only polynomial product: two nonempty sequences of canonical raw
     values, multiplied into raw values with each sum unreduced, by the
     schoolbook loop, which skips the zero values of a. Over F_p the
-    pipeline multiplies mod f only, by the packed ``raw_mul_mod``."""
+    pipeline multiplies mod f only, by the packed ``mul_mod``."""
     out = [field.raw_zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -198,14 +197,15 @@ def raw_product(field, a, b) -> list:
 
 
 def mul_mod(field, f: Polynomial):
-    """The only multiply mod a monic f of degree d, made ready for f: a
+    """The only multiply mod a monic f of degree d over the field: a
     function of two sequences of d canonical raw values, which gives their
-    product mod f as d canonical raw values. ``raw_pow_mod`` makes it once
-    per power, ``raw_mul_mod`` once per product.
+    product mod f as d canonical raw values. It is made once per f, on
+    every base, and kept as ``f.mul_mod``, which every later E multiply,
+    power (``raw_pow_mod``) and substitution matrix mod f reuses. It holds
+    d and f's low values, never f.
 
-    Over F_p (``field.raw_int_bound`` is p) it is the only packed product
-    (Kronecker substitution, in ``field.pack``'s slots), made once per f
-    from f's fold table and kept as ``f.fold_table`` (``_build_fold_table``),
+    Over F_p it is the only packed product (Kronecker substitution, in
+    ``field.pack``'s slots), made from f's fold table (``_build_fold_table``),
     which gives the slot width W, the mask of the d low slots and the
     rows: a and b become the ints A = sum a_i 2^(iW) and B, C = A*B is one
     big-int multiply, and its d - 1 high slots are each reduced mod p and
@@ -226,42 +226,43 @@ def mul_mod(field, f: Polynomial):
     which no pipeline multiplies over) raw values are canonical elements:
     the schoolbook ``raw_product`` is folded back with f from the top, one
     degree at a time. So there is one path per kind of base."""
-    if field.raw_int_bound is not None:
-        return f.fold_table or _build_fold_table(field, f)
-    if field.int_modulus is not None:
-        return field.int_mul_mod(f)
-    return functools.partial(_schoolbook_mul_mod, field, f)
+    if f.mul_mod is None:
+        if isinstance(field, PrimeField):
+            mul = _build_fold_table(field, f)
+        elif field.int_modulus is not None:
+            mul = field.int_mul_mod(f)
+        else:
+            mul = _schoolbook_mul_mod(field, f)
+        object.__setattr__(f, "mul_mod", mul)
+    return f.mul_mod
 
 
-def _schoolbook_mul_mod(field, f: Polynomial, a, b) -> list:
+def _schoolbook_mul_mod(field, f: Polynomial):
     """``mul_mod`` over QQ and a base higher in a tower."""
     d, reduce = f.degree, field.reduce
-    prod = raw_product(field, a, b)
     low = field.unbox(f.coeffs[:d])
-    for k in range(len(prod) - 1, d - 1, -1):
-        c = reduce(prod[k])
-        if c:
-            for j, y in enumerate(low, k - d):
-                prod[j] -= c * y
-    return prod[:d]
 
+    def schoolbook_mul(a, b) -> list:
+        prod = raw_product(field, a, b)
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = reduce(prod[k])
+            if c:
+                for j, y in enumerate(low, k - d):
+                    prod[j] -= c * y
+        return prod[:d]
 
-def raw_mul_mod(field, a, b, f: Polynomial) -> list:
-    """One multiply mod a monic f of degree d, ``mul_mod(field, f)(a, b)``:
-    two sequences of d canonical raw values, multiplied into d canonical
-    raw values."""
-    return mul_mod(field, f)(a, b)
+    return schoolbook_mul
 
 
 def _build_fold_table(field, f: Polynomial):
-    """The packed multiply mod a monic f of degree d over F_p, ``mul_mod``'s,
-    built from f's fold table and kept as ``f.fold_table``. The table is W,
-    the mask 2^(dW) - 1 of the d low slots, and the rows X^(d+k) mod f
-    packed, for k = 0..d-2. W is ``field.slot_width`` of 2d p^2, the bound
-    of every sum, rounded up to whole 64-bit words.
+    """``mul_mod`` over F_p, the packed multiply mod a monic f of degree d,
+    built from f's fold table: W, the mask 2^(dW) - 1 of the d low slots,
+    and the rows X^(d+k) mod f packed, for k = 0..d-2. W is
+    ``field.slot_width`` of 2d p^2, the bound of every sum, rounded up to
+    whole 64-bit words.
     Each row comes from the one before by one shift and one fold of
     X^d = -(f_0 + ... + f_(d-1) X^(d-1)), every value reduced."""
-    d, p = f.degree, field.raw_int_bound
+    d, p = f.degree, field.p
     pack, unpack = field.pack, field.unpack
     width = field.slot_width(2 * d * p * p)
     mask, high = (1 << d * width) - 1, d * width
@@ -280,7 +281,6 @@ def _build_fold_table(field, f: Polynomial):
             low += h % p * fold
         return [c % p for c in unpack(low, width, d)]
 
-    object.__setattr__(f, "fold_table", packed_mul)
     return packed_mul
 
 
@@ -372,9 +372,8 @@ def raw_pow_mod(field, base, e: int, f: Polynomial) -> list:
     loop: left to right through one ``mul_mod`` made for f, from the bit
     below the top bit of e down, square, and on a set bit multiply by base.
     Over F_p every square is one packed multiply and one fold by f's fold
-    table, which the first power builds and every later power or E multiply
-    mod f reuses; over an extension of F_p or QQ it is one product and one
-    fold on the ground coordinates as ints, f flattened once per power.
+    table; over an extension of F_p or QQ it is one product and one fold
+    on the ground coordinates as ints. Either is made once per f and kept.
 
     When base is X (d >= 2), a multiply by base is a shift: the d values
     move up one place and the one that leaves, times X^d = -(f_0 + ... +
@@ -409,15 +408,12 @@ def raw_pow_mod(field, base, e: int, f: Polynomial) -> list:
 def poly_pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     """base^e reduced mod a monic modulus: ``raw_pow_mod`` on the d raw
     values of base mod the modulus, unboxed once, and the result boxed
-    once, as ``raw_mul_mod`` and ``raw_euclid`` pair with their boxed
-    callers."""
+    once, as ``raw_euclid`` pairs with its boxed callers."""
     if modulus.degree < 1 or not modulus.is_monic():
         raise NotMonic(f"modulus must be monic of degree >= 1, got {modulus}")
     if e < 0:
         raise ValueError("negative exponent")
     field = base.field
-    if not e:
-        return Polynomial.one(field)
     raw = raw_pow_mod(field, field.unbox((base % modulus).padded(modulus.degree)), e, modulus)
     return Polynomial._of(field, field.box(raw))
 
@@ -558,7 +554,7 @@ def kummer_frobenius(f: Polynomial, n: int, zeta, image, x):
     no q-th power and Y^n - c is irreducible (Capelli; Lang, Algebra,
     VI 9, Thm 9.1, whose -4K^4 clause is void: i = zeta^(n/4) is in F_p
     when 4 | n, so -4 is a fourth power). Costs two ``poly_pow_mod``: X^p
-    and x^n, which share f's fold table (``raw_mul_mod``).
+    and x^n, which share f's kept multiply (``mul_mod``).
     """
     field = f.field
     p, d = field.p, f.degree

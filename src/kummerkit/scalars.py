@@ -15,11 +15,10 @@ gives a canonical raw value, ``raw_inverse`` inverts a nonzero one and
 ``raw_zero`` is the raw zero. A loop unboxes its operands once, reduces
 where the algorithm needs a canonical value (a pivot test, a multiplier)
 and once per sum, and boxes its results once; its inner updates call no
-hook. ``raw_int_bound`` is p when the raw values are ints reduced mod p,
-else None; :class:`PrimeField`'s one codec, ``pack`` and ``unpack``,
-writes a sequence of them as the slots of one int, on which
-``raw_mul_mod`` multiplies, and in which a matrix over F_p keeps its
-columns for the dot product and ``rref``.
+hook. :class:`PrimeField`'s one codec, ``pack`` and ``unpack``, writes
+a sequence of its raw values as the slots of one int, on which
+``mul_mod`` multiplies, and in which a matrix over F_p keeps its columns
+for the dot product and ``rref``.
 ``int_modulus`` is None but on an extension of F_p or QQ, whose multiply,
 dot product and elimination run on ground ints (:mod:`kummerkit.tower`),
 as ``rref`` over QQ does. Only the ground fields write elements as ints:
@@ -328,11 +327,6 @@ class PrimeField:
     raw_zero = 0
     int_modulus = None  # no modulus to fold by
 
-    @property
-    def raw_int_bound(self) -> int:
-        """p: the raw values are ints reduced mod p, canonical in [0, p)."""
-        return self.p
-
     def unbox(self, elements) -> list[int]:
         return [c.value for c in elements]
 
@@ -412,7 +406,6 @@ class IdentityHooks:
     ``reduce`` and ``box`` change nothing."""
 
     __slots__ = ()
-    raw_int_bound = None  # raw values are not ints
     int_modulus = None  # set by an extension of F_p or QQ only
 
     @property

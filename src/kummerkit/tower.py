@@ -7,11 +7,12 @@ of E = K[X]/(f) over K = QQ[t]/(g) holds K-elements, never a flattened
 rational vector, so the linear algebra downstream is genuinely over K.
 Only the multiply, the dot product and the elimination flatten, and only
 K knows how, on its ground field's ``to_ints`` and ``from_ints``: over an
-extension of F_p or QQ, ``raw_mul_mod`` runs ``int_mul_mod`` on ground
-ints, and a matrix's one int form is its ``int_expansion``, which
-``raw_mat_apply`` applies (``int_mat_apply``) and ``rref`` over a K
-proven a field eliminates over the ground field, reading K's RREF back
-(``from_expansion_rref``); none of them multiplies or inverts in K.
+extension of F_p or QQ, ``mul_mod`` keeps on each modulus f the
+``int_mul_mod(f)`` that multiplies on ground ints, and a matrix's one int
+form is its ``int_expansion``, which ``raw_mat_apply`` applies
+(``int_mat_apply``) and ``rref`` over a K proven a field eliminates over
+the ground field, reading K's RREF back (``from_expansion_rref``); none
+of them multiplies or inverts in K.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotInvertible, NotMonic, ReducibleModulus, TowerTooTall
 from .linalg import substitution_matrix
-from .polynomials import Polynomial, cyclotomic_index, kummer_frobenius, poly_gcd_extended, poly_pow_mod
-from .polynomials import rabin_frobenius, raw_mul_mod
+from .polynomials import Polynomial, cyclotomic_index, kummer_frobenius, mul_mod, poly_gcd_extended
+from .polynomials import rabin_frobenius, raw_pow_mod
 from .scalars import IdentityHooks, PrimeField, RationalField
 
 MAX_TOWER_HEIGHT = 3
@@ -139,7 +140,7 @@ class ExtensionField(IdentityHooks):
 
     def int_mul_mod(self, f: Polynomial):
         """``mul_mod`` over this field K = ground[t]/(g), ground F_p or QQ,
-        g monic of degree e: the multiply mod f on ints, made ready for f,
+        g monic of degree e: the multiply mod f on ints, made once per f,
         as a function of two sequences a, b of d elements of K.
 
         Flatten: the d e ground coordinates of f's d low coefficients,
@@ -190,21 +191,21 @@ class ExtensionField(IdentityHooks):
         column (j, u), at index j e + u, is t^u times column j; its row
         (i, w), at index i e + w, holds coordinate w.
 
-        Each row is flattened once, over its own denominator (``flatten``),
-        and the matrix is kept as e lanes, lane w holding coordinate w of
-        every entry. t^(u + 1) times the entries is t^u times them with the
-        lanes moved up one and the top lane folded once by
+        Each row's ground values become ints once, over the row's own
+        denominator (the ground field's ``to_ints``), and the matrix is
+        kept as e lanes, lane w holding coordinate w of every entry.
+        t^(u + 1) times the entries is t^u times them with the lanes moved
+        up one and the top lane folded once by
         t^e = -(low ints of g)/D_g, ``int_modulus``. When D_g != 1, every
         int so far is multiplied by D_g first, so every row's denominator
         grows by D_g^(e - 1)."""
         e = self.degree
         low, den_g = self.int_modulus
         width = len(raw_rows[0]) * e if raw_rows else 0
-        flat, dens = [0] * (len(raw_rows) * width), []
-        for i, row in enumerate(raw_rows):
-            terms, den = self.flatten([x.coords for x in row], e)
-            for k, c in terms:
-                flat[i * width + k] = c
+        flat, dens = [], []
+        for row in raw_rows:
+            ints, den = self.base.to_ints([c for x in row for c in x.coords])
+            flat += ints
             dens.append(den)
         power = [flat[w::e] for w in range(e)]
         ground = [[0] * len(flat) for _ in range(e)]
@@ -225,15 +226,13 @@ class ExtensionField(IdentityHooks):
     def int_mat_apply(self, expansion, v) -> list:
         """``raw_mat_apply`` over this field K, ground F_p or QQ, g monic of
         degree e, on a matrix's ``int_expansion``: the vector's ground
-        coordinates flattened the same way (``flatten``), each ground row's
-        sum of products with them in ZZ, and e of those sums boxed over
-        their rows' denominator times the vector's (``_box``). No fold: the
-        expansion has folded each t^u by g already."""
+        coordinates as ints over one denominator (the ground field's
+        ``to_ints``), each ground row's sum of products with them in ZZ,
+        and e of those sums boxed over their rows' denominator times the
+        vector's (``_box``). No fold: the expansion has folded each t^u by
+        g already."""
         e = self.degree
-        terms, den_v = self.flatten([x.coords for x in v], e)
-        ints = [0] * (len(v) * e)
-        for i, y in terms:
-            ints[i] = y
+        ints, den_v = self.base.to_ints([c for x in v for c in x.coords])
         sums = [sum(map(operator.mul, row, ints)) for row, _ in expansion]
         return [self._box(sums[r : r + e], expansion[r][1] * den_v) for r in range(0, len(sums), e)]
 
@@ -365,13 +364,12 @@ class ExtensionElement:
         (c, 0, ..., 0), and c * sum(a_i X^i) = sum((c a_i) X^i) needs no
         reduction, so the result equals the full product with the embedded
         scalar at n base multiplies instead of n^2. Two extension elements
-        are multiplied by ``raw_mul_mod``, the only multiply mod f, on the
-        base field's raw values, unboxed once (once for a square), and
-        boxed once; ``poly_pow_mod``, the only residue power, runs on it
-        too. Over F_p that is one packed multiply and one fold by the
-        modulus's fold table, which the field's multiplies and powers share;
-        over an extension of F_p or QQ, one product and one fold on the
-        ground ints.
+        are multiplied by the modulus's kept ``mul_mod``, the only multiply
+        mod f, on the base field's raw values, unboxed once (once for a
+        square), and boxed once; ``raw_pow_mod``, the only residue power,
+        runs on it too. Over F_p that is one packed multiply and one fold by
+        the modulus's fold table; over an extension of F_p or QQ, one
+        product and one fold on the ground ints.
         """
         field = self.field
         if not (isinstance(other, ExtensionElement) and (other.field is field or other.field == field)):
@@ -386,7 +384,7 @@ class ExtensionElement:
         base = field.base
         a = base.unbox(self.coords)
         b = a if other is self else base.unbox(other.coords)
-        return ExtensionElement(field, tuple(base.box(raw_mul_mod(base, a, b, field.modulus))))
+        return ExtensionElement(field, tuple(base.box(mul_mod(base, field.modulus)(a, b))))
 
     __rmul__ = __mul__
 
@@ -401,8 +399,8 @@ class ExtensionElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        field = self.field
-        return field.element(poly_pow_mod(Polynomial._of(field.base, list(self.coords)), e, field.modulus).coeffs)
+        field, base = self.field, self.field.base
+        return ExtensionElement(field, tuple(base.box(raw_pow_mod(base, base.unbox(self.coords), e, field.modulus))))
 
     def inverse(self) -> "ExtensionElement":
         """Multiplicative inverse via extended gcd with the modulus.

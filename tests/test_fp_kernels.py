@@ -7,8 +7,9 @@ values through the hooks of the field descriptor (``unbox``, ``box``, ``reduce``
 ``raw_zero``). ``rref`` is the only elimination and ``raw_mat_apply`` the
 only dot product: ``first_linear_dependency`` reads the first dependency
 off ``rref`` and ``Matrix.__mul__`` applies ``mat_apply`` to each column.
-``raw_mul_mod`` is the only multiply mod f and ``poly_pow_mod`` the only
-residue power: the E multiply, ``ExtensionElement.__pow__`` and
+``mul_mod`` is the only multiply mod f, made once per modulus and kept on
+it over every base, and ``raw_pow_mod`` the only residue power: the E
+multiply, ``ExtensionElement.__pow__``, ``poly_pow_mod`` and
 ``substitution_matrix`` (column j + 1 is column j times the image) run
 through them. The first two are checked against ``oracle_ext_mul`` and
 ``oracle_pow_mod``, as are each column of ``substitution_matrix`` and the
@@ -34,7 +35,7 @@ F_p for every p in ``PRIMES``, over ``QQ`` and over the two-level bases
 The largest p is prime, 1 mod 4 and below ``MR_EXACT_BOUND``, so products of
 two values reach about 164 bits before they are reduced.
 
-Over F_p, ``raw_mul_mod`` is the only packed product: it packs the values
+Over F_p, ``mul_mod`` is the only packed product: it packs the values
 into one int each (Kronecker substitution) and folds the high slots back
 with the modulus's fold table, which also fixes the slot width.
 ``raw_product`` is the schoolbook loop over every field, checked against
@@ -46,14 +47,14 @@ every low coefficient of f equal to p - 1), on a zero operand, on a square
 stands in for the extension there, since the multiply needs only the ring
 F_p[X]/(f) and a degree-128 field would spend seconds on its Rabin test.
 ``substitution_matrix`` is checked the same way at p = 2, 7681 and the
-81-bit ``WIDE_P`` and d up to 64, and counted: d - 1 multiplies mod f, no
-dot product and no fold table of its own; the Rabin test after it makes
+81-bit ``WIDE_P`` and d up to 64, and counted: d - 1 calls of f's kept
+multiply, no dot product and no fold table of its own; the Rabin test after it makes
 d - 1 Frobenius steps. Those steps are packed dot products on Q's packed
 columns, which a counting test finds built once in a whole certify over
 F_p: the n eigen kernels shift them. The slot codec round-trips slots of
 one, two and three 64-bit words.
 
-Over an extension base K = ground[t]/(g), ``raw_mul_mod`` multiplies and
+Over an extension base K = ground[t]/(g), ``mul_mod`` multiplies and
 folds the ground coordinates as ints. Its property draws K among
 ``EXTENSION_BASES`` (QQ(i), QQ(zeta_3), a g with rational coefficients,
 t^3 + 2, a K of degree 1 over QQ and over F_5, and F_25), f integral or
@@ -76,8 +77,10 @@ ground field's ``to_ints`` and goes back through its ``from_ints``: a
 property checks the round trip and the common denominator over every p
 in ``PRIMES`` and over QQ. Another finds no ``raw_product`` call inside
 such an E multiply, power, substitution matrix, dot product or matrix
-product, and counts what K flattens to ground ints in each (never its
-modulus g, whose ints ``int_modulus`` holds from K's construction);
+product, and counts what K writes as ground ints in each: f flattened
+once per modulus, the operands on each multiply, a dot product's vector
+and a matrix's rows through ``to_ints``, never its modulus g, whose ints
+``int_modulus`` holds from K's construction;
 another pins the ``ExtensionElement.__mul__`` calls of a
 tower and verify pair of each qq family. The last test of that section
 counts ``raw_product`` calls across CLI requests like the benchmark's:
@@ -126,8 +129,8 @@ from kummerkit.polynomials import (
     poly_divmod,
     poly_gcd,
     poly_gcd_extended,
+    mul_mod,
     poly_pow_mod,
-    raw_mul_mod,
     raw_product,
 )
 from kummerkit.scalars import MR_EXACT_BOUND, PrimeField, PrimeFieldElement, RationalField, is_prime
@@ -597,18 +600,18 @@ def ring(field, modulus: Polynomial):
 
 
 def check_packed_multiply(field, f: Polynomial, a: list, b: list):
-    """raw_product against the schoolbook loop, and raw_mul_mod and the E
+    """raw_product against the schoolbook loop, and mul_mod and the E
     multiply against ``oracle_ext_mul``, on the raw values a and b."""
     assert raw_product(field, a, b) == oracle_raw_product(a, b)
     e = ring(field, f)
     x, y = ExtensionElement(e, tuple(field.box(a))), ExtensionElement(e, tuple(field.box(b)))
     want = oracle_ext_mul(x, y).coords
-    got = raw_mul_mod(field, a, b, f)
+    got = mul_mod(field, f)(a, b)
     assert all(0 <= c < field.p for c in got) and field.box(got) == list(want)
     got = x * y
     assert got.coords == want
     assert_canonical(got.coords, field)
-    assert raw_mul_mod(field, a, a, f) == [c.value for c in oracle_ext_mul(x, x).coords]
+    assert mul_mod(field, f)(a, a) == [c.value for c in oracle_ext_mul(x, x).coords]
 
 
 @pytest.mark.parametrize("d", PACKED_DEGREES)
@@ -679,15 +682,31 @@ def test_one_fold_table_per_modulus(p, fold_tables):
         a = a * b * a
     assert a**p == a.field.element(oracle_pow_mod(Polynomial(field, a.coords), p, ext.modulus).coeffs)
     assert fold_tables == [ext.modulus.coeffs]
-    assert ext.modulus.fold_table is not None
+    assert ext.modulus.mul_mod is not None
 
 
-def test_no_fold_table_over_other_bases(fold_tables):
+def test_no_fold_table_over_other_bases(fold_tables, monkeypatch):
+    # off F_p the kept multiply is the schoolbook fold over QQ and K's
+    # int_mul_mod over K, each made once per modulus, as the fold table is
+    prepared = []
+    schoolbook, int_mul_mod = polynomials._schoolbook_mul_mod, ExtensionField.int_mul_mod
+
+    def counting(make):
+        def preparing(field, f):
+            prepared.append(f)
+            return make(field, f)
+
+        return preparing
+
+    monkeypatch.setattr(polynomials, "_schoolbook_mul_mod", counting(schoolbook))
+    monkeypatch.setattr(ExtensionField, "int_mul_mod", counting(int_mul_mod))
     for base in (QQ, QQ_I, F_25):
         ext = ExtensionField(base, Polynomial(base, [base.one(), base.zero(), base.one(), base.one()]))
         a = ext.element([base.one(), base.from_int(2), base.zero()])
         assert a * a == oracle_ext_mul(a, a) and a**5 == oracle_ext_mul(oracle_ext_mul(a * a, a * a), a)
-        assert ext.modulus.fold_table is None
+        assert a * ext.gen() * a == oracle_ext_mul(oracle_ext_mul(a, ext.gen()), a)
+        assert [f for f in prepared if f is ext.modulus] == [ext.modulus], base
+        assert ext.modulus.mul_mod is not None
     assert fold_tables == []
 
 
@@ -722,27 +741,38 @@ def test_substitution_matrix_on_packed_slots(p, d):
 
 @pytest.mark.parametrize("p,d", [(13, 1), (13, 4), (7681, 16), (BIG_P, 8)])
 def test_substitution_matrix_makes_d_minus_1_multiplies_mod_f(p, d, fold_tables, monkeypatch):
-    # counted in linalg's namespace, where substitution_matrix and the Rabin
-    # test's Frobenius steps find them; poly_pow_mod's multiplies are not
+    # counted in linalg's namespace, where substitution_matrix finds f's
+    # kept multiply and the Rabin test its Frobenius steps; poly_pow_mod's
+    # multiplies are not
     field = PrimeField(p)
     f = Polynomial(field, irreducible(p, d, 0))  # its search tests other moduli
     fold_tables.clear()
-    calls = {"raw_mul_mod": 0, "raw_mat_apply": 0}
-    for name in calls:
+    calls, kept = {"mul_mod": 0, "raw_mat_apply": 0}, []
 
-        def counting(*args, name=name, fn=getattr(linalg, name)):
-            calls[name] += 1
-            return fn(*args)
+    def counting_mul_mod(field, modulus):
+        mul = polynomials.mul_mod(field, modulus)
+        kept.append(mul is modulus.mul_mod)
 
-        monkeypatch.setattr(linalg, name, counting)
+        def counting(a, b):
+            calls["mul_mod"] += 1
+            return mul(a, b)
+
+        return counting
+
+    def counting_apply(*args, fn=linalg.raw_mat_apply):
+        calls["raw_mat_apply"] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(linalg, "mul_mod", counting_mul_mod)
+    monkeypatch.setattr(linalg, "raw_mat_apply", counting_apply)
     # X^p builds f's fold table; Q reuses it, then d - 1 Frobenius steps run
     q_matrix, x_to_p = polynomials.rabin_frobenius(f)
     assert fold_tables == [f.coeffs]
-    assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": d - 1}
-    calls.update(raw_mul_mod=0, raw_mat_apply=0)
+    assert calls == {"mul_mod": d - 1, "raw_mat_apply": d - 1}
+    calls.update(mul_mod=0, raw_mat_apply=0)
     assert substitution_matrix(field, f, x_to_p) == q_matrix
-    assert calls == {"raw_mul_mod": d - 1, "raw_mat_apply": 0}
-    assert fold_tables == [f.coeffs]
+    assert calls == {"mul_mod": d - 1, "raw_mat_apply": 0}
+    assert fold_tables == [f.coeffs] and kept == [True, True]
 
 
 @pytest.mark.parametrize("width", (64, 128, 192))
@@ -894,10 +924,20 @@ def test_rref_over_qq_and_every_extension_base_against_the_oracle(data):
     for row in got.matrix.rows:
         assert_canonical(row, field)
     if field is not QQ:
-        got = linalg._rref_of_expansion(m)
+        got = expansion_rref(m)
         assert got == want
         for row in got.matrix.rows:
             assert_canonical(row, field)
+
+
+def expansion_rref(m: Matrix) -> RrefResult:
+    """The RREF that ``rref`` reads back over a K proven a field, run on
+    any K over F_p or QQ: the ground RREF of K's ``int_expansion`` of m,
+    read back by ``from_expansion_rref``."""
+    field, e = m.field, m.field.degree
+    expansion = [row for row, _ in field.int_expansion(m.raw_rows)]
+    rows, pivots = linalg._ground_rref(field.base, expansion, m.ncols * e, e)
+    return RrefResult(Matrix._of_raw(field, field.from_expansion_rref(rows)), pivots, len(pivots))
 
 
 def test_rref_over_a_proven_extension_base_makes_no_inverse_and_no_multiply_in_k(monkeypatch):
@@ -932,16 +972,17 @@ def test_rref_over_a_proven_extension_base_makes_no_inverse_and_no_multiply_in_k
 def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch):
     # the ground coordinates are multiplied and folded as ints: no K
     # multiply, so no raw_product, runs inside the E multiply, the power,
-    # the substitution matrix or a dot product. K flattens the operands on
-    # each multiply (a square's operand once) and f's d low coefficients
-    # once per multiply or per power, a dot product's vector on each
-    # product and a matrix's rows on its first product only, d values a
-    # row. Its own modulus g, one row, K flattened when it was built, and
-    # never again
+    # the substitution matrix or a dot product. K flattens f's d low
+    # coefficients once per modulus, on its first multiply, and the
+    # operands on each multiply (a square's operand once). A dot product
+    # writes its vector as ints on each product, and a matrix's rows on its
+    # first product only, d values a row, through the ground field's
+    # to_ints, with no flatten. Its own modulus g, one row, K flattened
+    # when it was built, and never again
     calls = collections.Counter()
     product = polynomials.raw_product
     flatten = ExtensionField.flatten
-    flattened = []
+    flattened, converted = [], []
 
     def counting(field, a, b):
         calls[str(field)] += 1
@@ -951,8 +992,17 @@ def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch)
         flattened.append(len(rows))
         return flatten(field, rows, s)
 
+    def counting_to_ints(to_ints):
+        def converting(field, values):
+            converted.append(len(values))
+            return to_ints(field, values)
+
+        return converting
+
     monkeypatch.setattr(polynomials, "raw_product", counting)
     monkeypatch.setattr(ExtensionField, "flatten", counting_flatten)
+    for ground in (PrimeField, RationalField):
+        monkeypatch.setattr(ground, "to_ints", counting_to_ints(ground.to_ints))
     assert PrimeField(5).int_modulus is None and QQ.int_modulus is None
     for base in EXTENSION_BASES:
         ext = ExtensionField(base, Polynomial(base, [base.from_int(2), base.gen(), base.zero(), base.one()]))
@@ -962,15 +1012,22 @@ def test_an_e_multiply_over_an_extension_base_makes_no_product_in_k(monkeypatch)
         flattened.clear()
         m = substitution_matrix(base, ext.modulus, a.coords)
         counts = [len(flattened)]
-        for operation in (lambda: a * b, lambda: a * a, lambda: a**7, lambda: mat_apply(m, b.coords), lambda: m * m):
+        for operation in (lambda: a * b, lambda: a * a, lambda: a**7):
             before = len(flattened)
             operation()
             counts.append(len(flattened) - before)
-        # d - 1 columns of one multiply each; a^7 is f once, two squares
-        # and two multiplies; m * m is one product per column, on the kept rows
-        d = ext.degree
-        assert counts == [3 * (d - 1), 3, 2, 1 + 2 * 1 + 2 * 2, 1 + d, d], base
+        for operation in (lambda: mat_apply(m, b.coords), lambda: m * m):
+            before, written = len(flattened), len(converted)
+            operation()
+            assert len(flattened) == before, base
+            counts.append(len(converted) - written)
+        # f once, then d - 1 columns of one multiply each; a^7 is two
+        # squares and two multiplies; m * m is one product per column, on
+        # the kept rows
+        d, e = ext.degree, base.degree
+        assert counts == [1 + 2 * (d - 1), 2, 1, 2 * 1 + 2 * 2, 1 + d, d], base
         assert set(flattened) == {d}, base
+        assert set(converted[-(1 + 2 * d) :]) == {d * e}, base
     assert calls == {}
 
 
@@ -1062,7 +1119,7 @@ def test_e_multiplies_of_a_qq_tower_request(tmp_path, capsys, monkeypatch):
 
 
 def test_no_pipeline_request_multiplies_over_f_p_without_a_modulus(tmp_path, capsys, monkeypatch):
-    # raw_mul_mod packs; raw_product, the schoolbook loop, runs only over
+    # mul_mod packs; raw_product, the schoolbook loop, runs only over
     # QQ and towers on these requests, which the benchmark's workloads make
     calls = collections.Counter()
     product = polynomials.raw_product

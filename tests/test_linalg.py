@@ -33,7 +33,7 @@ from kummerkit.scalars import PrimeField, RationalField
 from kummerkit.tower import ExtensionField
 
 from matrix_oracles import horner_at_matrix, identity, is_zero, krylov_lcm_min_poly, power, shift, zeros
-from test_fp_kernels import WIDE_P, elements, polys
+from test_fp_kernels import WIDE_P, elements, expansion_rref, polys
 
 F5 = PrimeField(5)
 F13 = PrimeField(13)
@@ -99,7 +99,7 @@ def test_a_zero_divisor_pivot_raises_not_invertible_over_a_k_not_proven_a_field(
     with pytest.raises(NotInvertible) as caught:
         rref(m)
     assert str(caught.value) == "gcd(X + -1, X^2 + -1) = X + -1; the modulus is reducible"
-    assert linalg._rref_of_expansion(m) == (Matrix(k, [[1], [0]]), [0], 1)
+    assert expansion_rref(m) == (Matrix(k, [[1], [0]]), [0], 1)
 
 
 class TestRawRows:
@@ -530,8 +530,8 @@ def test_packed_elimination_matches_the_loop_with_inverses(case):
     p, rows, ncols = case
     field = PrimeField(p)
     given_rows = [list(row) for row in rows]
-    packed, oracle = list(given_rows), [list(row) for row in rows]
-    pivots = linalg._rref_packed(field, packed, ncols)
+    oracle = [list(row) for row in rows]
+    packed, pivots = linalg._rref_columns(field, linalg._pack_columns(field, given_rows, ncols), len(given_rows))
     assert pivots == linalg._rref_with_inverses(field, oracle, ncols)
     assert reduced(packed, p) == reduced(oracle, p)
     assert all(a >= 0 for row in packed for a in row)
@@ -614,7 +614,7 @@ def fp_matrices_to_eliminate(draw):
 @given(fp_matrices_to_eliminate())
 def test_column_elimination_matches_the_loop_with_inverses(case):
     # rref over F_p eliminates a copy of the matrix's kept packed columns,
-    # and the rows-in entry packs the columns of the rows it is given
+    # as the ground elimination does the columns of the rows it is given
     p, rows, ncols = case
     field = PrimeField(p)
     oracle = [list(row) for row in rows]
@@ -627,9 +627,8 @@ def test_column_elimination_matches_the_loop_with_inverses(case):
     assert all(got.matrix.raw_rows[r][c] == 1 for r, c in enumerate(pivots))
     assert m.raw_rows == tuple(map(list, rows)) and m.int_form == linalg._pack_columns(field, rows, ncols)
     assert rref(m) == got  # the kept form is eliminated again, unchanged
-    packed = [list(row) for row in rows]
-    assert linalg._rref_packed(field, packed, ncols) == pivots
-    assert packed == [list(row) for row in got.matrix.raw_rows]
+    packed = linalg._pack_columns(field, rows, ncols)
+    assert linalg._rref_columns(field, packed, len(rows)) == (list(got.matrix.raw_rows), pivots)
 
 
 @settings(max_examples=200, deadline=None)

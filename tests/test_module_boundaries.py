@@ -4,7 +4,7 @@ Every ``from`` import between kummerkit modules, at the top of a module or
 inside a function, is read off the source with ``ast``. A module that
 imports another's underscore name has learnt its internals; the ground-int
 form of an extension element, for one, is known to ``tower`` alone, which
-``raw_mul_mod`` and ``raw_mat_apply`` reach through the field's methods.
+``mul_mod`` and ``raw_mat_apply`` reach through the field's methods.
 ``tower`` imports ``linalg`` (for the Frobenius matrix), so ``linalg``
 must not import ``tower``. Only a ground field writes its values as ints
 over one denominator and reads them back (``to_ints``, ``from_ints``), so

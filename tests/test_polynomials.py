@@ -552,13 +552,13 @@ class TestRawPowMod:
         field, rng = PrimeField(p), random.Random(f"{p}-{d}")
         f = Polynomial(field, [rng.randrange(p) for _ in range(d)] + [1])
         products = []
-        packed_mul = mul_mod(field, f)  # f's fold table, built
+        packed_mul = mul_mod(field, f)  # f's fold table, built and kept
 
         def counting(a, b):
             products.append(a is b)
             return packed_mul(a, b)
 
-        object.__setattr__(f, "fold_table", counting)
+        object.__setattr__(f, "mul_mod", counting)
         for e in (1, 2, 3, d - 1, d, p, p**2 - 1, 2**70 - 1):
             products.clear()
             raw_pow_mod(field, [0, 1] + [0] * (d - 2), e, f)
