@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_32.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_33.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with
@@ -45,9 +45,12 @@ irreducible), whose coefficients are all nonzero:
   when sigma is the Frobenius, on a Q applied once before, so that a tree
   that keeps an int form of Q has built it;
 * ``default_modulus``: the lex-first irreducible of degree n over F_p. Its
-  row also gives ``candidates``, the number of moduli the search tests up
+  row also gives ``candidates``, the number of moduli the search meets up
   to the winner, read off the winner's place in the search order once,
-  outside the timed rounds, after every tree has returned the same one.
+  outside the timed rounds, after every tree has returned the same one;
+  and, under each tree, ``rabin_tests``, the candidates that its search
+  hands to ``rabin_frobenius``, counted in one more call outside the
+  timed rounds, with the tree's ``families.rabin_frobenius`` wrapped.
 
 Six more kernels run over QQ towers, E = K[X]/(f): Shanks' simplest
 cubic over K = QQ(zeta_3) and the simplest quartic over K = QQ(i), at an a
@@ -93,7 +96,7 @@ from pathlib import Path
 WIDE_P = 2417851639229258349405569  # prime, 1 mod 128, 81 bits: slots wider than one word
 GRID = [(1201, d) for d in (2, 4, 8, 16)] + [(p, d) for p in (7681, WIDE_P) for d in (2, 4, 8, 16, 32, 64, 128)]
 QUICK_GRID = [(7681, 2), (7681, 4), (WIDE_P, 4)]
-MODULUS_CASES = [(12289, 64), (7681, 32), (7681, 128)]
+MODULUS_CASES = [(2081, 8), (12289, 64), (7681, 32), (7681, 128)]
 QUICK_MODULUS_CASES = [(97, 8)]
 TOWER_A = {1: 7, 20: 10**19 + 9, 40: 10**39 + 3}  # digits: a
 TOWER_CASES = [(family, digits) for family in ("cubic", "quartic") for digits in TOWER_A]
@@ -296,6 +299,25 @@ def candidate_count(trees: list, p: int, n: int) -> int:
     return place + 1
 
 
+def rabin_test_count(kk, p: int, n: int) -> int:
+    """The ``rabin_frobenius`` calls of one ``default_modulus`` call over F_p
+    at degree n, counted by wrapping the tree's ``families.rabin_frobenius``
+    for that call."""
+    families, test = kk.families, kk.families.rabin_frobenius
+    tested = []
+
+    def counting(f):
+        tested.append(f)
+        return test(f)
+
+    families.rabin_frobenius = counting
+    try:
+        families.default_modulus(kk.scalars.PrimeField(p), n)
+    finally:
+        families.rabin_frobenius = test
+    return len(tested)
+
+
 def tower_kernels(kk, family: str, digits: int) -> list:
     """The TOWER_KERNELS of one tree, as functions of k, for Shanks' cubic
     over QQ(zeta_3) or the simplest quartic over QQ(i) at TOWER_A[digits]."""
@@ -351,24 +373,27 @@ def tower_kernels(kk, family: str, digits: int) -> list:
 
 
 def results(trees: list, quick: bool) -> list:
-    """One row per kernel and case, with each tree's timing under its label."""
+    """One row per kernel and case, with each tree's timing, and any count
+    made for it, under its label."""
     labels = [label for label, _ in trees]
-    cases = []
+    cases, uncounted = [], [{} for _ in trees]
     for p, d in QUICK_GRID if quick else GRID:
         per_tree = [kernels(kk, p, d) for _, kk in trees]
-        cases += [(name, {"p": p, "d": d}, [calls[j] for calls in per_tree]) for j, name in enumerate(FP_KERNELS)]
+        cases += [(name, {"p": p, "d": d}, [calls[j] for calls in per_tree], uncounted) for j, name in enumerate(FP_KERNELS)]
     for p, n in QUICK_MODULUS_CASES if quick else MODULUS_CASES:
         case = {"p": p, "d": n, "candidates": candidate_count(trees, p, n)}
-        cases.append(("default_modulus", case, [default_modulus_calls(kk, p, n) for _, kk in trees]))
+        counts = [{"rabin_tests": rabin_test_count(kk, p, n)} for _, kk in trees]
+        cases.append(("default_modulus", case, [default_modulus_calls(kk, p, n) for _, kk in trees], counts))
     for family, digits in QUICK_TOWER_CASES if quick else TOWER_CASES:
         per_tree = [tower_kernels(kk, family, digits) for _, kk in trees]
         case = {"family": family, "a_digits": digits}
-        cases += [(name, case, [calls[j] for calls in per_tree]) for j, name in enumerate(TOWER_KERNELS)]
+        cases += [(name, case, [calls[j] for calls in per_tree], uncounted) for j, name in enumerate(TOWER_KERNELS)]
     out = []
-    for name, case, calls_by_tree in cases:
+    for name, case, calls_by_tree, counts in cases:
         timings = time_per_call(calls_by_tree)
-        for t in timings:
+        for t, count in zip(timings, counts):
             t["median_ratio"] = round(t["median_us"] / timings[0]["median_us"], 3)
+            t.update(count)
         out.append({"kernel": name, **case, **dict(zip(labels, timings))})
         medians = ", ".join(f"{label} {t['median_us']:.1f} ({t['median_ratio']:.2f})" for label, t in zip(labels, timings))
         where = " ".join(f"{key}={value}" for key, value in case.items())
@@ -393,7 +418,9 @@ def main(argv=None) -> int:
         "about": "Time per call of the field kernels (bench/kernels.py) in microseconds: the best and the median "
         f"of {ROUNDS} rounds per tree, the trees taking turns. 'control' is the first tree loaded a second "
         "time. 'median_ratio' divides each tree's median by the first tree's, and 'speedups' divides the "
-        "first tree's median by each other tree's, so the control's figures show the noise.",
+        "first tree's median by each other tree's, so the control's figures show the noise. A "
+        "'default_modulus' row also gives 'candidates', the moduli its search meets up to the winner, and "
+        "under each tree 'rabin_tests', the candidates that tree's search hands to rabin_frobenius.",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "grid": "quick" if args.quick else "full",
         "trees": [label for label, _ in trees],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .kummer import CyclicExtensionInput
-from .polynomials import Polynomial, rabin_frobenius
+from .polynomials import Polynomial, rabin_frobenius, raw_discriminant
 from .scalars import PrimeField, RationalField, find_nth_root_of_unity
 from .tower import ExtensionField
 from . import serialize
@@ -27,21 +27,33 @@ def default_modulus(field: PrimeField, n: int) -> ExtensionField:
     """The field F_p[X]/(f) for f the first monic irreducible of degree n,
     in lexicographic order of the coefficient tuple (c_0, ..., c_{n-1}).
 
-    Each candidate is tried by ``rabin_frobenius`` alone, with no field
-    built and nothing raised for a reducible one. The winner's field is
-    built once, and reads the answer that its test recorded on it as its
-    proof, so the winning modulus is tested once. Tuples with c_0 = 0 are
-    skipped for n >= 2: they all have the root 0, so the lex-first
-    irreducible never lies among them. The tuples are stepped through like
-    an odometer, the last coordinate turning fastest, so no range of p
-    values is ever held in memory.
+    For odd p and n >= 2, a candidate first meets Stickelberger's parity
+    rule (Stickelberger 1897; Swan 1962): a squarefree f of degree n with
+    r irreducible factors over F_p has disc f a square iff n - r is even,
+    so an irreducible f has disc f^((p-1)/2) = (-1)^(n-1). A candidate
+    whose ``raw_discriminant`` is 0 or breaks that rule is reducible and
+    skipped, with no X^p computed: about half of them. Over F_2 every
+    element is a square, so there the rule would reject every irreducible
+    of even degree, and no candidate is skipped. Each candidate left is
+    tried by ``rabin_frobenius`` alone, with no field built and nothing
+    raised for a reducible one. The winner's field is built once, and reads
+    the answer that its test recorded on it as its proof, so the winning
+    modulus is tested once. Tuples with c_0 = 0 are skipped for n >= 2:
+    they all have the root 0, so the lex-first irreducible never lies among
+    them. The tuples are stepped through like an odometer, the last
+    coordinate turning fastest, so no range of p values is ever held in
+    memory.
     """
     p = field.p
     digits = [0 if n == 1 else 1] + [0] * (n - 1)
+    parity = 1 if n % 2 else p - 1  # disc^((p-1)/2) of an irreducible f
+    sieve = p > 2 and n >= 2
     while True:
-        f = Polynomial._of(field, field.box(digits + [1]))
-        if rabin_frobenius(f) is not None:
-            return ExtensionField(field, f)
+        raw_f = digits + [1]
+        if not sieve or pow(raw_discriminant(field, raw_f), (p - 1) // 2, p) == parity:
+            f = Polynomial._of(field, field.box(raw_f))
+            if rabin_frobenius(f) is not None:
+                return ExtensionField(field, f)
         k = n - 1
         while digits[k] == p - 1:
             if k == 0:

@@ -333,6 +333,41 @@ def raw_euclid(field, a, b) -> tuple[list, list]:
     return a, quotients
 
 
+def raw_discriminant(field, raw_f) -> int:
+    """disc f over F_p, for a monic f of degree n >= 1 given as its raw
+    values, and 0 when gcd(f, f') != 1. It is read off ``raw_euclid`` of f
+    and f', r_0 = f, r_1 = f', ..., r_k a nonzero constant: quotient q_i
+    has d_(i-1) - d_i + 1 values and top value lc(r_(i-1))/lc(r_i), so it
+    gives the next remainder's degree d_i and leading coefficient, and
+
+        Res(r_(i-1), r_i) = (-1)^(d_(i-1) d_i) lc(r_i)^(d_(i-1) - d_(i+1)) Res(r_i, r_(i+1)),
+
+    with d_(k+1) = 0 and Res(r_k, 0) = 1. Then disc f = (-1)^(n(n-1)/2)
+    Res(f, f'); when p | n, f' has degree below n - 1, and the resultant at
+    that formal degree is lc(f)^(n - 1 - deg f') = 1 times the one at its
+    true degree. The leading coefficients are kept as their inverses, the
+    running products of the quotients' top values, so one inverse is taken
+    at the end."""
+    p, n = field.p, len(raw_f) - 1
+    derivative = [i * c % p for i, c in enumerate(raw_f)][1:]
+    while derivative and not derivative[-1]:
+        derivative.pop()
+    g, quotients = raw_euclid(field, raw_f, derivative)
+    if len(g) != 1:
+        return 0
+    degrees = [n]
+    for q in quotients:
+        degrees.append(degrees[-1] - len(q) + 1)
+    degrees.append(0)
+    sign, inverse_lc, inverse_res = n * (n - 1) // 2, 1, 1
+    for i, q in enumerate(quotients, 1):
+        inverse_lc = inverse_lc * q[-1] % p
+        sign += degrees[i - 1] * degrees[i]
+        inverse_res = inverse_res * pow(inverse_lc, degrees[i - 1] - degrees[i + 1], p) % p
+    disc = field.raw_inverse(inverse_res)
+    return p - disc if sign % 2 else disc
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd, zero when both operands are zero: ``raw_euclid``'s
     remainder, boxed and made monic."""

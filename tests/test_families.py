@@ -9,6 +9,7 @@ import itertools
 import json
 
 import pytest
+import sympy
 
 from kummerkit import cli, errors, families, polynomials, tower
 from kummerkit.errors import NoPrimitiveRoot, NotPrime, ParseError, ReducibleModulus, SchemaViolation, ValidationError
@@ -69,12 +70,32 @@ class TestDefaultModulus:
     def test_degree_one_is_x(self):
         assert default_modulus(F5, 1).modulus == Polynomial.x(F5)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lex_first_over_f2(self, n):
+        # every element of F_2 is a square: the parity rule, which would
+        # reject every irreducible of even degree, is off there
+        got = default_modulus(PrimeField(2), n)
+        assert tuple(c.value for c in got.modulus.coeffs) == oracle_lex_first_irreducible(2, n)
+
+
+def sympy_passes_parity(f, p):
+    """Stickelberger's rule on sympy's discriminant: for odd p and n >= 2,
+    an irreducible f of degree n over F_p has disc f^((p-1)/2) = (-1)^(n-1)
+    mod p, so a candidate that breaks it, or whose disc is 0 mod p, is
+    reducible. Over F_2, and at n = 1, every candidate passes."""
+    n = len(f) - 1
+    if p == 2 or n < 2:
+        return True
+    disc = int(sympy.discriminant(sympy.Poly(list(reversed(f)), sympy.Symbol("X")))) % p
+    return pow(disc, (p - 1) // 2, p) == (1 if n % 2 else p - 1)
+
 
 class TestOneRabinTestPerCandidate:
-    """On the default-modulus path the Rabin test runs once per candidate,
-    the winning modulus included: default_modulus tests each candidate
-    itself and builds the winner's field on the answer its test recorded,
-    and frobenius_family and the CLI use that field."""
+    """On the default-modulus path the Rabin test runs once per candidate
+    that passes the discriminant parity rule, in search order, the winning
+    modulus included: default_modulus tests each such candidate itself and
+    builds the winner's field on the answer its test recorded, and
+    frobenius_family and the CLI use that field."""
 
     PAIRS = [(97, 16), (13, 4), (5, 1), (263, 2), (1993, 3), (1171, 5), (449, 7), (2081, 8)]
 
@@ -92,13 +113,14 @@ class TestOneRabinTestPerCandidate:
 
     @staticmethod
     def candidates_up_to(p, winner):
-        """The odometer's candidates in order, up to the winner: c_0 = 0 is
-        skipped for n >= 2."""
+        """The odometer's candidates in order, up to the winner, that pass
+        ``sympy_passes_parity``: c_0 = 0 is skipped for n >= 2."""
         n = len(winner) - 1
         out = []
         for prefix in itertools.product(range(p) if n == 1 else range(1, p), *[range(p)] * (n - 1)):
-            out.append(prefix + (1,))
-            if out[-1] == winner:
+            if sympy_passes_parity(prefix + (1,), p):
+                out.append(prefix + (1,))
+            if prefix + (1,) == winner:
                 return out
 
     @pytest.mark.parametrize("p,n", PAIRS)

@@ -14,10 +14,13 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from kummerkit import linalg
 from kummerkit.errors import CharacteristicDividesN, DivisionByZero, FieldMismatch, NotMonic
@@ -33,6 +36,7 @@ from kummerkit.polynomials import (
     poly_gcd_extended,
     poly_pow_mod,
     rabin_frobenius,
+    raw_discriminant,
     raw_pow_mod,
 )
 from kummerkit.scalars import PrimeField, RationalField, prime_factors
@@ -469,6 +473,63 @@ class TestRabinTest:
         for n in range(1, 13):
             if (p - 1) % n == 0:
                 assert default_modulus(PrimeField(p), n).modulus.coeffs == Polynomial(PrimeField(p), sympy_first_irreducible(p, n)).coeffs, (p, n)
+
+
+@functools.cache
+def sympy_generic_discriminant(n):
+    """(coefficient, exponents) of each term of disc(X^n + c_(n-1) X^(n-1)
+    + ... + c_0) by ``sympy.discriminant``, an integer polynomial in the
+    c_i: evaluated at a monic f's coefficients and taken mod p, it is
+    disc f over F_p."""
+    X, c = sympy.Symbol("X"), sympy.symbols(f"c0:{n}")
+    disc = sympy.discriminant(X**n + sum(ci * X**i for i, ci in enumerate(c)), X)
+    return [(int(coef), exps) for exps, coef in sympy.Poly(disc, *c).terms()]
+
+
+def sympy_discriminant_mod(f, p):
+    terms = sympy_generic_discriminant(len(f) - 1)
+    return sum(coef * prod(x**e for x, e in zip(f, exps)) for coef, exps in terms) % p
+
+
+def breaks_parity(disc, p, n):
+    """Stickelberger's rule, as ``default_modulus`` skips by it: for odd p
+    an irreducible f of degree n has disc f^((p-1)/2) = (-1)^(n-1)."""
+    return pow(disc, (p - 1) // 2, p) != (1 if n % 2 else p - 1)
+
+
+class TestRawDiscriminant:
+    """``raw_discriminant`` against ``sympy.discriminant`` mod p on every
+    monic f, and the parity rule it serves against sympy's irreducibility
+    test over GF(p)."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_monic_up_to_degree_4_against_sympy(self, p):
+        field = PrimeField(p)
+        for n in range(1, 5):
+            for f in o_monic_polys(p, n):
+                assert raw_discriminant(field, list(f)) == sympy_discriminant_mod(f, p), f
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_p_divides_n(self, n):
+        # over F_3, f' loses degree, and f' = 0 for f = g(X^3), whose disc is 0
+        field, underived = PrimeField(3), 0
+        for f in o_monic_polys(3, n):
+            disc = raw_discriminant(field, list(f))
+            assert disc == sympy_discriminant_mod(f, 3), f
+            if not any(f[i] for i in range(n) if i % 3):
+                assert disc == 0, f
+                underived += 1
+        assert underived == 3 ** (n // 3)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_the_parity_rule_skips_no_irreducible(self, p):
+        field, skipped = PrimeField(p), 0
+        for n in range(2, 5):
+            for f in o_monic_polys(p, n):
+                if breaks_parity(raw_discriminant(field, list(f)), p, n):
+                    assert not gf_irreducible_p(list(reversed(f)), p, ZZ), f
+                    skipped += 1
+        assert skipped > (p**2 + p**3 + p**4) // 3  # about half of them
 
 
 class TestPowMod:
