@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/kernels.py --out BENCH_33.json [--quick] [--tree LABEL=DIR ...]
+    python3 bench/kernels.py --out BENCH_34.json [--quick] [--tree LABEL=DIR ...]
 
 Each ``--tree`` is a checkout whose ``src/kummerkit`` is imported under a
 name of its own, so several trees load side by side in one process; with

@@ -145,9 +145,8 @@ def validate_setup(inp: CyclicExtensionInput) -> ValidatedContext:
 
     Checks, in order: structural consistency, characteristic does not divide
     n, zeta has exact order n, the asserted image s of the generator is a
-    root of the modulus (so alpha -> s extends to a K-endomorphism of E,
-    automatically a K-automorphism), and that automorphism has order
-    exactly n.
+    root of the modulus (so alpha -> s extends to a K-endomorphism of E),
+    and that endomorphism has order exactly n, so it is an automorphism.
 
     When E is over F_p and s is X^p mod f (ExtensionField.frobenius_image),
     the last two checks are read off the proof that f is irreducible,
@@ -331,19 +330,20 @@ def _is_proven_field(k) -> bool:
     return k.proven_field
 
 
-def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
-    """Run every stage once and list its checks in verify's order.
+def _derive(ctx: ValidatedContext, x, report: EigenReport | None = None, claimed: KummerCertificate | None = None):
+    """Check the caller's x and list every check in verify's order.
 
-    Returns (eigen report, x, c, min poly of x, checks), where each check is
-    a (failure label, flag, holds) triple and the flag names the certificate
-    flag the check feeds. Without a claimed certificate, the eigen report is
-    computed, x is extracted from it and c is the constant coordinate of x^n:
-    x^n itself when it lies in K, and otherwise just a value that serializes
-    beside a false c_in_base. With a claimed certificate, its x and c are
-    tested, and its stored eigen report and x_min_poly are compared with
-    their recomputations; those comparisons feed no flag (None). A zero x
-    ends the list at "x != 0", since nothing after it is defined; c and the
-    min poly are then None.
+    Returns (c, min poly of x, checks), where each check is a (failure
+    label, flag, holds) triple and the flag names the certificate flag the
+    check feeds. The eigen report is the one given (certify's, from which
+    it extracted x); else, when x is a witness (below), (i, zeta^i, 1) for
+    every i; else eigen_spectrum's. c is the constant coordinate of x^n:
+    x^n itself when it lies in K, and otherwise just a value that
+    serializes beside a false c_in_base. With a claimed certificate
+    (verify), its c is tested in its place, and its stored eigen report and
+    x_min_poly are compared with their recomputations; those comparisons
+    feed no flag (None). A zero x ends the list at "x != 0", since nothing
+    after it is defined; c and the min poly are then None.
 
     Four kinds of fact are read off proofs instead of computed, each under
     exactly its own premise, for certify and verify alike; every holds value
@@ -371,11 +371,11 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     independent over K (Lang, Algebra, VI 6), so 1, x, ..., x^(n-1) are,
     and x's min poly has degree n; it divides X^n - x^n, so it equals
     X^n - x^n, with the computed x^n as constant (never a claimed c, which
-    "x^n = c" tests). Verify then computes no kernel (its fresh report
-    carries no eigenvectors) and no elimination at all; certify extracts x
-    from the report, so it computes it. When a premise fails, the full
-    derivation runs, with element_min_poly for x's min poly, and a K or E
-    that is not a field may raise NotInvertible with the zero divisor met.
+    "x^n = c" tests). With no report given, no kernel is computed (the
+    witness report carries no eigenvectors) and no elimination at all.
+    When a premise fails, the full derivation runs, with element_min_poly
+    for x's min poly, and a K or E that is not a field may raise
+    NotInvertible with the zero divisor met.
 
     K = F_p, sigma the Frobenius (s = X^p mod f) and x^n a nonzero c' in
     F_p: g(X)^p = g(X^p) over F_p, so sigma(x) = x^p, which is
@@ -389,11 +389,6 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
     while parsing, and after that no matrix and no power.
     """
     n = ctx.n
-    if claimed is None:
-        report = eigen_spectrum(ctx, ctx.matrix)
-        x = extract_radical_generator(ctx, report)
-    else:
-        x = claimed.x
     proven_field = _is_proven_field(ctx.base_field)
     witness = False
     if x:
@@ -406,9 +401,9 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
             sigma_x_ok = ctx.sigma(x) == x * ctx.zeta_pow(1)
         x_pow_n_in_k = c_computed is not None
         witness = proven_field and sigma_x_ok and x_pow_n_in_k and bool(x_pow_n)
-    if claimed is not None and witness:
+    if report is None and witness:
         report = EigenReport(tuple(EigenEntry(i, ctx.zeta_pow(i), 1) for i in range(n)))
-    elif claimed is not None:
+    elif report is None:
         report = eigen_spectrum(ctx, ctx.matrix)
     checks = [
         ("eigenvalue closure", "spectrum_complete", check_gamma_closure(ctx, report)),
@@ -421,7 +416,7 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
         checks.append(("eigen report matches recomputation", None, stored == fresh))
     if not x:
         checks.append(("x != 0", None, False))
-        return report, x, None, None, checks
+        return None, None, checks
 
     c = x_pow_n.coords[0] if claimed is None else claimed.c
     if witness:
@@ -447,11 +442,13 @@ def _derive(ctx: ValidatedContext, claimed: KummerCertificate | None = None):
             x_pow_n_is_c if proven_field else _binomial_factorization_holds(ctx, x, c),
         ),
     ]
-    return report, x, c, x_min_poly, checks
+    return c, x_min_poly, checks
 
 
 def compute_certificate(ctx: ValidatedContext) -> KummerCertificate:
-    """Run the whole pipeline and assemble the certificate.
+    """Run the whole pipeline and assemble the certificate: x is the
+    canonical zeta-eigenvector of eigen_spectrum's report, which _derive,
+    the derivation verify runs, then checks.
 
     Each flag is the AND of the checks _derive lists for it (see there for
     the facts read off proofs); hypotheses_ok, sigma_is_automorphism,
@@ -461,7 +458,9 @@ def compute_certificate(ctx: ValidatedContext) -> KummerCertificate:
     except where no generator can be extracted at all (EmptyEigenspace) or
     arithmetic itself witnesses a reducible modulus (NotInvertible).
     """
-    report, x, c, x_min_poly, checks = _derive(ctx)
+    report = eigen_spectrum(ctx, ctx.matrix)
+    x = extract_radical_generator(ctx, report)
+    c, x_min_poly, checks = _derive(ctx, x, report)
     flags = dict.fromkeys(CHECK_NAMES, True)
     for _, flag, holds in checks:
         if flag is not None:
@@ -480,15 +479,16 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
 
     Returns (ok, failures) where failures names every property that did not
     hold. Stored intermediates (eigen report, c, x_min_poly, flags) are
-    checked against fresh recomputations rather than believed. The checks
-    and the facts read off proofs are _derive's, shared with certify; a
-    claimed x that is a witness over a proven field costs one sigma(x) and
-    one x^n after validate_setup, O(n^2 log n) operations in K with no
-    elimination, as its min poly is X^n - x^n. Over F_p with s = X^p mod f
-    it costs less: parsing the certificate proved E a field with one X^p
-    and one x^n (ExtensionField's Kummer witness), sigma(x) = zeta*x is
-    read off x^n, and no matrix is built or applied. A K or E that is not a
-    field may raise NotInvertible.
+    checked against fresh recomputations rather than believed. _derive,
+    which certify runs on the x it finds, checks the claimed x and the
+    certificate; the facts read off proofs are its. A claimed x that is a
+    witness over a proven field costs one sigma(x) and one x^n after
+    validate_setup, O(n^2 log n) operations in K with no elimination, as
+    its min poly is X^n - x^n. Over F_p with s = X^p mod f it costs less:
+    parsing the certificate proved E a field with one X^p and one x^n
+    (ExtensionField's Kummer witness), sigma(x) = zeta*x is read off x^n,
+    and no matrix is built or applied. A K or E that is not a field may
+    raise NotInvertible.
     """
     try:
         ctx = validate_setup(cert.input)
@@ -504,9 +504,9 @@ def verify_certificate_report(cert: KummerCertificate) -> tuple[bool, list[str]]
     except (FieldMismatch, AttributeError, TypeError) as exc:
         raise MalformedCertificate(str(exc)) from exc
 
-    _, x, _, _, checks = _derive(ctx, claimed)
+    _, _, checks = _derive(ctx, claimed.x, claimed=claimed)
     failures = [label for label, _, holds in checks if not holds]
-    if x and not all(cert.checks[name] for name in CHECK_NAMES):
+    if claimed.x and not all(cert.checks[name] for name in CHECK_NAMES):
         failures.append("all stored flags true")
     return not failures, failures
 

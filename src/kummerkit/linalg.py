@@ -22,9 +22,10 @@ the field's ground expansion of the matrix, from which the field reads its
 RREF back (``_ground_rref``). Over F_p that is ``_rref_columns``, the one
 F_p loop: per pivot one unpack of the pivot column and one packed vector
 of multipliers, and each later column one big-int multiply-add; slots are
-reduced mod p only when a column is packed or unpacked, and are wide
-enough for the sums in between. Over QQ it is fraction-free, with no
-inverse. Over a field not proven one, each pivot is inverted in it.
+reduced mod p only when a column is packed or unpacked, and
+``PrimeField.slot_width`` makes them wide enough for the sums in between.
+Over QQ it is fraction-free, with no inverse. Over a field not proven
+one, each pivot is inverted in it.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Matrix:
             row[j] -= value
         shifted = Matrix._of_raw(field, rows)
         if isinstance(field, PrimeField):
-            p, width = field.p, _slot_width(field, self.nrows, self.ncols)
+            p, width = field.p, field.slot_width(self.nrows)
             shifted.int_form = [
                 col + ((row[j] % p - old[j] % p) << j * width)
                 for j, (col, row, old) in enumerate(zip(_int_form(self), rows, self.raw_rows))
@@ -235,20 +236,11 @@ def _rref_on_ints(rows: list, ncols: int) -> list[int]:
     return pivots
 
 
-def _slot_width(field, nrows: int, ncols: int) -> int:
-    """The one slot width of an nrows x ncols matrix's packed columns over
-    F_p: ``field.slot_width`` of p - 1 + max(nrows, ncols) (p - 1)^2, which
-    bounds every slot that the dot product and the elimination form from
-    canonical slots (``_rref_columns``, ``raw_mat_apply``)."""
-    p = field.p
-    return field.slot_width(p - 1 + max(nrows, ncols) * (p - 1) ** 2)
-
-
 def _pack_columns(field, rows, ncols: int) -> list:
     """The packed columns of rows of ints over F_p, raw values reduced or
     not: column j is one int of ``field.pack`` slots, slot i holding entry
-    (i, j) reduced mod p, in ``_slot_width``'s slots."""
-    p, width, pack = field.p, _slot_width(field, len(rows), ncols), field.pack
+    (i, j) reduced mod p, in ``field.slot_width`` of max(nrows, ncols)."""
+    p, width, pack = field.p, field.slot_width(max(len(rows), ncols)), field.pack
     return [pack([a % p for a in column], width) for column in zip(*rows)]
 
 
@@ -287,18 +279,13 @@ def _rref_columns(field, columns: list, nrows: int) -> tuple[list, list[int]]:
     RREF's row r holds 1 at its pivot and the free columns' slot order[r]
     as it stands, and the rows past the rank are 0.
 
-    No slot overflows into the next, as in ``mul_mod``: every packed
-    value is a nonnegative int, each x and each slot of V in [0, p). A
-    column is packed canonical and gains at most one update per pivot,
-    adding at most (p - 1)^2 to a slot, and there are at most
-    min(nrows, ncols) pivots, so a slot never exceeds
-    p - 1 + min(nrows, ncols) (p - 1)^2, within ``_slot_width``. A
-    negative value would borrow from the slot above, and a wider sum
-    overflow into it. The values mod p are those of the loop with
-    inverses, so the RREF, which is unique, is the same, and so is every
-    certificate byte."""
+    No slot overflows into the next (``field.slot_width``): each x and
+    each slot of V is in [0, p), and a column, packed canonical, gains one
+    product per pivot in a slot. The values mod p are those of the loop
+    with inverses, so the RREF, which is unique, is the same, and so is
+    every certificate byte."""
     p, ncols = field.p, len(columns)
-    width = _slot_width(field, nrows, ncols)
+    width = field.slot_width(max(nrows, ncols))
     mask = (1 << width) - 1
     pack, unpack = field.pack, field.unpack
     order = list(range(nrows))
@@ -398,16 +385,16 @@ def raw_mat_apply(m: Matrix, v) -> list:
     matrix's int form (``_int_form``) where it has one. Over F_p it is
     sum v_j C_j on the packed columns C_j: one big-int multiply-add per
     coordinate, each v_j reduced first, then one unpack and one reduction
-    per entry; a slot sums at most ncols products below p^2, within
-    ``_slot_width``. Over an extension K of F_p or QQ (its ``int_modulus``
-    is set), K's ``int_mat_apply`` runs on the ground ints of the matrix's
-    ``int_expansion``, with no multiply in K. Over QQ and a base higher in
-    a tower, each entry is the sum of the products, reduced once."""
+    per entry, in ``field.slot_width``'s slots. Over an extension K of
+    F_p or QQ (its ``int_modulus`` is set), K's ``int_mat_apply`` runs on
+    the ground ints of the matrix's ``int_expansion``, with no multiply in
+    K. Over QQ and a base higher in a tower, each entry is the sum of the
+    products, reduced once."""
     field = m.field
     if isinstance(field, PrimeField):
         p = field.p
         total = sum(map(operator.mul, [a % p for a in v], _int_form(m)))
-        return [c % p for c in field.unpack(total, _slot_width(field, m.nrows, m.ncols), m.nrows)]
+        return [c % p for c in field.unpack(total, field.slot_width(max(m.nrows, m.ncols)), m.nrows)]
     if field.int_modulus is not None:
         return field.int_mat_apply(_int_form(m), v)
     reduce, zero = field.reduce, field.raw_zero

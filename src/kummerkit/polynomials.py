@@ -210,14 +210,9 @@ def mul_mod(field, f: Polynomial):
     rows: a and b become the ints A = sum a_i 2^(iW) and B, C = A*B is one
     big-int multiply, and its d - 1 high slots are each reduced mod p and
     folded back by adding h_k times row k, X^(d+k) mod f packed the same
-    way; the d low slots are then unpacked and reduced. No
-    slot overflows into the next, because every packed value is a
-    nonnegative int: a, b and the rows are canonical, in [0, p). So slot k
-    of C is the exact sum of a_i b_j over i + j = k, at most d terms each
-    at most (p-1)^2, that is at most d(p-1)^2; a folded low slot adds
-    d - 1 terms h_k t_j below p^2 to it, so it stays below 2d p^2 <= 2^W.
-    A negative value would borrow from the slot above, and an unreduced one
-    could overflow its own.
+    way; the d low slots are then unpacked and reduced. a, b and the rows
+    are canonical, in [0, p), so no slot overflows into the next
+    (``field.slot_width``).
 
     Over an extension base K = ground[t]/(g), ground F_p or QQ (K's
     ``int_modulus`` is set), it is K's ``int_mul_mod(f)``, which flattens
@@ -258,13 +253,12 @@ def _build_fold_table(field, f: Polynomial):
     """``mul_mod`` over F_p, the packed multiply mod a monic f of degree d,
     built from f's fold table: W, the mask 2^(dW) - 1 of the d low slots,
     and the rows X^(d+k) mod f packed, for k = 0..d-2. W is
-    ``field.slot_width`` of 2d p^2, the bound of every sum, rounded up to
-    whole 64-bit words.
+    ``field.slot_width(2d - 1)``: a slot sums at most 2d - 1 products.
     Each row comes from the one before by one shift and one fold of
     X^d = -(f_0 + ... + f_(d-1) X^(d-1)), every value reduced."""
     d, p = f.degree, field.p
     pack, unpack = field.pack, field.unpack
-    width = field.slot_width(2 * d * p * p)
+    width = field.slot_width(2 * d - 1)
     mask, high = (1 << d * width) - 1, d * width
     x_to_d = [-c % p for c in field.unbox(f.coeffs[:d])]
     row, rows = x_to_d, []

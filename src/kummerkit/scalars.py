@@ -347,12 +347,23 @@ class PrimeField:
     def raw_inverse(self, value: int) -> int:
         return pow(value, -1, self.p)
 
-    @staticmethod
-    def slot_width(bound: int) -> int:
-        """The width W of a slot of ``pack`` that holds every int in
-        [0, bound]: bound's bit length rounded up to whole 64-bit words,
-        which ``pack`` and ``unpack`` move whole."""
-        return max(1, -(-bound.bit_length() // 64)) * 64
+    def slot_width(self, terms: int) -> int:
+        """The one slot bound: the width W, in whole 64-bit words (which
+        ``pack`` and ``unpack`` move whole), of a slot that holds every int
+        in [0, p - 1 + terms (p - 1)^2].
+
+        A packed kernel packs canonical values, in [0, p), and adds to a
+        slot only products of two of them, each at most (p - 1)^2. A slot
+        that starts canonical or 0 and gains at most terms products stays
+        in that range, so no sum borrows from the slot above or overflows
+        into it. ``mul_mod``'s fold table takes terms = 2d - 1: a slot of
+        the product of two operands of d values sums at most d products,
+        and the fold adds at most d - 1 more to a low slot. An n x m
+        matrix's packed columns (``linalg``) take max(n, m): the dot
+        product sums at most m products in a slot, and ``_rref_columns``
+        adds one per pivot, at most min(n, m) times."""
+        p = self.p
+        return -(-(p - 1 + terms * (p - 1) ** 2).bit_length() // 64) * 64
 
     @staticmethod
     def pack(values, width: int) -> int:

@@ -60,6 +60,11 @@ class TestFinite:
         assert code == 1
         assert "NoPrimitiveRoot" in out
 
+    def test_n_below_one(self, capsys):
+        code, out, _ = run(capsys, "finite", "--p", "7", "--n", "0")
+        assert code == 1
+        assert out == "error: ValidationError: n must be >= 1, got 0\n"
+
     def test_not_prime(self, capsys):
         code, out, _ = run(capsys, "finite", "--p", "4", "--n", "1")
         assert code == 1
@@ -160,6 +165,20 @@ class TestTower:
         code, out, _ = run(capsys, "tower", str(spec))
         assert code == 1
         assert "AutomorphismOrderMismatch" in out
+
+    def test_a_root_of_the_modulus_that_is_no_automorphism_rejected(self, capsys, tmp_path):
+        doc = {
+            "base": {"kind": "rationals"},
+            "n": 2,
+            "zeta": "-1",
+            "modulus": ["0", "0", "1"],  # X^2, of which 0 is a root
+            "sigma_image": ["0", "0"],  # alpha -> 0: sigma^2(alpha) = 0
+        }
+        spec = tmp_path / "square-zero.json"
+        spec.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "tower", str(spec))
+        assert code == 1
+        assert out == "error: AutomorphismOrderMismatch: sigma^2(alpha) != alpha\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, _ = run(capsys, "tower", str(tmp_path / "absent.json"))

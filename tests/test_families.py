@@ -200,6 +200,16 @@ class TestFrobeniusFamily:
         with pytest.raises(ReducibleModulus):
             frobenius_family(5, 2, Polynomial(F5, [-1, 0, 1]))
 
+    @pytest.mark.parametrize(
+        "n,modulus,message",
+        [(0, None, "n must be >= 1, got 0"), (4, Polynomial(F5, [-2, 0, 0, 0, 1]), "modulus must be over GF(13)")],
+        ids=["n-below-one", "modulus-over-another-field"],
+    )
+    def test_rejected_arguments(self, n, modulus, message):
+        with pytest.raises(ValidationError) as info:
+            frobenius_family(13, n, modulus)
+        assert str(info.value) == message
+
     def test_wrong_degree_supplied_modulus(self):
         with pytest.raises(ValidationError):
             frobenius_family(5, 2, Polynomial(F5, [-2, 0, 0, 1]))

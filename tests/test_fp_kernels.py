@@ -41,9 +41,11 @@ with the modulus's fold table, which also fixes the slot width.
 ``raw_product`` is the schoolbook loop over every field, checked against
 ``oracle_raw_product`` on the same inputs. The packed tests run at p in
 ``PACKED_PRIMES``, whose slots span one 64-bit word up to three,
-and d up to 128: at the largest slot load (every operand coefficient and
-every low coefficient of f equal to p - 1), on a zero operand, on a square
-(one operand twice) and on the sparse base X. A namespace with the modulus
+and d up to 128, and at the (p, d) of ``ONE_WORD_FOLDS``, whose
+fold-table slot is one 64-bit word though 2d p^2 needs two: at the
+largest slot load (every operand coefficient and every low coefficient
+of f equal to p - 1), on a zero operand, on a square (one operand twice)
+and on the sparse base X. A namespace with the modulus
 stands in for the extension there, since the multiply needs only the ring
 F_p[X]/(f) and a degree-128 field would spend seconds on its Rabin test.
 ``substitution_matrix`` is checked the same way at p = 2, 7681 and the
@@ -591,6 +593,9 @@ def test_poly_pow_mod(data):
 
 PACKED_PRIMES = (2, 3, 13, 1201, 2**61 - 1, BIG_P)
 PACKED_DEGREES = (1, 2, 3, 8, 16, 64, 128)
+# (p, d) whose fold-table slot, sized for at most 2d - 1 products, is one
+# 64-bit word, where 2d p^2 would take two
+ONE_WORD_FOLDS = ((2147483659, 2), (1073741827, 8))
 
 
 def ring(field, modulus: Polynomial):
@@ -614,10 +619,11 @@ def check_packed_multiply(field, f: Polynomial, a: list, b: list):
     assert mul_mod(field, f)(a, a) == [c.value for c in oracle_ext_mul(x, x).coords]
 
 
-@pytest.mark.parametrize("d", PACKED_DEGREES)
-@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("p,d", [*itertools.product(PACKED_PRIMES, PACKED_DEGREES), *ONE_WORD_FOLDS])
 def test_packed_multiply_and_power(p, d):
     field = PrimeField(p)
+    if (p, d) in ONE_WORD_FOLDS:
+        assert field.slot_width(2 * d - 1) == 64 < (2 * d * p * p).bit_length()
     rng = random.Random(f"packed-{p}-{d}")
     top = [p - 1] * d
     heaviest = Polynomial(field, top + [1])  # every low coefficient p - 1
@@ -785,8 +791,9 @@ def test_the_slot_codec_round_trips_whole_words(width):
         assert n == sum(v << i * width for i, v in enumerate(values))
         assert PrimeField.unpack(n, width, len(values)) == values
     assert PrimeField.unpack(PrimeField.pack([top, 5], width), width, 4) == [top, 5, 0, 0]
-    assert PrimeField.slot_width(top) == width and PrimeField.slot_width(top + 1) == width + 64
-    assert PrimeField.slot_width(0) == 64
+    two = PrimeField(2)  # its slot holds 1 + terms
+    assert two.slot_width(top - 1) == width and two.slot_width(top) == width + 64
+    assert two.slot_width(0) == 64
 
 
 @pytest.mark.parametrize("p,n", [(97, 16), (17, 8), (13, 4), (5, 1)])

@@ -25,6 +25,7 @@ from kummerkit.errors import (
     EmptyEigenspace,
     FieldMismatch,
     KummerError,
+    MalformedCertificate,
     NoPrimitiveRoot,
     NotAnAutomorphism,
     NotInvertible,
@@ -73,6 +74,14 @@ def f25_frobenius_cubic() -> CyclicExtensionInput:
     assert not roots
     ext = ExtensionField(F25, Polynomial(F25, [t, 1, 0, 1]))
     return CyclicExtensionInput(ext, 3, F25.element([2, 2]), ext.gen() ** 25)
+
+
+def square_zero_input() -> CyclicExtensionInput:
+    """E = QQ[X]/(X^2), zeta = -1 and s = 0: f(s) = 0, so alpha -> 0 is an
+    endomorphism, but not an automorphism: sigma^2(alpha) = 0."""
+    qq = RationalField()
+    ext = ExtensionField(qq, Polynomial(qq, [0, 0, 1]))
+    return CyclicExtensionInput(ext, 2, Fraction(-1), ext.zero())
 
 
 RESOLVENT_INPUTS = {
@@ -133,6 +142,23 @@ class TestValidateSetup:
         bad = CyclicExtensionInput(frob52.ext_field, 2, frob52.zeta, alpha + 1)
         with pytest.raises(NotAnAutomorphism):
             validate_setup(bad)
+
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda frob: CyclicExtensionInput(F5, 1, 1, F5.one()), ValidationError, "E must be an extension field"),
+            (lambda frob: replace(frob, n=0), ValidationError, "n must be >= 1, got 0"),
+            (lambda frob: replace(frob, zeta=PrimeFieldElement(4, 7)), ValidationError, "element of F_7 is not in F_5"),
+            (lambda frob: square_zero_input(), AutomorphismOrderMismatch, "sigma^2(alpha) != alpha"),
+        ],
+        ids=["e-not-an-extension", "n-below-one", "zeta-outside-k", "square-zero-endomorphism"],
+    )
+    def test_malformed_input_rejected(self, frob52, make, error, message):
+        inp = make(frob52)
+        for validate in (validate_setup, oracle_validate_setup):
+            with pytest.raises(error) as info:
+                validate(inp)
+            assert str(info.value) == message
 
     def test_cubic_automorphism_iterates(self):
         # sigma(alpha) = alpha^2 - 2, sigma^2(alpha) = -alpha^2 - alpha + 2,
@@ -408,6 +434,22 @@ class TestVerification:
         ok, failures = verify_certificate_report(cert)
         assert not ok
         assert failures[0].startswith("hypotheses hold")
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"x_min_poly": "X^4 - 8"}, "x_min_poly is not a polynomial over K"),
+            ({"x_min_poly": Polynomial(F5, [2, 0, 0, 0, 1])}, "x_min_poly is not a polynomial over K"),
+            ({"checks": dict.fromkeys(CHECK_NAMES[1:], True)}, "check flags are not exactly the documented set"),
+            ({"x": F25.gen()}, "element of GF(5)[X]/(X^2 + 3) is not in GF(13)[X]/(X^4 + 11)"),
+        ],
+        ids=["x-min-poly-not-a-polynomial", "x-min-poly-over-another-field", "a-flag-missing", "x-in-another-field"],
+    )
+    def test_malformed_certificate_raises(self, frob134, changes, message):
+        cert = replace(certify(frob134), **changes)
+        with pytest.raises(MalformedCertificate) as info:
+            verify_certificate_report(cert)
+        assert str(info.value) == message
 
     def test_zero_x_rejected(self):
         cert = certify(frobenius_family(5, 1))
